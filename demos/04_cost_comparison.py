@@ -7,17 +7,11 @@ operations with the softmultiply estimate eta(n) = n log2(n) log2(log2 n);
 the measurement counts actual field multiplications performed.
 """
 
-from crtspectra import (CountingField, CrtBasis, default_field_for_period,
-                        dft, dft_point, estimate_crt_breakdown,
-                        estimate_direct, Lfsr, lfsr_stream, measure,
-                        OpCounter, pointwise_product, product_spectrum,
-                        product_spectrum_point)
+from crtspectra import estimate_crt_breakdown, estimate_direct
+from crtspectra.cases import LFSR_B, LFSR_C, pair_case, priced_point
 
 
 def main():
-    b = lfsr_stream(Lfsr(0xB, 0b100), 7)
-    c = lfsr_stream(Lfsr(0x25, 0b10000), 31)
-    bc = pointwise_product(b, c)
     k = 108
 
     est_direct = estimate_direct(217, 15)
@@ -28,28 +22,12 @@ def main():
           f"{bk.factor_costs[1]:.2f}, recombination {bk.crt_cost:.0f}")
     print(f"  working bits: {bk.factor_bits} vs 15\n")
 
-    fld7, root7 = default_field_for_period(7)
-    fld31, root31 = default_field_for_period(31)
-    SB, SC = dft(b, fld7, root7), dft(c, fld31, root31)
-    S = product_spectrum([SB, SC], CrtBasis([7, 31]))
-
-    def run_direct(counter: OpCounter):
-        cf = CountingField(S.field, counter)
-        dft_point(bc, cf.element(S.root.bits), k)
-
-    def run_crt(counter: OpCounter):
-        f1 = CountingField(fld7, counter)
-        f2 = CountingField(fld31, counter)
-        d1 = dft_point(b, f1.element(root7.bits), k % 7)
-        d2 = dft_point(c, f2.element(root31.bits), k % 31)
-        if d1 is not None and d2 is not None:
-            product_spectrum_point([SB, SC], CrtBasis([7, 31]), k)
-
-    md, mc = measure(run_direct), measure(run_crt)
+    ex = pair_case(LFSR_B, LFSR_C)
+    md, mc = priced_point(ex, k)
     print(f"measured field multiplications at k={k}:")
     print(f"  direct {md.mul_count}, CRT {mc.mul_count}  "
           f"(ratio {md.mul_count / mc.mul_count:.1f}x)")
-    print(f"value agrees both ways: S_{k} = root^{S.values[k]}")
+    print(f"value agrees both ways: S_{k} = root^{ex.spectrum.values[k]}")
 
 
 if __name__ == "__main__":

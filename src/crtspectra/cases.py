@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bm import BmResult, berlekamp_massey
-from .crtconv import CrtBasis, combiner_spectrum, product_spectrum
+from .costs import OpCounter, measure
+from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
+                      product_spectrum_point)
+from .field import CountingField
 from .sequences import (AnfCombiner, BitSequence, Lfsr, combiner_stream,
                         lfsr_stream, pointwise_product)
-from .spectral import Spectrum, default_field_for_period, dft
+from .spectral import ZERO, Spectrum, default_field_for_period, dft, dft_point
 
 # degree-2, degree-3, degree-5 primitive connections with the standard seeds
 LFSR_A = (0x7, 0b10)        # x^2+x+1, seed 01 -> period-3 stream 011
@@ -53,6 +56,30 @@ def pair_case(spec1, spec2) -> PairCase:
     S = product_spectrum([F1, F2], basis)
     r = berlekamp_massey(list(u.bits) * 2)
     return PairCase((s1, s2), u, (F1, F2), basis, S, r)
+
+
+def priced_point(ex: PairCase, k: int) -> tuple[OpCounter, OpCounter]:
+    """Field-op tallies for one spectral point of ex.product at index k.
+
+    Direct: Horner over the whole product period in the product's field.
+    CRT: Horner per factor at k mod n_i in each factor's own field, then
+    the index/exponent recombination when no factor point is zero.
+    """
+    S = ex.spectrum
+
+    def run_direct(counter: OpCounter):
+        cf = CountingField(S.field, counter)
+        dft_point(ex.product, cf.element(S.root.bits), k)
+
+    def run_crt(counter: OpCounter):
+        ds = []
+        for s, F in zip(ex.streams, ex.factors):
+            cf = CountingField(F.field, counter)
+            ds.append(dft_point(s, cf.element(F.root.bits), k % s.period))
+        if ZERO not in ds:
+            product_spectrum_point(ex.factors, ex.basis, k)
+
+    return measure(run_direct), measure(run_crt)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import sys
 
 from . import cases
 from .bm import berlekamp_massey
-from .costs import OpCounter, estimate_crt_breakdown, estimate_direct, measure
+from .costs import estimate_crt_breakdown, estimate_direct
 from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
                       product_spectrum_point, support_indices)
 from .field import (PRIMITIVE_POLYS, build_field, default_modulus,
-                    element_of_order, factor_int)
+                    element_of_order)
 from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
                       parse_spectrum, serialize_sequence, serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
@@ -177,45 +177,19 @@ def _parse_lfsr_spec(text: str):
             f"bad --lfsr {text!r}; expected <poly>:<seed> like 0xb:0x1") from None
 
 
-def _run_tampered(run, k_bad: int, bound: int):
-    """Recompute one verification with a fault injected at index k_bad.
-
-    Exists to prove the oracle is not vacuous: the tampered run must FAIL.
-    """
-    from .oracle import _one_period, brute_dft, compare_spectra
-    from .spectral import Spectrum
-
-    seqs = [_one_period(c, s, bound) for c, s in run]
-    basis = CrtBasis([q.period for q in seqs])
-    factors = []
-    for q in seqs:
-        fld, rt = default_field_for_period(q.period)
-        factors.append(dft(q, fld, rt))
-    S = product_spectrum(factors, basis)
-    if not 0 <= k_bad < S.N:
-        raise ValueError(f"--tamper-index {k_bad} out of range for N={S.N}")
-    vals = list(S.values)
-    vals[k_bad] = 0 if vals[k_bad] is None else None
-    tampered = Spectrum(S.N, S.field, S.root, tuple(vals))
-    prod = seqs[0]
-    for t in seqs[1:]:
-        prod = pointwise_product(prod, t)
-    ref = brute_dft(prod, tampered.field, tampered.root)
-    return compare_spectra(ref, tampered), S.N
-
-
 def _cmd_verify(args) -> int:
     specs = [_parse_lfsr_spec(t) for t in args.lfsr]
 
     if args.tamper_index is not None:
-        mms, N = _run_tampered(specs, args.tamper_index, args.bound)
-        verdict = "FAIL" if mms else "PASS"
-        print(f"{verdict} N={N} tampered_at={args.tamper_index} "
-              f"mismatches={len(mms)}")
-        for mm in mms:
+        rep = verify_theorem1(specs, bound=args.bound,
+                              tamper_index=args.tamper_index)
+        print(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
+              f" tampered_at={args.tamper_index}"
+              f" mismatches={len(rep.mismatches)}")
+        for mm in rep.mismatches:
             print(json.dumps({"index": mm.index, "expected": mm.expected,
                               "actual": mm.actual}))
-        return 1 if mms else 0
+        return 0 if rep.ok else 1
 
     runs = []
     if args.random_seeds:
@@ -261,30 +235,13 @@ def _cmd_bench(args) -> int:
     if args.case != "bc108":
         raise ValueError(f"unknown bench case {args.case!r}")
     ex = cases.pair_case(cases.LFSR_B, cases.LFSR_C)
-    b, c = ex.streams
-    bc = ex.product
     S = ex.spectrum
     k = 108
     n_direct = S.field.m
     est_direct = estimate_direct(S.N, n_direct)
     bk = estimate_crt_breakdown(
-        [b.period, c.period],
-        [ex.factors[0].field.m, ex.factors[1].field.m], S.N)
-
-    def run_direct(counter: OpCounter):
-        fld = S.field.with_counter(counter)
-        dft_point(bc, fld.element(S.root.bits), k)
-
-    def run_crt(counter: OpCounter):
-        f1 = ex.factors[0].field.with_counter(counter)
-        f2 = ex.factors[1].field.with_counter(counter)
-        d1 = dft_point(b, f1.element(ex.factors[0].root.bits), k % b.period)
-        d2 = dft_point(c, f2.element(ex.factors[1].root.bits), k % c.period)
-        if d1 is not None and d2 is not None:
-            product_spectrum_point(ex.factors, ex.basis, k)
-
-    m_direct = measure(run_direct)
-    m_crt = measure(run_crt)
+        ex.basis.moduli, [f.field.m for f in ex.factors], S.N)
+    m_direct, m_crt = cases.priced_point(ex, k)
 
     rows = [
         ("bits required", str(n_direct), str(bk.factor_bits)),
@@ -474,13 +431,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    # verify owns the global seed; stash it on args for _cmd_verify
     try:
         return _DISPATCH[args.cmd](args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

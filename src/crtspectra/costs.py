@@ -33,7 +33,8 @@ class CostModel:
 
 @dataclass
 class OpCounter:
-    """Mutable tally a CountingField writes into; one per measured run."""
+    """Mutable tally that a CountingField(field, counter) view writes into;
+    one per measured run."""
     xor_count: int = 0
     mul_count: int = 0
     reduction_count: int = 0
@@ -104,7 +105,8 @@ def measure(run) -> OpCounter:
     """Run a computation with a fresh counter and hand the tallies back.
 
     `run` receives the OpCounter and is expected to thread it into field
-    views via FieldSpec.with_counter; a run that never does stays at zero.
+    views via CountingField(field, counter); a run that never does stays at
+    zero.
     """
     counter = OpCounter()
     run(counter)

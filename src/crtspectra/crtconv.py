@@ -23,7 +23,7 @@ from .field import (FieldElement, FieldSpec, build_field, discrete_log,
                     element_of_order, element_order, find_root_in_subgroup,
                     minimal_polynomial_of, multiplicative_order_of_2)
 from .sequences import AnfCombiner
-from .spectral import ZERO, Spectrum
+from .spectral import ZERO, Spectrum, root_power_table
 
 
 class CrtBasis:
@@ -114,6 +114,17 @@ def _as_factor(f) -> LogSpectrumFactor:
     raise TypeError(f"expected Spectrum or LogSpectrumFactor, got {type(f)!r}")
 
 
+def _check_factors(factors, basis: CrtBasis) -> list[LogSpectrumFactor]:
+    """Log-form factors, one per basis modulus with matching lengths."""
+    facs = [_as_factor(f) for f in factors]
+    if len(facs) != len(basis.moduli):
+        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
+    for f, n in zip(facs, basis.moduli):
+        if f.modulus != n:
+            raise ValueError(f"factor modulus {f.modulus} != basis modulus {n}")
+    return facs
+
+
 def product_spectrum_point(factors, basis: CrtBasis, k: int):
     """Log-form value of the product sequence's spectrum at one index.
 
@@ -123,13 +134,12 @@ def product_spectrum_point(factors, basis: CrtBasis, k: int):
     """
     if not 0 <= k < basis.N:
         raise ValueError(f"index {k} outside [0, {basis.N})")
-    facs = [_as_factor(f) for f in factors]
-    if len(facs) != len(basis.moduli):
-        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
+    return _log_point(_check_factors(factors, basis), basis, k)
+
+
+def _log_point(facs, basis: CrtBasis, k: int):
     residues = []
     for f, n in zip(facs, basis.moduli):
-        if f.modulus != n:
-            raise ValueError(f"factor modulus {f.modulus} != basis modulus {n}")
         d = f.values[k % n]
         if d is ZERO:
             return ZERO
@@ -159,20 +169,7 @@ def aligned_product_root(roots, field: FieldSpec) -> FieldElement:
 
 
 def _log_product_values(facs, basis: CrtBasis) -> list:
-    N = basis.N
-    out = [ZERO] * N
-    for k in range(N):
-        residues = []
-        ok = True
-        for f, n in zip(facs, basis.moduli):
-            d = f.values[k % n]
-            if d is ZERO:
-                ok = False
-                break
-            residues.append(d)
-        if ok:
-            out[k] = crt_combine(residues, basis)
-    return out
+    return [_log_point(facs, basis, k) for k in range(basis.N)]
 
 
 def product_spectrum(factors, basis: CrtBasis, field: FieldSpec | None = None,
@@ -187,12 +184,7 @@ def product_spectrum(factors, basis: CrtBasis, field: FieldSpec | None = None,
     element instead; exponents are then correct relative to the aligned
     root, and the materialized root is a relabeling.
     """
-    facs = [_as_factor(f) for f in factors]
-    if len(facs) != len(basis.moduli):
-        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
-    for f, n in zip(facs, basis.moduli):
-        if f.modulus != n:
-            raise ValueError(f"factor modulus {f.modulus} != basis modulus {n}")
+    facs = _check_factors(factors, basis)
     N = basis.N
     if field is None:
         field = build_field(multiplicative_order_of_2(N))
@@ -208,14 +200,7 @@ def support_indices(factors, basis: CrtBasis) -> list[int]:
     """Sorted nonzero indices of the product spectrum: CRT images of every
     tuple of per-factor nonzero indices."""
     from itertools import product as iproduct
-    facs = [_as_factor(f) for f in factors]
-    if len(facs) != len(basis.moduli):
-        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
-    supports = []
-    for f, n in zip(facs, basis.moduli):
-        if f.modulus != n:
-            raise ValueError(f"factor modulus {f.modulus} != basis modulus {n}")
-        supports.append(f.support())
+    supports = [f.support() for f in _check_factors(factors, basis)]
     if any(not s for s in supports):
         return []
     return sorted(crt_combine(list(combo), basis)
@@ -306,14 +291,10 @@ def combiner_spectrum(f: AnfCombiner, per_variable_factors, basis: CrtBasis,
     Factors given as full Spectrum objects supply their own roots;
     field-free factors need variable_roots.
     """
-    facs = [_as_factor(x) for x in per_variable_factors]
-    if len(facs) != f.n_vars:
-        raise ValueError(f"{len(facs)} factors for {f.n_vars} variables")
-    if len(facs) != len(basis.moduli):
-        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
-    for fac, n in zip(facs, basis.moduli):
-        if fac.modulus != n:
-            raise ValueError(f"factor modulus {fac.modulus} != basis modulus {n}")
+    if len(per_variable_factors) != f.n_vars:
+        raise ValueError(
+            f"{len(per_variable_factors)} factors for {f.n_vars} variables")
+    facs = _check_factors(per_variable_factors, basis)
     if variable_roots is None:
         if not all(isinstance(x, Spectrum) for x in per_variable_factors):
             raise ValueError(
@@ -329,12 +310,7 @@ def combiner_spectrum(f: AnfCombiner, per_variable_factors, basis: CrtBasis,
         raise ValueError("variable root orders do not multiply out to N")
 
     # power table of sigma once; terms accumulate by XOR of raw values
-    pw = [1]
-    cur = 1
-    for _ in range(N - 1):
-        cur = field.mul_int(cur, sigma.bits)
-        pw.append(cur)
-    dlog = {bits: d for d, bits in enumerate(pw)}
+    pw, dlog = root_power_table(sigma)
 
     acc = [0] * N
     for mono in f.monomials:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .gf2poly import is_irreducible, pmod, pmul, poly_str
-
-_pow = pow  # builtin, needed below where `pow` is shadowed by the field op
+from .gf2poly import is_irreducible, pgcd, pmod, poly_str, ppowmod
 
 # Lexicographically smallest primitive polynomial per degree. Verified by
 # re-derivation in the test suite (Rabin irreducibility + order check via
@@ -35,17 +33,26 @@ def _load_table_override() -> dict[int, int]:
     path = os.environ.get(POLY_TABLE_ENV)
     if not path:
         return {}
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise ValueError(
+            f"{path}: cannot read {POLY_TABLE_ENV}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(
+            f"{path}: {POLY_TABLE_ENV} file is not ASCII text") from None
     table = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected '<degree> 0x<hex>', got {line!r}")
-            table[int(parts[0])] = int(parts[1], 16)
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            degree, poly = line.split()
+            table[int(degree)] = int(poly, 16)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected '<degree> 0x<hex>',"
+                             f" got {line!r}") from None
     return table
 
 
@@ -74,7 +81,7 @@ def _is_probable_prime(n: int) -> bool:
         s += 1
     # deterministic for n < 3.3e24 with these witnesses
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = _pow(a, d, n)
+        x = pow(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -142,20 +149,9 @@ def is_primitive(f: int, factors: list[int] | None = None) -> bool:
     if factors is None:
         factors = factor_int(order)
     for q in factors:
-        if _powmod_int(2, order // q, f) == 1:
+        if ppowmod(2, order // q, f) == 1:
             return False
     return True
-
-
-def _powmod_int(a: int, e: int, f: int) -> int:
-    r = pmod(1, f)
-    a = pmod(a, f)
-    while e:
-        if e & 1:
-            r = pmod(pmul(r, a), f)
-        a = pmod(pmul(a, a), f)
-        e >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +258,7 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, (FieldSpec, CountingField))
+        return (isinstance(other, FieldSpec)
                 and self.m == other.m and self.modulus == other.modulus)
 
     def __hash__(self):
@@ -271,19 +267,14 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(GF(2^{self.m}), mod={poly_str(self.modulus)})"
 
-    def with_counter(self, counter) -> "CountingField":
-        """View of this field whose ops tally into counter (see costs)."""
-        return CountingField(self, counter)
-
 
 def _find_factor(f: int) -> int:
     """A nontrivial factor of a reducible f (for the rejection message)."""
-    from .gf2poly import pgcd, ppowmod
     m = f.bit_length() - 1
     x = pmod(2, f)
     xp = x
     for d in range(1, m // 2 + 1):
-        xp = _powmod_int(xp, 2, f)  # x^(2^d) mod f
+        xp = ppowmod(xp, 2, f)  # x^(2^d) mod f
         g = pgcd(f, xp ^ x)
         if g not in (1, f):
             return g
@@ -294,34 +285,21 @@ def _find_factor(f: int) -> int:
     raise ArithmeticError(f"could not factor {f:#x}")
 
 
-class CountingField:
-    """Duck-typed FieldSpec view that tallies operations into a counter.
+class CountingField(FieldSpec):
+    """View of a FieldSpec whose add_int/mul_int tally into a counter.
 
     The counter needs xor_count / mul_count / reduction_count attributes.
     Counters are per-view, never global; concurrent runs each own one.
+    Element orders are computed by the base field, so they stay uncounted.
     """
 
     __slots__ = ("base", "counter")
 
     def __init__(self, base: FieldSpec, counter):
+        for name in FieldSpec.__slots__:
+            setattr(self, name, getattr(base, name))
         self.base = base
         self.counter = counter
-
-    @property
-    def m(self):
-        return self.base.m
-
-    @property
-    def modulus(self):
-        return self.base.modulus
-
-    @property
-    def group_order(self):
-        return self.base.group_order
-
-    @property
-    def group_order_factors(self):
-        return self.base.group_order_factors
 
     def add_int(self, a: int, b: int) -> int:
         self.counter.xor_count += 1
@@ -330,40 +308,10 @@ class CountingField:
     def mul_int(self, a: int, b: int) -> int:
         self.counter.mul_count += 1
         self.counter.reduction_count += 1
-        return self.base.mul_int(a, b)
-
-    def pow_int(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_int(self.inv_int(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul_int(r, a)
-            a = self.mul_int(a, a)
-            e >>= 1
-        return r
-
-    def inv_int(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow_int(a, self.group_order - 1)
+        return super().mul_int(a, b)
 
     def _order_int(self, a: int) -> int:
         return self.base._order_int(a)
-
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(self, bits)
-
-    @property
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, self.base._generator_bits)
-
-    def __eq__(self, other):
-        return (isinstance(other, (FieldSpec, CountingField))
-                and self.m == other.m and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.m, self.modulus))
 
 
 @dataclass(frozen=True)
@@ -421,24 +369,6 @@ def build_field(m: int, modulus: int | None = None) -> FieldSpec:
     if modulus is None:
         modulus = default_modulus(m)
     return FieldSpec(m, modulus)
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def pow(a: FieldElement, e: int) -> FieldElement:  # noqa: A001 - contract name
-    return a ** e
-
-
-def inv(a: FieldElement) -> FieldElement:
-    if a.bits == 0:
-        raise ZeroDivisionError("inverse of 0")
-    return a.inverse()
 
 
 def element_order(a: FieldElement) -> int:

@@ -10,7 +10,7 @@ import os
 import re
 import tempfile
 
-from .field import FieldElement, FieldSpec, build_field, discrete_log
+from .field import FieldSpec, build_field, discrete_log
 from .sequences import BitSequence
 from .spectral import Spectrum
 
@@ -136,9 +136,14 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
         field = build_field(m, modulus)
     except ValueError as err:
         raise FormatError(str(err), path, 1, 1) from None
+    # N sizes the tables below; only divisors of the group order have roots
+    if N < 1 or field.group_order % N:
+        raise FormatError(
+            f"N={N} does not divide the group order {field.group_order}"
+            f" of GF(2^{m})", path, 1, 1)
     root = field.generator ** e
     values: list = [None] * N
-    seen = [False] * N
+    line_of = [0] * N   # line number of each index's entry, 0 if none yet
     for lineno, raw in enumerate(lines[1:], start=2):
         raw = raw.strip()
         if not raw:
@@ -149,9 +154,9 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
         k = int(lm.group(1))
         if k >= N:
             raise FormatError(f"index {k} outside [0, {N})", path, lineno, 1)
-        if seen[k]:
+        if line_of[k]:
             raise FormatError(f"duplicate index {k}", path, lineno, 1)
-        seen[k] = True
+        line_of[k] = lineno
         if lm.group(2) != "Z":
             d = int(lm.group(2))
             if d >= N:
@@ -159,15 +164,21 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
                     f"exponent {d} outside [0, {N})", path, lineno,
                     len(lm.group(1)) + 2)
             values[k] = d
-    missing = [k for k, s in enumerate(seen) if not s]
+    missing = [k for k, ln in enumerate(line_of) if not ln]
     if missing:
         raise FormatError(
             f"missing entries for {len(missing)} indices"
             f" (first: {missing[0]})", path, len(lines) + 1, 1)
     try:
-        return Spectrum(N, field, root, tuple(values))
+        S = Spectrum(N, field, root, tuple(values))
     except ValueError as err:
         raise FormatError(str(err), path, 1, 1) from None
+    bad = S.conjugacy_violation()
+    if bad is not None:
+        raise FormatError(
+            f"conjugacy violated between indices {bad[0]} and {bad[1]}:"
+            " not the spectrum of a binary sequence", path, line_of[bad[0]], 1)
+    return S
 
 
 def read_text(path: str) -> str:

@@ -124,13 +124,18 @@ def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
     return BitSequence(tuple(out[:p]))
 
 
-def verify_theorem1(lfsrs, bound: int = 100_000) -> VerifyReport:
+def verify_theorem1(lfsrs, bound: int = 100_000,
+                    tamper_index: int | None = None) -> VerifyReport:
     """Both paths end to end on given (connection, seed) pairs.
 
     Generates the streams, takes each factor's spectrum, computes the
     product spectrum by CRT and by brute_dft of the actual bitwise
     product, and audits Blahut and conjugacy. A single LFSR degenerates
     to comparing a sequence's spectrum with itself.
+
+    tamper_index flips the CRT value at that index (zero <-> g^0) before
+    the comparison, so the report must come back failing; it proves the
+    referee is not vacuous.
     """
     from .spectral import default_field_for_period
     if not lfsrs:
@@ -148,6 +153,8 @@ def verify_theorem1(lfsrs, bound: int = 100_000) -> VerifyReport:
         N *= p
     if N > bound:
         raise ValueError(f"product period {N} exceeds bound {bound}")
+    if tamper_index is not None and not 0 <= tamper_index < N:
+        raise ValueError(f"tamper index {tamper_index} out of range for N={N}")
 
     factors = []
     for s in streams:
@@ -155,6 +162,10 @@ def verify_theorem1(lfsrs, bound: int = 100_000) -> VerifyReport:
         factors.append(dft(s, fld, rt))
     basis = CrtBasis(periods)
     S_crt = product_spectrum(factors, basis)
+    if tamper_index is not None:
+        vals = list(S_crt.values)
+        vals[tamper_index] = 0 if vals[tamper_index] is ZERO else ZERO
+        S_crt = Spectrum(N, S_crt.field, S_crt.root, tuple(vals))
 
     u = streams[0]
     for s in streams[1:]:

@@ -84,7 +84,7 @@ def default_field_for_period(N: int):
     return field, element_of_order(field, N)
 
 
-def _root_power_table(root: FieldElement):
+def root_power_table(root: FieldElement):
     """pw[d] = root^d as raw bits, plus the inverse lookup dict."""
     fld = root.field
     N = element_order(root)
@@ -108,7 +108,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
     fld = root.field
-    pw, dlog = _root_power_table(root)
+    pw, dlog = root_power_table(root)
     bits = s.bits
     values: list = [ZERO] * N
     for coset in cyclotomic_cosets(N):
@@ -139,7 +139,7 @@ def idft(S: Spectrum) -> BitSequence:
     N = S.N
     if N % 2 == 0:
         raise ValueError(f"even period {N} rejected")
-    pw, _ = _root_power_table(S.root)
+    pw, _ = root_power_table(S.root)
     supp = [(k, d) for k, d in enumerate(S.values) if d is not None]
     out = []
     for t in range(N):

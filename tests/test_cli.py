@@ -137,9 +137,15 @@ def test_verify_tampered_run_fails(capsys):
                        "--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4",
                        "--tamper-index", "5")
     assert code == 1
-    assert out.startswith("FAIL")
+    assert out.splitlines()[0] == "FAIL N=21 tampered_at=5 mismatches=1"
     rec = json.loads(out.splitlines()[1])
     assert rec["index"] == 5
+
+    code, _, err = run(capsys, "verify", "theorem1",
+                       "--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4",
+                       "--tamper-index", "50")
+    assert code == 2
+    assert "out of range" in err
 
 
 def test_verify_random_seeds_replay(capsys):
@@ -161,6 +167,37 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
     code, _, err = run(capsys, "dft", "--in", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+def test_untrusted_spectrum_exits_2(tmp_path, capsys):
+    for name, text in (
+            ("huge.spec",    # N would size a 10^15-entry table
+             "N=1000000000000000 field=GF2m(2,0x7) root=g^1\n0 Z\n"),
+            ("conj.spec",    # d(2) != 2 d(1) mod 3
+             "N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 1\n")):
+        p = tmp_path / name
+        p.write_text(text)
+        code, out, err = run(capsys, "crt-conv", "--factors", str(p))
+        assert code == 2
+        assert out == ""
+        assert f"{p}:" in err and "Traceback" not in err
+
+
+def test_bad_poly_table_exits_2(tmp_path, capsys, monkeypatch):
+    seq = tmp_path / "b.txt"
+    seq.write_text("period=7\n0010111\n")
+    missing = tmp_path / "missing.txt"
+    monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(missing))
+    code, _, err = run(capsys, "dft", "--in", str(seq))
+    assert code == 2
+    assert str(missing) in err
+
+    bad = tmp_path / "table.txt"
+    bad.write_text("# alt table\n3 0xb\n4 zz\n")
+    monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(bad))
+    code, _, err = run(capsys, "dft", "--in", str(seq))
+    assert code == 2
+    assert f"{bad}:3:" in err
 
 
 def test_usage_error_exits_2(capsys):
@@ -186,10 +223,11 @@ def test_bench_table(capsys):
     assert "quantity,direct,crt" in out
     rows = {}
     for ln in out.splitlines():
-        if ln.startswith("measured_field_mults"):
-            _, d, c = ln.split(",")
-            rows["mul"] = (int(d), int(c))
-    assert rows["mul"][1] < rows["mul"][0]
+        if ln.startswith("measured_field_"):
+            q, d, c = ln.split(",")
+            rows[q] = (int(d), int(c))
+    assert rows["measured_field_mults"] == (276, 78)
+    assert rows["measured_field_ops"] == (552, 156)
 
 
 def test_report_golden_example1(capsys):

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from crtspectra.field import (PRIMITIVE_POLYS, CountingField, FieldElement,
-                              build_field, cyclotomic_cosets, default_modulus,
-                              discrete_log, element_of_order, element_order,
-                              factor_int, is_primitive,
+                              FieldSpec, build_field, cyclotomic_cosets,
+                              default_modulus, discrete_log, element_of_order,
+                              element_order, factor_int, is_primitive,
                               minimal_polynomial_of, multiplicative_order_of_2)
 from crtspectra.gf2poly import is_irreducible
 
@@ -148,6 +148,10 @@ def test_counting_field_tallies():
     assert cf.counter.mul_count == 1
     assert cf.counter.xor_count == 1
     assert cf == F6   # same field, different instrumentation
+    assert isinstance(cf, FieldSpec)
+    assert hash(cf) == hash(F6)
+    assert cf.generator.order() == 63
+    assert cf.counter.mul_count == 1   # element orders stay uncounted
 
 
 def test_cross_field_element_mixing_rejected():

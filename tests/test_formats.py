@@ -88,6 +88,14 @@ def test_spectrum_parse_rejections():
     with pytest.raises(FormatError):
         parse_spectrum("\n".join(bad_root), "x")
 
+    huge = "N=1000000000000000 field=GF2m(2,0x7) root=g^1\n0 Z"
+    with pytest.raises(FormatError, match=r"^x:1:1: N=1000000000000000"):
+        parse_spectrum(huge, "x")                      # N does not divide 3
+
+    conj = "N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 1"
+    with pytest.raises(FormatError, match="indices 1 and 2"):
+        parse_spectrum(conj, "x")                      # d(2) != 2 d(1)
+
 
 def test_atomic_write(tmp_path):
     p = tmp_path / "out.txt"
