@@ -178,18 +178,10 @@ def _parse_lfsr_spec(text: str):
 
 
 def _cmd_verify(args) -> int:
+    tamper = args.tamper_index
+    if tamper is not None and args.random_seeds:
+        raise ValueError("--tamper-index cannot be combined with --random-seeds")
     specs = [_parse_lfsr_spec(t) for t in args.lfsr]
-
-    if args.tamper_index is not None:
-        rep = verify_theorem1(specs, bound=args.bound,
-                              tamper_index=args.tamper_index)
-        print(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
-              f" tampered_at={args.tamper_index}"
-              f" mismatches={len(rep.mismatches)}")
-        for mm in rep.mismatches:
-            print(json.dumps({"index": mm.index, "expected": mm.expected,
-                              "actual": mm.actual}))
-        return 0 if rep.ok else 1
 
     runs = []
     if args.random_seeds:
@@ -208,21 +200,28 @@ def _cmd_verify(args) -> int:
     overall_ok = True
     json_lines = []
     for run in runs:
-        rep = verify_theorem1(run, bound=args.bound)
+        rep = verify_theorem1(run, bound=args.bound, tamper_index=tamper)
         overall_ok = overall_ok and rep.ok
         label = " ".join(f"0x{c:x}:0x{s:x}" for c, s in run)
         if args.json:
-            json_lines.append(json.dumps({
-                "lfsrs": label, "ok": rep.ok, "N": rep.N,
-                "support": rep.support_size, "L": rep.linear_complexity,
-                "blahut_ok": rep.blahut_ok, "conjugacy_ok": rep.conjugacy_ok,
-                "mismatches": len(rep.mismatches)}))
+            rec = {"lfsrs": label, "ok": rep.ok, "N": rep.N,
+                   "support": rep.support_size, "L": rep.linear_complexity,
+                   "blahut_ok": rep.blahut_ok,
+                   "conjugacy_ok": rep.conjugacy_ok,
+                   "mismatches": len(rep.mismatches)}
+            if tamper is not None:
+                rec["tampered_at"] = tamper
+            json_lines.append(json.dumps(rec))
             for mm in rep.mismatches:
                 json_lines.append(json.dumps({
                     "lfsrs": label, "index": mm.index,
                     "expected": mm.expected, "actual": mm.actual}))
         else:
-            print(f"{rep.summary()}  [{label}]")
+            if tamper is None:
+                print(f"{rep.summary()}  [{label}]")
+            else:
+                print(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
+                      f" tampered_at={tamper} mismatches={len(rep.mismatches)}")
             for mm in rep.mismatches:
                 print(json.dumps({"index": mm.index, "expected": mm.expected,
                                   "actual": mm.actual}))

@@ -114,7 +114,10 @@ _SPEC_LINE_RE = re.compile(r"^(\d+) (Z|\d+)$")
 
 
 def serialize_spectrum(S: Spectrum) -> str:
-    e = discrete_log(S.root, S.field.generator)
+    # root has order N, so it lies in <g^q>, q = (2^m-1)/N: a log over N
+    # elements, scaled by q, is the generator log (unique mod 2^m-1)
+    q = S.field.group_order // S.N
+    e = q * discrete_log(S.root, S.field.generator ** q)
     out = [f"N={S.N} field=GF2m({S.field.m},0x{S.field.modulus:x}) root=g^{e}"]
     for k, d in enumerate(S.values):
         out.append(f"{k} {'Z' if d is None else d}")

@@ -100,23 +100,23 @@ def root_power_table(root: FieldElement):
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     """S_k = sum_t s_t root^(tk), k = 0..N-1, positive-exponent kernel.
 
-    Evaluates one Horner pass per cyclotomic coset leader and fills the
-    rest of each coset by the conjugate square law d(2k) = 2 d(k) mod N.
+    Table-driven: the root power table is the only field multiplication
+    (N - 1 mul_int calls). Each cyclotomic coset leader k is the XOR of
+    pw[t k mod N] over the 1-bits t of s, and the rest of each coset is
+    filled by the conjugate square law d(2k) = 2 d(k) mod N.
     """
     N = s.period
     if element_order(root) != N:
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
-    fld = root.field
     pw, dlog = root_power_table(root)
-    bits = s.bits
+    ones = [t for t, b in enumerate(s.bits) if b]
     values: list = [ZERO] * N
     for coset in cyclotomic_cosets(N):
         leader = coset[0]
-        x = pw[leader]
         acc = 0
-        for t in range(N - 1, -1, -1):  # Horner on sum s_t x^t
-            acc = fld.mul_int(acc, x) ^ bits[t]
+        for t in ones:
+            acc ^= pw[t * leader % N]
         if acc == 0:
             continue  # whole coset stays ZERO
         d = dlog.get(acc)

@@ -1,0 +1,26 @@
+import random
+from math import gcd
+
+import pytest
+
+from crtspectra.field import cyclotomic_cosets
+from crtspectra.spectral import Spectrum, coset_expand
+
+
+def _random_log_spectrum(field, root, rng: random.Random) -> Spectrum:
+    """Random log-form spectrum over root that obeys d(2k) = 2 d(k) mod N,
+    so it is the transform of a binary sequence. Each coset leader of
+    size c is ZERO or gets an exponent d with N | d (2^c - 1), the values
+    that lie in GF(2^c)."""
+    N = root.order()
+    reps = {}
+    for coset in cyclotomic_cosets(N):
+        if rng.random() < 0.75:
+            step = N // gcd(N, (1 << len(coset)) - 1)
+            reps[coset[0]] = step * rng.randrange(N // step)
+    return coset_expand(reps, N, field, root)
+
+
+@pytest.fixture
+def random_log_spectrum():
+    return _random_log_spectrum

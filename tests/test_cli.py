@@ -148,6 +148,31 @@ def test_verify_tampered_run_fails(capsys):
     assert "out of range" in err
 
 
+def test_verify_tampered_run_honours_output_flags(tmp_path, capsys):
+    lfsrs = ("--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4")
+    t = tmp_path / "t.json"
+    code, out, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                       "--tamper-index", "5", "--json", "--out", str(t))
+    assert code == 1
+    assert out == ""
+    recs = [json.loads(line) for line in t.read_text().splitlines()]
+    assert len(recs) == 2
+    assert recs[0]["ok"] is False and recs[0]["N"] == 21
+    assert recs[0]["tampered_at"] == 5 and recs[0]["mismatches"] == 1
+    assert recs[1]["index"] == 5
+
+    code, out, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                       "--tamper-index", "5", "--json")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == recs
+
+    code, out, err = run(capsys, "verify", "theorem1", *lfsrs,
+                         "--tamper-index", "5", "--random-seeds", "2",
+                         "--seed", "1")
+    assert code == 2
+    assert out == "" and "--random-seeds" in err
+
+
 def test_verify_random_seeds_replay(capsys):
     args = ("verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
             "--random-seeds", "3", "--seed", "99")

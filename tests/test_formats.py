@@ -1,9 +1,11 @@
 import os
+import random
+from math import gcd
 
 import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import build_field
+from crtspectra.field import build_field, discrete_log, element_of_order
 from crtspectra.formats import (FormatError, atomic_write, parse_field,
                                 parse_sequence, parse_spectrum,
                                 serialize_field, serialize_sequence,
@@ -64,6 +66,27 @@ def test_spectrum_roundtrip():
     assert len(text.splitlines()) == 22      # header + all 21 indices
     T = parse_spectrum(text, "x")
     assert T == S
+
+
+@pytest.mark.parametrize("m,orders", [
+    (22, (23, 89, 2047)),        # 2^22 - 1 = 3 * 23 * 89 * 683
+    (24, (35, 241, 4095)),       # 2^24 - 1 = 3^2 * 5 * 7 * 13 * 17 * 241
+    (30, (331, 651, 7161)),      # 2^30 - 1 = 3^2 * 7 * 11 * 31 * 151 * 331
+])
+def test_spectrum_header_is_generator_log(m, orders, random_log_spectrum):
+    fld = build_field(m)
+    rng = random.Random(m)
+    for N in orders:
+        u = rng.randrange(1, N)
+        while gcd(u, N) != 1:
+            u += 1
+        root = element_of_order(fld, N) ** u   # some order-N root
+        S = random_log_spectrum(fld, root, rng)
+        text = serialize_spectrum(S)
+        e = discrete_log(root, fld.generator)
+        assert text.splitlines()[0] == (
+            f"N={N} field=GF2m({m},0x{fld.modulus:x}) root=g^{e}")
+        assert parse_spectrum(text, "x") == S
 
 
 def test_spectrum_parse_rejections():

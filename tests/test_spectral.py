@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from crtspectra.field import build_field, element_of_order
-from crtspectra.sequences import BitSequence, cyclic_convolve, pointwise_product
+from crtspectra.costs import OpCounter
+from crtspectra.field import (CountingField, build_field, default_modulus,
+                              element_of_order)
+from crtspectra.oracle import brute_dft
+from crtspectra.sequences import (BitSequence, Lfsr, cyclic_convolve,
+                                  lfsr_stream, pointwise_product)
 from crtspectra.spectral import (Spectrum, blahut_check, coset_expand,
                                  coset_reduce, default_field_for_period, dft,
                                  dft_point, idft)
@@ -61,6 +65,69 @@ def test_dft_brute_equivalence_small_random():
             assert S.point_value(k) == acc
 
 
+def _mseq_product(*degrees):
+    """Bitwise product of m-sequences of the given register degrees."""
+    u = None
+    for n in degrees:
+        s = lfsr_stream(Lfsr(default_modulus(n), 1), (1 << n) - 1)
+        u = s if u is None else pointwise_product(u, s)
+    return u
+
+
+def _transform_or_error(transform, s, fld, root):
+    try:
+        return transform(s, fld, root)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# period -> register degrees of a product or m-sequence of that period
+_STRUCTURED = {7: (3,), 21: (2, 3), 63: (6,), 217: (3, 5), 651: (2, 3, 5),
+               1023: (10,)}
+
+
+@pytest.mark.parametrize("N", sorted(_STRUCTURED))
+def test_dft_matches_brute_dft(N, random_log_spectrum):
+    fld, root = default_field_for_period(N)
+    rng = random.Random(4000 + N)
+    # dense sequences with a log form by construction, built backwards
+    # from a random conjugate-consistent spectrum
+    for _ in range(2):
+        S = random_log_spectrum(fld, root, rng)
+        s = idft(S)
+        assert dft(s, fld, root) == brute_dft(s, fld, root) == S
+    u = _mseq_product(*_STRUCTURED[N])
+    assert u.period == N
+    assert dft(u, fld, root) == brute_dft(u, fld, root)
+    # raw random bits: below the full group (N = 21, 217, 651) they may
+    # have no log form, and then both must raise the same error
+    for _ in range(2):
+        s = BitSequence(tuple(rng.randrange(2) for _ in range(N)))
+        assert (_transform_or_error(dft, s, fld, root)
+                == _transform_or_error(brute_dft, s, fld, root))
+
+
+def test_dft_without_log_form_raises():
+    s = BitSequence.from_string("00011")
+    fld, root = default_field_for_period(5)
+    with pytest.raises(ValueError) as e:
+        dft(s, fld, root)
+    assert str(e.value) == (
+        "spectral value at k=1 lies outside the cyclic group of the root;"
+        " no log-form spectrum over this root")
+
+
+def test_dft_multiplies_only_to_build_the_power_table():
+    # N - 1 products fill the table; a Horner pass per coset leader
+    # would add N more per leader
+    for s in (U, _mseq_product(3, 5), _mseq_product(10)):
+        fld, root = default_field_for_period(s.period)
+        counter = OpCounter()
+        cf = CountingField(fld, counter)
+        dft(s, cf, cf.element(root.bits))
+        assert counter.mul_count == s.period - 1
+
+
 def test_idft_roundtrip_all_streams():
     for s in (A, B, C, U):
         fld, root = default_field_for_period(s.period)
@@ -106,8 +173,6 @@ def test_dft_point_matches_full_transform():
 
 
 def test_dft_point_counts_multiplications():
-    from crtspectra.costs import OpCounter
-    from crtspectra.field import CountingField
     fld, root = default_field_for_period(21)
     counter = OpCounter()
     cf = CountingField(fld, counter)
