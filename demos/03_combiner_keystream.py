@@ -1,9 +1,10 @@
 """Spectrum of a nonlinear combiner, assembled term by term.
 
 The keystream is f(a,b,c) = ab + bc + ac over three short registers with
-coprime periods 3, 7, 31. Each product term owns a pairwise sub-basis;
-its spectrum lifts into the full period-651 index space by CRT, and the
-three lifted supports turn out disjoint, so the combiner spectrum is just
+coprime periods 3, 7, 31. Each product term's spectrum lands in the full
+period-651 index space by CRT, with residue 0 for the register outside
+the term, and the three lifted supports turn out disjoint, so the
+combiner spectrum is just
 their union. Brute force on the actual keystream confirms every point,
 and Berlekamp-Massey confirms the predicted linear complexity 31.
 """

@@ -7,11 +7,11 @@ theorem, without ever materializing the long sequence.
 """
 
 from .bm import BmResult, berlekamp_massey, regenerate
-from .costs import (CostModel, CrtCostBreakdown, OpCounter, estimate_crt,
+from .costs import (CrtCostBreakdown, OpCounter, estimate_crt,
                     estimate_crt_breakdown, estimate_direct, eta, measure)
-from .crtconv import (CrtBasis, LogSpectrumFactor, aligned_product_root,
-                      combiner_spectrum, combiner_term_supports, crt_combine,
-                      embed_root, embed_spectrum, product_spectrum,
+from .crtconv import (CrtBasis, aligned_product_root, combiner_spectrum,
+                      combiner_term_supports, crt_combine, embed_root,
+                      embed_spectrum, product_spectrum,
                       product_spectrum_point, support_indices)
 from .field import (CountingField, FieldElement, FieldSpec, build_field,
                     cyclotomic_cosets, default_modulus, discrete_log,
@@ -34,9 +34,9 @@ from .spectral import (ZERO, Spectrum, blahut_check, coset_expand,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnfCombiner", "BitSequence", "BmResult", "CostModel", "CountingField",
+    "AnfCombiner", "BitSequence", "BmResult", "CountingField",
     "CrtBasis", "CrtCostBreakdown", "FieldElement", "FieldSpec",
-    "FormatError", "Lfsr", "LogSpectrumFactor", "Mismatch", "OpCounter",
+    "FormatError", "Lfsr", "Mismatch", "OpCounter",
     "Spectrum", "VerifyReport", "ZERO",
     "aligned_product_root", "atomic_write", "berlekamp_massey",
     "blahut_check", "brute_dft", "build_field", "combiner_spectrum",

@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
         runs.append(specs)
 
     overall_ok = True
-    json_lines = []
+    lines = []
     for run in runs:
         rep = verify_theorem1(run, bound=args.bound, tamper_index=tamper)
         overall_ok = overall_ok and rep.ok
@@ -211,22 +211,23 @@ def _cmd_verify(args) -> int:
                    "mismatches": len(rep.mismatches)}
             if tamper is not None:
                 rec["tampered_at"] = tamper
-            json_lines.append(json.dumps(rec))
+            lines.append(json.dumps(rec))
             for mm in rep.mismatches:
-                json_lines.append(json.dumps({
+                lines.append(json.dumps({
                     "lfsrs": label, "index": mm.index,
                     "expected": mm.expected, "actual": mm.actual}))
         else:
             if tamper is None:
-                print(f"{rep.summary()}  [{label}]")
+                lines.append(f"{rep.summary()}  [{label}]")
             else:
-                print(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
-                      f" tampered_at={tamper} mismatches={len(rep.mismatches)}")
+                lines.append(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
+                             f" tampered_at={tamper}"
+                             f" mismatches={len(rep.mismatches)}")
             for mm in rep.mismatches:
-                print(json.dumps({"index": mm.index, "expected": mm.expected,
-                                  "actual": mm.actual}))
-    if args.json:
-        _emit("\n".join(json_lines), args.out)
+                lines.append(json.dumps({"index": mm.index,
+                                         "expected": mm.expected,
+                                         "actual": mm.actual}))
+    _emit("\n".join(lines), args.out)
     return 0 if overall_ok else 1
 
 

@@ -10,7 +10,7 @@ is what makes the worked figures come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from math import log2
 
 
@@ -25,12 +25,6 @@ def bit_len(N: int) -> int:
     return int(N).bit_length()
 
 
-@dataclass(frozen=True)
-class CostModel:
-    eta: object = dfield(default=eta)
-    len: object = dfield(default=bit_len)
-
-
 @dataclass
 class OpCounter:
     """Mutable tally that a CountingField(field, counter) view writes into;
@@ -43,14 +37,14 @@ class OpCounter:
         return self.xor_count + self.mul_count + self.reduction_count
 
 
-def estimate_direct(N: int, n: int, model: CostModel = CostModel()) -> float:
+def estimate_direct(N: int, n: int) -> float:
     """Bit-op estimate for one spectral point, straight N-term evaluation
     in GF(2^n)."""
     if N < 2:
         raise ValueError(f"need period N >= 2, got {N}")
     if n < 3:
         raise ValueError(f"need field degree n >= 3, got {n}")
-    return (N / 2) * model.eta(n)
+    return (N / 2) * eta(n)
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,7 @@ class CrtCostBreakdown:
     floored: tuple           # factor indices whose degree hit the eta floor
 
 
-def estimate_crt_breakdown(moduli, degrees, N: int,
-                           model: CostModel = CostModel()) -> CrtCostBreakdown:
+def estimate_crt_breakdown(moduli, degrees, N: int) -> CrtCostBreakdown:
     """Per-factor and reconstruction costs of the CRT path for one point.
 
     Factor fields of degree < 3 are priced at eta(3); which factors were
@@ -84,21 +77,20 @@ def estimate_crt_breakdown(moduli, degrees, N: int,
         if p_i < 3:
             floored.append(i)
             p_i = 3
-        costs.append((n_i / 2) * model.eta(p_i))
-    crt_cost = float(model.len(N) ** 2)
+        costs.append((n_i / 2) * eta(p_i))
+    crt_cost = float(bit_len(N) ** 2)
     return CrtCostBreakdown(
         factor_costs=tuple(costs),
         crt_cost=crt_cost,
         total=sum(costs) + crt_cost,
         factor_bits=sum(degrees),
-        len_bits=model.len(N),
+        len_bits=bit_len(N),
         floored=tuple(floored),
     )
 
 
-def estimate_crt(moduli, degrees, N: int,
-                 model: CostModel = CostModel()) -> float:
-    return estimate_crt_breakdown(moduli, degrees, N, model).total
+def estimate_crt(moduli, degrees, N: int) -> float:
+    return estimate_crt_breakdown(moduli, degrees, N).total
 
 
 def measure(run) -> OpCounter:

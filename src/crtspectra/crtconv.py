@@ -7,6 +7,14 @@ form both the index and the exponent of each nonzero point are Chinese-
 Remainder combinations of per-factor data, and no N-point transform is
 ever run.
 
+The one CRT map: with the basis idempotents e_i = 1 mod n_i, 0 mod every
+other modulus, a tuple of nonzero factor points (j_i, d_i) lands at index
+sum j_i e_i mod N with exponent sum d_i e_i mod N. Every route here (one
+point, the full product, its support, each combiner term) walks those
+tuples, so the work is one step per nonzero point, not per index. A
+variable outside a combiner monomial contributes residue 0, which is the
+lift of that term into the full index space.
+
 Exponents only mean something relative to a root. The convention here:
 each factor's exponents are relative to that factor's own root, and the
 product spectrum's exponents are relative to the product of those roots
@@ -16,7 +24,6 @@ fixing the order-N root rho first, factor i's implied root is rho^(N/n_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .field import (FieldElement, FieldSpec, build_field, discrete_log,
@@ -27,9 +34,10 @@ from .spectral import ZERO, Spectrum, root_power_table
 
 
 class CrtBasis:
-    """Pairwise-coprime moduli n_1..n_r with N = prod n_i."""
+    """Pairwise-coprime moduli n_1..n_r with N = prod n_i and idempotents
+    e_i = (N/n_i) ((N/n_i)^-1 mod n_i) mod N."""
 
-    __slots__ = ("moduli", "N")
+    __slots__ = ("moduli", "N", "idempotents")
 
     def __init__(self, moduli):
         moduli = tuple(int(n) for n in moduli)
@@ -49,6 +57,8 @@ class CrtBasis:
         for n in moduli:
             N *= n
         self.N = N
+        self.idempotents = tuple(
+            (N // n) * pow(N // n, -1, n) % N for n in moduli)
 
     def __len__(self):
         return len(self.moduli)
@@ -57,72 +67,46 @@ class CrtBasis:
         return f"CrtBasis({list(self.moduli)}, N={self.N})"
 
 
-@dataclass(frozen=True)
-class LogSpectrumFactor:
-    """One factor's spectrum in field-free log form.
-
-    values[j] is ZERO or the exponent of that factor's own root, a residue
-    mod `modulus`. Built from a full Spectrum with from_spectrum, which
-    forgets the field but keeps the numbers.
-    """
-
-    modulus: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.modulus < 1 or len(self.values) != self.modulus:
-            raise ValueError(f"need exactly {self.modulus} entries")
-        for j, d in enumerate(self.values):
-            if d is not None and not 0 <= d < self.modulus:
-                raise ValueError(
-                    f"exponent {d} at index {j} outside [0, {self.modulus})")
-
-    @classmethod
-    def from_spectrum(cls, S: Spectrum) -> "LogSpectrumFactor":
-        return cls(S.N, S.values)
-
-    def support(self) -> list[int]:
-        return [j for j, d in enumerate(self.values) if d is not None]
-
-
 def crt_combine(residues, basis: CrtBasis) -> int:
-    """The unique x in [0, N) with x = residues[i] mod basis.moduli[i].
-
-    Garner's mixed-radix reconstruction; moduli coprimality is the basis
-    constructor's job.
-    """
+    """The unique x in [0, N) with x = residues[i] mod basis.moduli[i]."""
     if len(residues) != len(basis.moduli):
         raise ValueError(
             f"{len(residues)} residues for {len(basis.moduli)} moduli")
     for r, n in zip(residues, basis.moduli):
         if not 0 <= r < n:
             raise ValueError(f"residue {r} outside [0, {n})")
-    x = residues[0] % basis.moduli[0]
-    M = basis.moduli[0]
-    for r, n in zip(residues[1:], basis.moduli[1:]):
-        t = ((r - x) * pow(M, -1, n)) % n
-        x += M * t
-        M *= n
-    return x
+    return sum(r * e for r, e in zip(residues, basis.idempotents)) % basis.N
 
 
-def _as_factor(f) -> LogSpectrumFactor:
-    if isinstance(f, LogSpectrumFactor):
-        return f
-    if isinstance(f, Spectrum):
-        return LogSpectrumFactor.from_spectrum(f)
-    raise TypeError(f"expected Spectrum or LogSpectrumFactor, got {type(f)!r}")
+def _check_factors(factors, basis: CrtBasis) -> list[Spectrum]:
+    """Factor spectra, one per basis modulus with matching lengths."""
+    factors = list(factors)
+    for f in factors:
+        if not isinstance(f, Spectrum):
+            raise TypeError(f"expected Spectrum, got {type(f)!r}")
+    if len(factors) != len(basis.moduli):
+        raise ValueError(
+            f"{len(factors)} factors for {len(basis.moduli)} moduli")
+    for f, n in zip(factors, basis.moduli):
+        if f.N != n:
+            raise ValueError(f"factor modulus {f.N} != basis modulus {n}")
+    return factors
 
 
-def _check_factors(factors, basis: CrtBasis) -> list[LogSpectrumFactor]:
-    """Log-form factors, one per basis modulus with matching lengths."""
-    facs = [_as_factor(f) for f in factors]
-    if len(facs) != len(basis.moduli):
-        raise ValueError(f"{len(facs)} factors for {len(basis.moduli)} moduli")
-    for f, n in zip(facs, basis.moduli):
-        if f.modulus != n:
-            raise ValueError(f"factor modulus {f.modulus} != basis modulus {n}")
-    return facs
+def _crt_points(factors, basis: CrtBasis, variables) -> list[tuple]:
+    """(index, exponent) of every nonzero point of the bitwise product of
+    the factors at positions `variables`, in the length-N index space:
+    each tuple of nonzero factor points (j_i, d_i) maps to
+    (sum j_i e_i mod N, sum d_i e_i mod N)."""
+    N = basis.N
+    points = [(0, 0)]
+    for i in variables:
+        e = basis.idempotents[i]
+        nonzero = [(j * e, d * e) for j, d in enumerate(factors[i].values)
+                   if d is not ZERO]
+        points = [((k + a) % N, (x + b) % N)
+                  for k, x in points for a, b in nonzero]
+    return points
 
 
 def product_spectrum_point(factors, basis: CrtBasis, k: int):
@@ -134,13 +118,9 @@ def product_spectrum_point(factors, basis: CrtBasis, k: int):
     """
     if not 0 <= k < basis.N:
         raise ValueError(f"index {k} outside [0, {basis.N})")
-    return _log_point(_check_factors(factors, basis), basis, k)
-
-
-def _log_point(facs, basis: CrtBasis, k: int):
     residues = []
-    for f, n in zip(facs, basis.moduli):
-        d = f.values[k % n]
+    for f in _check_factors(factors, basis):
+        d = f.values[k % f.N]
         if d is ZERO:
             return ZERO
         residues.append(d)
@@ -168,46 +148,33 @@ def aligned_product_root(roots, field: FieldSpec) -> FieldElement:
     return acc
 
 
-def _log_product_values(facs, basis: CrtBasis) -> list:
-    return [_log_point(facs, basis, k) for k in range(basis.N)]
-
-
-def product_spectrum(factors, basis: CrtBasis, field: FieldSpec | None = None,
-                     root: FieldElement | None = None) -> Spectrum:
+def product_spectrum(factors, basis: CrtBasis) -> Spectrum:
     """Full length-N spectrum of the bitwise product, straight from the
-    factor spectra; cost is modular arithmetic per index, not field work.
+    factor spectra; cost is modular arithmetic per nonzero point, not
+    field work.
 
-    When the factors come in as full Spectrum objects and no root is
-    given, the output root is the product of their embedded roots, which
-    makes the result equal dft(product stream) value for value. Field-free
-    factors with no explicit root get the field's designated order-N
-    element instead; exponents are then correct relative to the aligned
-    root, and the materialized root is a relabeling.
+    The output root is the product of the factors' embedded roots, which
+    makes the result equal dft(product stream) value for value.
     """
-    facs = _check_factors(factors, basis)
+    factors = _check_factors(factors, basis)
     N = basis.N
-    if field is None:
-        field = build_field(multiplicative_order_of_2(N))
-    if root is None:
-        if all(isinstance(f, Spectrum) for f in factors):
-            root = aligned_product_root([f.root for f in factors], field)
-        else:
-            root = element_of_order(field, N)
-    return Spectrum(N, field, root, tuple(_log_product_values(facs, basis)))
+    field = build_field(multiplicative_order_of_2(N))
+    root = aligned_product_root([f.root for f in factors], field)
+    values: list = [ZERO] * N
+    for k, d in _crt_points(factors, basis, range(len(factors))):
+        values[k] = d
+    return Spectrum(N, field, root, tuple(values))
 
 
 def support_indices(factors, basis: CrtBasis) -> list[int]:
     """Sorted nonzero indices of the product spectrum: CRT images of every
     tuple of per-factor nonzero indices."""
-    from itertools import product as iproduct
-    supports = [f.support() for f in _check_factors(factors, basis)]
-    if any(not s for s in supports):
-        return []
-    return sorted(crt_combine(list(combo), basis)
-                  for combo in iproduct(*supports))
+    factors = _check_factors(factors, basis)
+    return sorted(k for k, _ in _crt_points(factors, basis,
+                                            range(len(factors))))
 
 
-def embed_spectrum(S: Spectrum, N: int, field: FieldSpec | None = None) -> Spectrum:
+def embed_spectrum(S: Spectrum, N: int) -> Spectrum:
     """The same periodic sequence's spectrum at a multiple period N.
 
     Nonzero points move from m to (N/N_T) m and exponents scale by the
@@ -220,10 +187,7 @@ def embed_spectrum(S: Spectrum, N: int, field: FieldSpec | None = None) -> Spect
         raise ValueError(f"period {N_T} does not divide target {N}")
     if N % 2 == 0:
         raise ValueError(f"even target period {N} rejected")
-    if field is None:
-        field = build_field(multiplicative_order_of_2(N))
-    if N > 1 and field.group_order % N != 0:
-        raise ValueError(f"GF(2^{field.m}) has no element of order {N}")
+    field = build_field(multiplicative_order_of_2(N))
     q = N // N_T
     r_img = embed_root(S.root, field)
     if q == 1:
@@ -249,63 +213,40 @@ def embed_spectrum(S: Spectrum, N: int, field: FieldSpec | None = None) -> Spect
     return Spectrum(N, field, rho, tuple(values))
 
 
-def combiner_term_supports(f: AnfCombiner, per_variable_factors,
-                           basis: CrtBasis) -> dict:
+def _check_combiner(f: AnfCombiner, factors, basis: CrtBasis) -> list[Spectrum]:
+    if len(factors) != f.n_vars:
+        raise ValueError(f"{len(factors)} factors for {f.n_vars} variables")
+    return _check_factors(factors, basis)
+
+
+def combiner_term_supports(f: AnfCombiner, factors, basis: CrtBasis) -> dict:
     """Length-N support of each ANF monomial under the combiner's shared
-    root: k = 0 mod N/N_T with k mod N_T ranging over the term's own
-    sub-support. Note this differs from embed_spectrum's index map, which
-    is relative to a root constructed for the single term alone; under
-    the shared root the lift above is what actually appears.
+    root: k = 0 mod every modulus outside the term, k mod N_T ranging over
+    the term's own product support. Note this differs from
+    embed_spectrum's index map, which is relative to a root constructed
+    for the single term alone; under the shared root the lift above is
+    what actually appears.
     """
-    facs = [_as_factor(x) for x in per_variable_factors]
-    if len(facs) != f.n_vars or len(facs) != len(basis.moduli):
-        raise ValueError("one factor per variable, matching the basis")
-    N = basis.N
-    out = {}
-    for mono in f.monomials:
-        mvars = sorted(mono)
-        sub_basis = CrtBasis([basis.moduli[v - 1] for v in mvars])
-        sub_supp = support_indices([facs[v - 1] for v in mvars], sub_basis)
-        N_T = sub_basis.N
-        q = N // N_T
-        if q == 1:
-            out[mono] = sorted(sub_supp)
-        else:
-            lift = CrtBasis([q, N_T])
-            out[mono] = sorted(crt_combine([0, s], lift) for s in sub_supp)
-    return out
+    factors = _check_combiner(f, factors, basis)
+    return {mono: sorted(k for k, _ in _crt_points(
+                factors, basis, [v - 1 for v in mono]))
+            for mono in f.monomials}
 
 
-def combiner_spectrum(f: AnfCombiner, per_variable_factors, basis: CrtBasis,
-                      field: FieldSpec | None = None,
-                      variable_roots=None) -> Spectrum:
+def combiner_spectrum(f: AnfCombiner, factors, basis: CrtBasis) -> Spectrum:
     """Spectrum of f(inputs) assembled term by term, no length-N transform.
 
-    Each ANF monomial is a bitwise product over its own sub-basis; its
-    spectrum lands inside the length-N spectrum at indices = 0 mod N/N_T,
-    because the shared root sigma (product of ALL variable roots) raised
-    to N/N_T kills every root outside the monomial. Term values are added
-    in the explicit field, so overlapping supports combine correctly;
-    disjoint supports (the usual case) make the sum a plain union.
-
-    Factors given as full Spectrum objects supply their own roots;
-    field-free factors need variable_roots.
+    Each ANF monomial is a bitwise product of its variables; under the
+    shared root sigma (product of ALL variable roots) its spectrum is the
+    CRT map with residue 0 for every variable outside the monomial. Term
+    values are added in the explicit field, so overlapping supports
+    combine correctly; disjoint supports (the usual case) make the sum a
+    plain union.
     """
-    if len(per_variable_factors) != f.n_vars:
-        raise ValueError(
-            f"{len(per_variable_factors)} factors for {f.n_vars} variables")
-    facs = _check_factors(per_variable_factors, basis)
-    if variable_roots is None:
-        if not all(isinstance(x, Spectrum) for x in per_variable_factors):
-            raise ValueError(
-                "field-free factors need variable_roots for alignment")
-        variable_roots = [x.root for x in per_variable_factors]
-    if len(variable_roots) != len(facs):
-        raise ValueError("one root per variable required")
+    factors = _check_combiner(f, factors, basis)
     N = basis.N
-    if field is None:
-        field = build_field(multiplicative_order_of_2(N))
-    sigma = aligned_product_root(variable_roots, field)
+    field = build_field(multiplicative_order_of_2(N))
+    sigma = aligned_product_root([x.root for x in factors], field)
     if element_order(sigma) != N:
         raise ValueError("variable root orders do not multiply out to N")
 
@@ -314,23 +255,7 @@ def combiner_spectrum(f: AnfCombiner, per_variable_factors, basis: CrtBasis,
 
     acc = [0] * N
     for mono in f.monomials:
-        mvars = sorted(mono)
-        sub_basis = CrtBasis([basis.moduli[v - 1] for v in mvars])
-        sub_vals = _log_product_values([facs[v - 1] for v in mvars], sub_basis)
-        N_T = sub_basis.N
-        q = N // N_T
-        # lift: x_T = 1 mod each in-term modulus, 0 mod the rest; then
-        # index q*j' and exponent x_T*d land exactly where the length-N
-        # transform of this term is nonzero
-        lift_basis = CrtBasis([q, N_T]) if q > 1 else None
-        for j, d in enumerate(sub_vals):
-            if d is ZERO:
-                continue
-            if lift_basis is None:
-                k, e = j, d
-            else:
-                k = crt_combine([0, j], lift_basis)
-                e = crt_combine([0, d], lift_basis)
+        for k, e in _crt_points(factors, basis, [v - 1 for v in mono]):
             acc[k] ^= pw[e]
 
     values: list = [ZERO] * N

@@ -29,19 +29,6 @@ def pmul(a: int, b: int) -> int:
     return r
 
 
-def pdivmod(a: int, f: int) -> tuple[int, int]:
-    """Quotient and remainder of a by f (f != 0)."""
-    if f == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    df = f.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= df and a:
-        shift = (a.bit_length() - 1) - df
-        q |= 1 << shift
-        a ^= f << shift
-    return q, a
-
-
 def pmod(a: int, f: int) -> int:
     """Remainder of a modulo f."""
     if f == 0:
@@ -56,10 +43,6 @@ def pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, pmod(a, b)
     return a
-
-
-def pmulmod(a: int, b: int, f: int) -> int:
-    return pmod(pmul(a, b), f)
 
 
 def ppowmod(a: int, e: int, f: int) -> int:

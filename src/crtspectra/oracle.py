@@ -9,7 +9,6 @@ over the sequence. Slow on purpose; trusted because it is simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
@@ -142,15 +141,8 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
         raise ValueError("need at least one (connection, seed) pair")
     streams = [_one_period(conn, seed, bound) for conn, seed in lfsrs]
     periods = [s.period for s in streams]
-    for i in range(len(periods)):
-        for j in range(i + 1, len(periods)):
-            g = gcd(periods[i], periods[j])
-            if g != 1:
-                raise ValueError(
-                    f"periods {periods[i]} and {periods[j]} share factor {g}")
-    N = 1
-    for p in periods:
-        N *= p
+    basis = CrtBasis(periods)
+    N = basis.N
     if N > bound:
         raise ValueError(f"product period {N} exceeds bound {bound}")
     if tamper_index is not None and not 0 <= tamper_index < N:
@@ -160,7 +152,6 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     for s in streams:
         fld, rt = default_field_for_period(s.period)
         factors.append(dft(s, fld, rt))
-    basis = CrtBasis(periods)
     S_crt = product_spectrum(factors, basis)
     if tamper_index is not None:
         vals = list(S_crt.values)

@@ -173,6 +173,37 @@ def test_verify_tampered_run_honours_output_flags(tmp_path, capsys):
     assert out == "" and "--random-seeds" in err
 
 
+def test_verify_plain_text_honours_out(tmp_path, capsys):
+    lfsrs = ("--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4")
+    code, stdout_text, _ = run(capsys, "verify", "theorem1", *lfsrs)
+    assert code == 0
+    v = tmp_path / "v.txt"
+    code, out, _ = run(capsys, "verify", "theorem1", *lfsrs, "--out", str(v))
+    assert code == 0
+    assert out == ""
+    assert v.read_text() == stdout_text
+
+    code, stdout_text, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                               "--tamper-index", "5")
+    assert code == 1
+    t = tmp_path / "t.txt"
+    code, out, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                       "--tamper-index", "5", "--out", str(t))
+    assert code == 1
+    assert out == ""
+    assert t.read_text() == stdout_text
+    assert t.read_text().splitlines()[0] == (
+        "FAIL N=21 tampered_at=5 mismatches=1")
+
+
+def test_verify_shared_period_factor_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem1",
+                         "--lfsr", "0x7:0x2", "--lfsr", "0x13:0x4")
+    assert code == 2
+    assert out == ""
+    assert "moduli 3 and 15 share factor 3" in err
+
+
 def test_verify_random_seeds_replay(capsys):
     args = ("verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
             "--random-seeds", "3", "--seed", "99")

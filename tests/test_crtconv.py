@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from crtspectra.crtconv import (CrtBasis, LogSpectrumFactor,
-                                aligned_product_root, combiner_spectrum,
-                                combiner_term_supports, crt_combine,
-                                embed_root, embed_spectrum, product_spectrum,
-                                product_spectrum_point, support_indices)
-from crtspectra.field import build_field, element_of_order
-from crtspectra.sequences import (AnfCombiner, BitSequence, combiner_stream,
-                                  pointwise_product)
-from crtspectra.spectral import dft, default_field_for_period, idft
+from crtspectra.crtconv import (CrtBasis, aligned_product_root,
+                                combiner_spectrum, combiner_term_supports,
+                                crt_combine, embed_root, embed_spectrum,
+                                product_spectrum, product_spectrum_point,
+                                support_indices)
+from crtspectra.field import build_field, multiplicative_order_of_2
+from crtspectra.oracle import brute_dft
+from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
+                                  combiner_stream, lfsr_stream)
+from crtspectra.spectral import (Spectrum, dft, default_field_for_period,
+                                 idft)
 
 import reference_values as rv
 
@@ -19,9 +21,17 @@ B = BitSequence.from_string(rv.STREAM_B)
 C = BitSequence.from_string(rv.STREAM_C)
 
 
+# m-sequence of x^7+x+1, period 127
+D = lfsr_stream(Lfsr(0x83, 1), 127)
+
+
 def _spec(s):
     fld, root = default_field_for_period(s.period)
     return dft(s, fld, root)
+
+
+def _complement(s):
+    return BitSequence(tuple(1 - b for b in s.bits))
 
 
 def test_basis_validation():
@@ -46,6 +56,22 @@ def test_crt_combine_agrees_with_remainders():
     for _ in range(100):
         k = rng.randrange(651)
         assert crt_combine([k % 3, k % 7, k % 31], basis) == k
+
+
+@pytest.mark.parametrize("moduli", [[1, 7], [3, 7, 31], [3, 7, 31, 127]])
+def test_basis_idempotents(moduli):
+    basis = CrtBasis(moduli)
+    assert len(basis.idempotents) == len(moduli)
+    for i, e in enumerate(basis.idempotents):
+        assert 0 <= e < basis.N
+        for j, n in enumerate(moduli):
+            assert e % n == (1 if i == j else 0) % n
+    rng = random.Random(len(moduli))
+    for _ in range(200):
+        residues = [rng.randrange(n) for n in moduli]
+        x = crt_combine(residues, basis)
+        assert 0 <= x < basis.N
+        assert [x % n for n in moduli] == residues
 
 
 def test_crt_combine_rejections():
@@ -75,19 +101,26 @@ def test_product_spectrum_point_zero_propagation():
 def test_support_indices():
     basis = CrtBasis([3, 7])
     assert support_indices([_spec(A), _spec(B)], basis) == sorted(rv.TABLE_AB)
-    empty = LogSpectrumFactor(3, (None, None, None))
+    SA = _spec(A)
+    empty = Spectrum(3, SA.field, SA.root, (None, None, None))
     assert support_indices([empty, _spec(B)], basis) == []
 
 
-def test_log_factor_from_spectrum():
-    SB = _spec(B)
-    f = LogSpectrumFactor.from_spectrum(SB)
-    assert f.modulus == 7
-    assert f.values == SB.values
-    with pytest.raises(ValueError):
-        LogSpectrumFactor(7, (None,) * 6)
-    with pytest.raises(ValueError):
-        LogSpectrumFactor(7, (7,) + (None,) * 6)
+def test_support_indices_four_factors():
+    # N = 82677 is past every default field; the support needs none
+    seqs = [A, B, C, D]
+    factors = [_spec(s) for s in seqs]
+    basis = CrtBasis([s.period for s in seqs])
+    assert basis.N == 82677
+    expected = [k for k in range(basis.N)
+                if all(f.values[k % f.N] is not None for f in factors)]
+    assert len(expected) == 2 * 3 * 5 * 7
+    assert support_indices(factors, basis) == expected
+
+
+def test_factors_must_be_spectra():
+    with pytest.raises(TypeError):
+        support_indices([_spec(A).values, _spec(B)], CrtBasis([3, 7]))
 
 
 def test_reference_217_and_93():
@@ -204,3 +237,54 @@ def test_combiner_arity_and_moduli_checks():
     with pytest.raises(ValueError):
         combiner_spectrum(f, [_spec(A), _spec(B), _spec(C)],
                           CrtBasis([3, 7, 11]))
+
+
+def _combiner_or_error(f, seqs):
+    try:
+        return combiner_spectrum(f, [_spec(s) for s in seqs],
+                                 CrtBasis([s.period for s in seqs]))
+    except ValueError as e:
+        return e
+
+
+def _oracle_or_error(f, seqs):
+    N = 1
+    for s in seqs:
+        N *= s.period
+    field = build_field(multiplicative_order_of_2(N))
+    root = aligned_product_root([_spec(s).root for s in seqs], field)
+    w = combiner_stream(f, list(seqs))
+    try:
+        return brute_dft(BitSequence(tuple(w.bit(t) for t in range(N))),
+                         field, root)
+    except ValueError as e:
+        return e
+
+
+@pytest.mark.parametrize("anf,seqs", [
+    ("1+1*2", (B, C)), ("1+2+1*2", (B, C)), ("1*2", (B, C)),
+    ("1+1*2", (B, _complement(C))), ("1+2+1*2", (B, _complement(C))),
+    ("1*2", (B, _complement(C))),
+    ("1*2+2*3+1*3", (A, B, C)), ("1*2+2*3+1*3", (A, B, _complement(C))),
+])
+def test_combiner_spectrum_matches_oracle(anf, seqs):
+    f = AnfCombiner.parse(anf, n_vars=len(seqs))
+    got, ref = _combiner_or_error(f, seqs), _oracle_or_error(f, seqs)
+    if isinstance(ref, ValueError):
+        assert isinstance(got, ValueError)
+    else:
+        assert got == ref
+
+
+def test_complemented_input_overlaps_term_supports():
+    # ~C is nonzero at index 0, so x1 and x1x2 share the indices k = 0
+    # mod 31 and the XOR-then-dlog accumulation decides their values
+    seqs = (B, _complement(C))
+    f = AnfCombiner.parse("1+1*2")
+    lifts = combiner_term_supports(f, [_spec(s) for s in seqs],
+                                   CrtBasis([7, 31]))
+    x1, x1x2 = lifts[frozenset((1,))], lifts[frozenset((1, 2))]
+    assert set(x1) & set(x1x2)
+    S = _combiner_or_error(f, seqs)
+    assert S == _oracle_or_error(f, seqs)
+    assert S.nonzero_count() == 15
