@@ -1,5 +1,5 @@
-"""Canonical worked cases: three short LFSRs, their products, the
-three-input majority-style combiner, and a priced benchmark point.
+"""Canonical worked cases: three short LFSRs, their products, and a priced
+benchmark point.
 
 Everything downstream (CLI reports, demos, tests) builds these the same
 way, so the objects here are the single source of truth for roots and
@@ -10,20 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bm import BmResult, berlekamp_massey
 from .costs import OpCounter, measure
-from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
-                      product_spectrum_point)
+from .crtconv import CrtBasis, product_spectrum, product_spectrum_point
 from .field import CountingField
-from .sequences import (AnfCombiner, BitSequence, Lfsr, combiner_stream,
-                        lfsr_stream, pointwise_product)
+from .sequences import BitSequence, Lfsr, lfsr_stream, pointwise_product
 from .spectral import ZERO, Spectrum, default_field_for_period, dft, dft_point
 
 # degree-2, degree-3, degree-5 primitive connections with the standard seeds
 LFSR_A = (0x7, 0b10)        # x^2+x+1, seed 01 -> period-3 stream 011
 LFSR_B = (0xB, 0b100)       # x^3+x+1, seed 001 -> period-7 stream 0010111
 LFSR_C = (0x25, 0b10000)    # x^5+x^2+1, seed 00001 -> period-31 stream
-COMBINER_ANF = "1*2+2*3+1*3"
 
 
 def _stream(spec) -> BitSequence:
@@ -45,7 +41,6 @@ class PairCase:
     factors: tuple          # factor Spectrum objects
     basis: CrtBasis
     spectrum: Spectrum      # CRT path, aligned product root
-    bm: BmResult
 
 
 def pair_case(spec1, spec2) -> PairCase:
@@ -54,8 +49,7 @@ def pair_case(spec1, spec2) -> PairCase:
     F1, F2 = _factor_spectrum(s1), _factor_spectrum(s2)
     basis = CrtBasis([s1.period, s2.period])
     S = product_spectrum([F1, F2], basis)
-    r = berlekamp_massey(list(u.bits) * 2)
-    return PairCase((s1, s2), u, (F1, F2), basis, S, r)
+    return PairCase((s1, s2), u, (F1, F2), basis, S)
 
 
 def priced_point(ex: PairCase, k: int) -> tuple[OpCounter, OpCounter]:
@@ -82,49 +76,18 @@ def priced_point(ex: PairCase, k: int) -> tuple[OpCounter, OpCounter]:
     return measure(run_direct), measure(run_crt)
 
 
-@dataclass(frozen=True)
-class TripleCase:
-    """The three-LFSR setup: triple product and the pairwise combiner."""
-    streams: tuple                 # a, b, c
-    factors: tuple                 # A, B, C spectra
-    basis: CrtBasis                # N = 651
-    triple_product: BitSequence    # a.b.c
-    triple_spectrum: Spectrum      # CRT path
-    combiner: AnfCombiner          # ab + bc + ac
-    combiner_seq: BitSequence
-    combiner_spec: Spectrum
-    combiner_bm: BmResult
-
-
-def triple_case() -> TripleCase:
-    a, b, c = _stream(LFSR_A), _stream(LFSR_B), _stream(LFSR_C)
-    A, B, C = _factor_spectrum(a), _factor_spectrum(b), _factor_spectrum(c)
-    basis = CrtBasis([a.period, b.period, c.period])
-    abc = pointwise_product(pointwise_product(a, b), c)
-    ABC = product_spectrum([A, B, C], basis)
-    f = AnfCombiner.parse(COMBINER_ANF)
-    s = combiner_stream(f, [a, b, c])
-    S = combiner_spectrum(f, [A, B, C], basis)
-    r = berlekamp_massey(list(s.bits) * 2)
-    return TripleCase((a, b, c), (A, B, C), basis, abc, ABC, f, s, S, r)
-
-
 def example1() -> PairCase:
     """Period-3 times period-7: the six-point period-21 spectrum."""
     return pair_case(LFSR_A, LFSR_B)
 
 
-@dataclass(frozen=True)
-class Example2:
-    bc: PairCase
-    ac: PairCase
-    triple: TripleCase
+def example2() -> dict[str, Spectrum]:
+    """The spectra of b.c, a.c and a.b.c (periods 217, 93, 651), in report
+    order."""
+    A, B, C = (_factor_spectrum(_stream(spec))
+               for spec in (LFSR_A, LFSR_B, LFSR_C))
 
+    def product(*factors):
+        return product_spectrum(factors, CrtBasis([f.N for f in factors]))
 
-def example2() -> Example2:
-    """The three pairwise/triple cases around periods 7, 31, and 651."""
-    return Example2(
-        bc=pair_case(LFSR_B, LFSR_C),
-        ac=pair_case(LFSR_A, LFSR_C),
-        triple=triple_case(),
-    )
+    return {"bc": product(B, C), "ac": product(A, C), "abc": product(A, B, C)}

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification found mismatches, 2 usage errors or
-malformed input files (reported with line/column). All file outputs are
-written atomically.
+Exit codes: 0 success, 1 verification found mismatches, 2 usage errors,
+malformed input files (reported with line/column) or an output path that
+cannot be written. All file outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
 from .field import (PRIMITIVE_POLYS, build_field, default_modulus,
                     element_of_order)
 from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
-                      parse_spectrum, serialize_sequence, serialize_spectrum)
+                      parse_spectrum, serialize_field, serialize_sequence,
+                      serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
 from .oracle import verify_theorem1
 from .sequences import AnfCombiner, combiner_stream, Lfsr, lfsr_stream, pointwise_product
@@ -28,10 +29,15 @@ from .spectral import coset_reduce, default_field_for_period, dft, dft_point
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        atomic_write(out_path, text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        atomic_write(out_path, text)
+    except OSError as e:
+        raise FormatError(f"cannot write: {e.strerror}", out_path) from None
 
 
 def _fmt_value(d) -> str:
@@ -66,7 +72,7 @@ def _cmd_field(args) -> int:
             if m is None:
                 m = modulus.bit_length() - 1
             fld = build_field(m, modulus)
-            lines.append(f"GF2m m={fld.m} mod=0x{fld.modulus:x}")
+            lines.append(serialize_field(fld))
             lines.append(f"order={fld.group_order}")
             facs = (",".join(str(p) for p in fld.group_order_factors)
                     if fld.group_order_factors else "1")
@@ -183,11 +189,14 @@ def _cmd_verify(args) -> int:
         raise ValueError("--tamper-index cannot be combined with --random-seeds")
     specs = [_parse_lfsr_spec(t) for t in args.lfsr]
 
+    # the seed heads the report, so --out and --json keep a replayable run
+    lines = []
     runs = []
+    seed = None
     if args.random_seeds:
         seed = args.seed if args.seed is not None else random.randrange(1 << 30)
         rng = random.Random(seed)
-        print(f"seed={seed}")
+        lines.append(json.dumps({"seed": seed}) if args.json else f"seed={seed}")
         for _ in range(args.random_seeds):
             run = []
             for conn, _ in specs:
@@ -198,9 +207,13 @@ def _cmd_verify(args) -> int:
         runs.append(specs)
 
     overall_ok = True
-    lines = []
     for run in runs:
-        rep = verify_theorem1(run, bound=args.bound, tamper_index=tamper)
+        try:
+            rep = verify_theorem1(run, bound=args.bound, tamper_index=tamper)
+        except ValueError as e:
+            if seed is None:
+                raise
+            raise ValueError(f"seed={seed}: {e}") from None
         overall_ok = overall_ok and rep.ok
         label = " ".join(f"0x{c:x}:0x{s:x}" for c, s in run)
         if args.json:
@@ -294,15 +307,9 @@ def report_tables(example: int) -> str:
         lines.append("")
         return "\n".join(lines)
     if example == 2:
-        ex = cases.example2()
         lines = []
-        for title, S in (
-            (f"spectrum of b.c, period {ex.bc.spectrum.N}", ex.bc.spectrum),
-            (f"spectrum of a.c, period {ex.ac.spectrum.N}", ex.ac.spectrum),
-            (f"spectrum of a.b.c, period {ex.triple.triple_spectrum.N}",
-             ex.triple.triple_spectrum),
-        ):
-            lines.append(f"# {title}")
+        for name, S in cases.example2().items():
+            lines.append(f"# spectrum of {'.'.join(name)}, period {S.N}")
             lines.append("")
             lines.append("| k | S_k |")
             lines.append("|---|---|")
@@ -321,10 +328,8 @@ def _cmd_report(args) -> int:
             lines = [json.dumps({"table": "product21", "k": k,
                                  "value": S.values[k]}) for k in range(S.N)]
         else:
-            ex = cases.example2()
             lines = []
-            for name, S in (("bc", ex.bc.spectrum), ("ac", ex.ac.spectrum),
-                            ("abc", ex.triple.triple_spectrum)):
+            for name, S in cases.example2().items():
                 for k in S.support():
                     lines.append(json.dumps(
                         {"table": name, "k": k, "value": S.values[k]}))

@@ -89,10 +89,6 @@ def estimate_crt_breakdown(moduli, degrees, N: int) -> CrtCostBreakdown:
     )
 
 
-def estimate_crt(moduli, degrees, N: int) -> float:
-    return estimate_crt_breakdown(moduli, degrees, N).total
-
-
 def measure(run) -> OpCounter:
     """Run a computation with a fresh counter and hand the tallies back.
 

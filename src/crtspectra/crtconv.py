@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .field import (FieldElement, FieldSpec, build_field, discrete_log,
-                    element_of_order, element_order, find_root_in_subgroup,
-                    minimal_polynomial_of, multiplicative_order_of_2)
+from .field import (FieldElement, FieldSpec, build_field, element_order,
+                    find_root_in_subgroup, minimal_polynomial_of,
+                    multiplicative_order_of_2)
 from .sequences import AnfCombiner
 from .spectral import ZERO, Spectrum, root_power_table
 
@@ -174,45 +174,6 @@ def support_indices(factors, basis: CrtBasis) -> list[int]:
                                             range(len(factors))))
 
 
-def embed_spectrum(S: Spectrum, N: int) -> Spectrum:
-    """The same periodic sequence's spectrum at a multiple period N.
-
-    Nonzero points move from m to (N/N_T) m and exponents scale by the
-    same ratio; the output root rho is constructed so rho^(N/N_T) is the
-    image of S.root, which is what makes the scaled exponents literally
-    true. Equals the length-N DFT of the sequence, never recomputes it.
-    """
-    N_T = S.N
-    if N < 1 or N % N_T != 0:
-        raise ValueError(f"period {N_T} does not divide target {N}")
-    if N % 2 == 0:
-        raise ValueError(f"even target period {N} rejected")
-    field = build_field(multiplicative_order_of_2(N))
-    q = N // N_T
-    r_img = embed_root(S.root, field)
-    if q == 1:
-        rho = r_img
-    else:
-        h = element_of_order(field, N)
-        v = discrete_log(r_img, h ** q)
-        e = None
-        for k in range(q):
-            cand = v + k * N_T
-            if gcd(cand, N) == 1:
-                e = cand
-                break
-        if e is None:
-            raise ArithmeticError("no order-N root over the embedded image")
-        rho = h ** e
-        if rho ** q != r_img:
-            raise AssertionError("embedding root construction failed")
-    values: list = [ZERO] * N
-    for m, d in enumerate(S.values):
-        if d is not ZERO:
-            values[q * m] = (q * d) % N
-    return Spectrum(N, field, rho, tuple(values))
-
-
 def _check_combiner(f: AnfCombiner, factors, basis: CrtBasis) -> list[Spectrum]:
     if len(factors) != f.n_vars:
         raise ValueError(f"{len(factors)} factors for {f.n_vars} variables")
@@ -222,10 +183,7 @@ def _check_combiner(f: AnfCombiner, factors, basis: CrtBasis) -> list[Spectrum]:
 def combiner_term_supports(f: AnfCombiner, factors, basis: CrtBasis) -> dict:
     """Length-N support of each ANF monomial under the combiner's shared
     root: k = 0 mod every modulus outside the term, k mod N_T ranging over
-    the term's own product support. Note this differs from
-    embed_spectrum's index map, which is relative to a root constructed
-    for the single term alone; under the shared root the lift above is
-    what actually appears.
+    the term's own product support.
     """
     factors = _check_combiner(f, factors, basis)
     return {mono: sorted(k for k, _ in _crt_points(

@@ -326,8 +326,7 @@ class FieldElement:
                 f"bits {self.bits:#x} not reduced in GF(2^{self.field.m})")
 
     def _check(self, other: "FieldElement"):
-        if not (self.field.m == other.field.m
-                and self.field.modulus == other.field.modulus):
+        if self.field != other.field:
             raise ValueError("field mismatch")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -348,14 +347,6 @@ class FieldElement:
 
     def order(self) -> int:
         return self.field._order_int(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement) and self.bits == other.bits
-                and self.field.m == other.field.m
-                and self.field.modulus == other.field.modulus)
-
-    def __hash__(self):
-        return hash((self.field.m, self.field.modulus, self.bits))
 
     def __repr__(self):
         return f"<{poly_str(self.bits)} in GF(2^{self.field.m})>"

@@ -144,6 +144,13 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
         raise FormatError(
             f"N={N} does not divide the group order {field.group_order}"
             f" of GF(2^{m})", path, 1, 1)
+    # checked before the N-sized tables below are allocated; with at least
+    # N entry lines, distinct and in range, every index has its entry
+    entries = sum(1 for raw in lines[1:] if raw.strip())
+    if entries < N:
+        raise FormatError(
+            f"missing entries: {entries} entry lines for N={N} indices",
+            path, len(lines) + 1, 1)
     root = field.generator ** e
     values: list = [None] * N
     line_of = [0] * N   # line number of each index's entry, 0 if none yet
@@ -167,11 +174,6 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
                     f"exponent {d} outside [0, {N})", path, lineno,
                     len(lm.group(1)) + 2)
             values[k] = d
-    missing = [k for k, ln in enumerate(line_of) if not ln]
-    if missing:
-        raise FormatError(
-            f"missing entries for {len(missing)} indices"
-            f" (first: {missing[0]})", path, len(lines) + 1, 1)
     try:
         S = Spectrum(N, field, root, tuple(values))
     except ValueError as err:

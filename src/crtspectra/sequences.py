@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 from math import lcm
 
-from .field import FieldElement
 from .gf2poly import poly_degree
 
 
@@ -69,14 +68,6 @@ class Lfsr:
         self.connection = connection
         self.taps = connection & ((1 << self.degree) - 1)
         self.state = state
-
-    @classmethod
-    def from_seed_string(cls, connection: int, seed: str) -> "Lfsr":
-        """Seed string reads left to right as s0 s1 ... s_(m-1)."""
-        state = 0
-        for i, ch in enumerate(seed):
-            state |= int(ch) << i
-        return cls(connection, state)
 
     def step(self) -> int:
         out = self.state & 1
@@ -194,29 +185,3 @@ def combiner_stream(f: AnfCombiner, inputs: list[BitSequence]) -> BitSequence:
     return _minimize(tuple(
         f.evaluate([s.bit(t) for s in inputs]) for t in range(L)))
 
-
-def cyclic_convolve(A: list[FieldElement], B: list[FieldElement]) -> list[FieldElement]:
-    """out_j = sum_k A_(j-k mod N) * B_k over the elements' common field.
-
-    N must be odd: the inverse-transform normalization 1/N equals 1 in
-    characteristic 2 exactly when N is odd, and x^N - 1 is squarefree.
-    """
-    N = len(A)
-    if len(B) != N:
-        raise ValueError(f"length mismatch: {N} vs {len(B)}")
-    if N % 2 == 0:
-        raise ValueError(f"even length {N} rejected (need odd)")
-    if N == 0:
-        raise ValueError("empty arrays")
-    fld = A[0].field
-    for e in A:
-        A[0]._check(e)
-    for e in B:
-        A[0]._check(e)
-    out = []
-    for j in range(N):
-        acc = 0
-        for k in range(N):
-            acc ^= fld.mul_int(A[(j - k) % N].bits, B[k].bits)
-        out.append(FieldElement(fld, acc))
-    return out

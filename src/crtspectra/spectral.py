@@ -28,8 +28,7 @@ class Spectrum:
     def __post_init__(self):
         if self.N < 1 or len(self.values) != self.N:
             raise ValueError(f"need exactly N={self.N} entries")
-        if not (self.root.field.m == self.field.m
-                and self.root.field.modulus == self.field.modulus):
+        if self.root.field != self.field:
             raise ValueError("root does not live in the stated field")
         if element_order(self.root) != self.N:
             raise ValueError(
@@ -44,15 +43,6 @@ class Spectrum:
     def nonzero_count(self) -> int:
         return sum(1 for d in self.values if d is not None)
 
-    def point_value(self, k: int) -> FieldElement:
-        d = self.values[k]
-        if d is None:
-            return FieldElement(self.field, 0)
-        return self.root ** d
-
-    def value_array(self) -> list[FieldElement]:
-        return [self.point_value(k) for k in range(self.N)]
-
     def conjugacy_violation(self):
         """(k, 2k mod N) for the first index pair breaking the doubling law,
         or None if the spectrum is conjugate-consistent."""
@@ -65,11 +55,6 @@ class Spectrum:
             elif d2 is None or d2 != (2 * d) % self.N:
                 return (k, k2)
         return None
-
-    def __eq__(self, other):
-        return (isinstance(other, Spectrum) and self.N == other.N
-                and self.field == other.field and self.root == other.root
-                and self.values == other.values)
 
     def __repr__(self):
         return (f"Spectrum(N={self.N}, GF(2^{self.field.m}),"

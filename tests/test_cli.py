@@ -214,6 +214,38 @@ def test_verify_random_seeds_replay(capsys):
     assert out1.splitlines()[0] == "seed=99"
 
 
+def test_verify_random_seeds_seed_heads_the_report(tmp_path, capsys):
+    args = ("verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
+            "--random-seeds", "2", "--seed", "99")
+    v = tmp_path / "v.txt"
+    code, out, _ = run(capsys, *args, "--out", str(v))
+    assert code == 0
+    assert out == ""
+    lines = v.read_text().splitlines()
+    assert lines[0] == "seed=99" and len(lines) == 3
+
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert recs[0] == {"seed": 99}
+    assert len(recs) == 3 and all(r["ok"] for r in recs[1:])
+
+    # a seeded run that fails to start still names its seed
+    code, out, err = run(capsys, *args, "--bound", "10")
+    assert code == 2
+    assert out == ""
+    assert "seed=99" in err and "exceeds bound 10" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "nonexistent" / "x.md"
+    code, out, err = run(capsys, "report", "--example", "1",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"{target}: cannot write" in err and "Traceback" not in err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("period=7\n00101x1\n")

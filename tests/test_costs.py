@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from crtspectra.costs import (OpCounter, estimate_crt,
-                              estimate_crt_breakdown, estimate_direct, eta,
-                              measure)
+from crtspectra.costs import (OpCounter, estimate_crt_breakdown,
+                              estimate_direct, eta, measure)
 
 import reference_values as rv
 
@@ -35,7 +34,6 @@ def test_estimate_crt_reference_breakdown():
     assert bk.crt_cost == rv.COST_CRT_PARTS[2]
     assert bk.factor_bits == 8
     assert bk.len_bits == 8          # 217 takes 8 bits
-    assert estimate_crt([7, 31], [3, 5], 217) == bk.total
 
 
 def test_estimate_crt_floors_small_degrees():

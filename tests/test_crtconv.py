@@ -4,8 +4,7 @@ import pytest
 
 from crtspectra.crtconv import (CrtBasis, aligned_product_root,
                                 combiner_spectrum, combiner_term_supports,
-                                crt_combine, embed_root, embed_spectrum,
-                                product_spectrum, product_spectrum_point,
+                                crt_combine, embed_root, product_spectrum, product_spectrum_point,
                                 support_indices)
 from crtspectra.field import build_field, multiplicative_order_of_2
 from crtspectra.oracle import brute_dft
@@ -155,36 +154,6 @@ def test_embed_root():
         embed_root(SB.root, F4)    # 7 does not divide 15
 
 
-def test_embed_spectrum_identity_and_lift():
-    SU = product_spectrum([_spec(A), _spec(B)], CrtBasis([3, 7]))
-    same = embed_spectrum(SU, 21)
-    assert same == SU
-    E = embed_spectrum(SU, 651)
-    assert E.N == 651
-    q = 651 // 21
-    assert E.support() == sorted(q * k for k in rv.TABLE_AB)
-    for k, d in rv.TABLE_AB.items():
-        assert E.values[q * k] == (q * d) % 651
-    # embedding root keeps the defining relation
-    assert (E.root ** q) == embed_root(SU.root, E.field)
-
-
-def test_embed_spectrum_is_a_true_transform():
-    # the embedded spectrum must invert to the same bits, now at period 651
-    SU = product_spectrum([_spec(A), _spec(B)], CrtBasis([3, 7]))
-    E = embed_spectrum(SU, 651)
-    long_u = idft(E)
-    assert all(long_u.bit(t) == A.bit(t) * B.bit(t) for t in range(651))
-
-
-def test_embed_spectrum_rejections():
-    SU = product_spectrum([_spec(A), _spec(B)], CrtBasis([3, 7]))
-    with pytest.raises(ValueError):
-        embed_spectrum(SU, 42)    # even target
-    with pytest.raises(ValueError):
-        embed_spectrum(SU, 93)    # 21 does not divide 93
-
-
 def test_aligned_product_root_is_product_of_embeds():
     F6 = build_field(6)
     SA, SB = _spec(A), _spec(B)
@@ -226,8 +195,7 @@ def test_single_monomial_combiner_reduces_to_product():
     basis = CrtBasis([7, 31])
     factors = [_spec(B), _spec(C)]
     S1 = combiner_spectrum(f, factors, basis)
-    S2 = embed_spectrum(product_spectrum(factors, basis), 217)
-    assert S1 == S2
+    assert S1 == product_spectrum(factors, basis)
 
 
 def test_combiner_arity_and_moduli_checks():

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -118,6 +119,20 @@ def test_spectrum_parse_rejections():
     conj = "N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 1"
     with pytest.raises(FormatError, match="indices 1 and 2"):
         parse_spectrum(conj, "x")                      # d(2) != 2 d(1)
+
+
+def test_spectrum_short_text_rejected_before_allocating():
+    # the header passes the group-order check, but one entry line cannot
+    # fill N = 2^24 - 1 indices; no N-sized table may be built first
+    big = "N=16777215 field=GF2m(24,0x100001B) root=g^1\n0 Z\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="missing entries"):
+            parse_spectrum(big, "x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_atomic_write(tmp_path):

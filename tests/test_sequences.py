@@ -3,11 +3,9 @@ import random
 
 import pytest
 
-from crtspectra.field import build_field, element_of_order
 from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
-                                  combiner_stream, cyclic_convolve,
-                                  lfsr_stream, pointwise_product,
-                                  sequence_period)
+                                  combiner_stream, lfsr_stream,
+                                  pointwise_product, sequence_period)
 
 import reference_values as rv
 
@@ -41,7 +39,7 @@ def test_reference_streams():
 
 def test_seed_string_orientation():
     # leftmost character of the seed is s_0
-    l = Lfsr.from_seed_string(0xB, "001")
+    l = Lfsr(0xB, 0b100)
     assert str(lfsr_stream(l, 7)) == "0010111"
 
 
@@ -130,23 +128,3 @@ def test_combiner_arity_mismatch():
     with pytest.raises(ValueError):
         combiner_stream(f, [one])
 
-
-def test_cyclic_convolve_delta_is_identity():
-    fld = build_field(6)
-    rng = random.Random(29)
-    n = 7
-    delta = [fld.one] + [fld.zero] * (n - 1)
-    vec = [fld.element(rng.randrange(64)) for _ in range(n)]
-    assert cyclic_convolve(vec, delta) == vec
-
-
-def test_cyclic_convolve_rejections():
-    fld = build_field(6)
-    v3 = [fld.one] * 3
-    with pytest.raises(ValueError):
-        cyclic_convolve(v3, [fld.one] * 5)      # length mismatch
-    with pytest.raises(ValueError):
-        cyclic_convolve([fld.one] * 4, [fld.one] * 4)   # even length
-    other = build_field(3)
-    with pytest.raises(ValueError):
-        cyclic_convolve(v3, [other.one] * 3)    # mixed fields
