@@ -185,6 +185,8 @@ def _parse_lfsr_spec(text: str):
 
 def _cmd_verify(args) -> int:
     tamper = args.tamper_index
+    if args.random_seeds < 0:
+        raise ValueError("--random-seeds must be >= 0")
     if tamper is not None and args.random_seeds:
         raise ValueError("--tamper-index cannot be combined with --random-seeds")
     specs = [_parse_lfsr_spec(t) for t in args.lfsr]

@@ -30,7 +30,7 @@ from .field import (FieldElement, FieldSpec, build_field, element_order,
                     find_root_in_subgroup, minimal_polynomial_of,
                     multiplicative_order_of_2)
 from .sequences import AnfCombiner
-from .spectral import ZERO, Spectrum, root_power_table
+from .spectral import ZERO, Spectrum
 
 
 class CrtBasis:
@@ -60,9 +60,6 @@ class CrtBasis:
         self.idempotents = tuple(
             (N // n) * pow(N // n, -1, n) % N for n in moduli)
 
-    def __len__(self):
-        return len(self.moduli)
-
     def __repr__(self):
         return f"CrtBasis({list(self.moduli)}, N={self.N})"
 
@@ -90,6 +87,10 @@ def _check_factors(factors, basis: CrtBasis) -> list[Spectrum]:
     for f, n in zip(factors, basis.moduli):
         if f.N != n:
             raise ValueError(f"factor modulus {f.N} != basis modulus {n}")
+        if f.values[0] not in (ZERO, 0):
+            raise ValueError(
+                f"factor of period {n} has exponent {f.values[0]} at index"
+                " 0; a binary sequence's spectrum there is 0 or 1")
     return factors
 
 
@@ -148,6 +149,24 @@ def aligned_product_root(roots, field: FieldSpec) -> FieldElement:
     return acc
 
 
+def _assemble(factors, basis: CrtBasis, monomials) -> Spectrum:
+    """Spectrum of the XOR of the bitwise products of the factors at each
+    monomial's positions, under the product of every factor root.
+
+    Two monomials reach the same index only where every factor in just one
+    of them sits at its index 0, whose exponent is 0; so all terms at an
+    index carry the same exponent and their field sum is that exponent or
+    ZERO by the parity of the count."""
+    N = basis.N
+    field = build_field(multiplicative_order_of_2(N))
+    root = aligned_product_root([f.root for f in factors], field)
+    values: list = [ZERO] * N
+    for mono in monomials:
+        for k, d in _crt_points(factors, basis, mono):
+            values[k] = d if values[k] is ZERO else ZERO
+    return Spectrum(N, field, root, tuple(values))
+
+
 def product_spectrum(factors, basis: CrtBasis) -> Spectrum:
     """Full length-N spectrum of the bitwise product, straight from the
     factor spectra; cost is modular arithmetic per nonzero point, not
@@ -157,13 +176,7 @@ def product_spectrum(factors, basis: CrtBasis) -> Spectrum:
     makes the result equal dft(product stream) value for value.
     """
     factors = _check_factors(factors, basis)
-    N = basis.N
-    field = build_field(multiplicative_order_of_2(N))
-    root = aligned_product_root([f.root for f in factors], field)
-    values: list = [ZERO] * N
-    for k, d in _crt_points(factors, basis, range(len(factors))):
-        values[k] = d
-    return Spectrum(N, field, root, tuple(values))
+    return _assemble(factors, basis, [range(len(factors))])
 
 
 def support_indices(factors, basis: CrtBasis) -> list[int]:
@@ -195,35 +208,12 @@ def combiner_spectrum(f: AnfCombiner, factors, basis: CrtBasis) -> Spectrum:
     """Spectrum of f(inputs) assembled term by term, no length-N transform.
 
     Each ANF monomial is a bitwise product of its variables; under the
-    shared root sigma (product of ALL variable roots) its spectrum is the
-    CRT map with residue 0 for every variable outside the monomial. Term
-    values are added in the explicit field, so overlapping supports
-    combine correctly; disjoint supports (the usual case) make the sum a
-    plain union.
+    shared root (product of ALL variable roots) its spectrum is the CRT
+    map with residue 0 for every variable outside the monomial. Two terms
+    overlap only if every factor in just one of them is nonzero at index
+    0, and there equal terms cancel in pairs; otherwise the sum is a plain
+    union.
     """
     factors = _check_combiner(f, factors, basis)
-    N = basis.N
-    field = build_field(multiplicative_order_of_2(N))
-    sigma = aligned_product_root([x.root for x in factors], field)
-    if element_order(sigma) != N:
-        raise ValueError("variable root orders do not multiply out to N")
-
-    # power table of sigma once; terms accumulate by XOR of raw values
-    pw, dlog = root_power_table(sigma)
-
-    acc = [0] * N
-    for mono in f.monomials:
-        for k, e in _crt_points(factors, basis, [v - 1 for v in mono]):
-            acc[k] ^= pw[e]
-
-    values: list = [ZERO] * N
-    for k, bits in enumerate(acc):
-        if bits == 0:
-            continue
-        d = dlog.get(bits)
-        if d is None:
-            raise ValueError(
-                f"combined value at k={k} lies outside the cyclic group of"
-                " the shared root; no log-form spectrum for this combiner")
-        values[k] = d
-    return Spectrum(N, field, sigma, tuple(values))
+    return _assemble(factors, basis,
+                     [[v - 1 for v in mono] for mono in f.monomials])

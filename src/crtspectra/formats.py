@@ -51,7 +51,10 @@ def atomic_write(path: str, text: str) -> None:
 # --------------------------------------------------------------------------
 # field spec: `GF2m m=<int> mod=0x<hex>`
 
-_FIELD_RE = re.compile(r"^GF2m m=(\d+) mod=0x([0-9A-Fa-f]+)$")
+# decimal runs are bounded so int() of a match never passes the interpreter's
+# digit limit (640 is its least setting); a longer run fails the match
+_DIGITS = r"\d{1,640}"
+_FIELD_RE = re.compile(rf"^GF2m m=({_DIGITS}) mod=0x([0-9A-Fa-f]+)$")
 
 
 def serialize_field(field: FieldSpec) -> str:
@@ -108,9 +111,9 @@ def parse_sequence(text: str, path: str = "<input>") -> BitSequence:
 # --------------------------------------------------------------------------
 # spectrum: header `N=<int> field=GF2m(m,0xMOD) root=g^<e>`, then `k <d|Z>`
 
-_SPEC_HEAD_RE = re.compile(
-    r"^N=(\d+) field=GF2m\((\d+),0x([0-9A-Fa-f]+)\) root=g\^(\d+)$")
-_SPEC_LINE_RE = re.compile(r"^(\d+) (Z|\d+)$")
+_SPEC_HEAD_RE = re.compile(rf"^N=({_DIGITS}) field=GF2m\(({_DIGITS}),"
+                           rf"0x([0-9A-Fa-f]+)\) root=g\^({_DIGITS})$")
+_SPEC_LINE_RE = re.compile(rf"^({_DIGITS}) (Z|{_DIGITS})$")
 
 
 def serialize_spectrum(S: Spectrum) -> str:

@@ -96,7 +96,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             f"root order {element_order(root)} != sequence period {N}")
     pw, dlog = root_power_table(root)
     ones = [t for t, b in enumerate(s.bits) if b]
-    values: list = [ZERO] * N
+    reps = {}
     for coset in cyclotomic_cosets(N):
         leader = coset[0]
         acc = 0
@@ -109,14 +109,8 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             raise ValueError(
                 f"spectral value at k={leader} lies outside the cyclic group"
                 " of the root; no log-form spectrum over this root")
-        k, dd = leader, d
-        while True:
-            values[k] = dd
-            k = (2 * k) % N
-            dd = (2 * dd) % N
-            if k == leader:
-                break
-    return Spectrum(N, field, root, tuple(values))
+        reps[leader] = d
+    return coset_expand(reps, N, field, root)
 
 
 def idft(S: Spectrum) -> BitSequence:
@@ -182,17 +176,18 @@ def coset_reduce(S: Spectrum) -> dict:
 
 def coset_expand(reps: dict, N: int, field: FieldSpec,
                  root: FieldElement) -> Spectrum:
-    """Rebuild a full Spectrum from leader representatives by squaring."""
+    """Rebuild a full Spectrum from leader representatives by squaring.
+    A leader is the least index of its orbit under k -> 2k mod N."""
+    if N < 1 or N % 2 == 0:
+        raise ValueError(f"need odd N >= 1, got {N}")
     values: list = [ZERO] * N
-    leaders = {c[0] for c in cyclotomic_cosets(N)}
-    for leader, d0 in reps.items():
-        if leader not in leaders:
-            raise ValueError(f"{leader} is not a coset leader mod {N}")
-        k, d = leader, d0
+    for leader, d in reps.items():
+        k = leader
         while True:
+            if not 0 <= k < N or k < leader:
+                raise ValueError(f"{leader} is not a coset leader mod {N}")
             values[k] = d
-            k = (2 * k) % N
-            d = (2 * d) % N
+            k, d = 2 * k % N, 2 * d % N
             if k == leader:
                 break
     return Spectrum(N, field, root, tuple(values))

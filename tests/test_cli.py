@@ -214,6 +214,14 @@ def test_verify_random_seeds_replay(capsys):
     assert out1.splitlines()[0] == "seed=99"
 
 
+def test_verify_negative_random_seeds_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem1", "--lfsr", "0xb:0x1",
+                         "--random-seeds", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--random-seeds must be >= 0" in err
+
+
 def test_verify_random_seeds_seed_heads_the_report(tmp_path, capsys):
     args = ("verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
             "--random-seeds", "2", "--seed", "99")

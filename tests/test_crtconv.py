@@ -6,7 +6,7 @@ from crtspectra.crtconv import (CrtBasis, aligned_product_root,
                                 combiner_spectrum, combiner_term_supports,
                                 crt_combine, embed_root, product_spectrum, product_spectrum_point,
                                 support_indices)
-from crtspectra.field import build_field, multiplicative_order_of_2
+from crtspectra.field import FieldSpec, build_field, multiplicative_order_of_2
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
                                   combiner_stream, lfsr_stream)
@@ -22,6 +22,8 @@ C = BitSequence.from_string(rv.STREAM_C)
 
 # m-sequence of x^7+x+1, period 127
 D = lfsr_stream(Lfsr(0x83, 1), 127)
+# m-sequence of x^6+x+1, period 63
+E = lfsr_stream(Lfsr(0x43, 1), 63)
 
 
 def _spec(s):
@@ -120,6 +122,17 @@ def test_support_indices_four_factors():
 def test_factors_must_be_spectra():
     with pytest.raises(TypeError):
         support_indices([_spec(A).values, _spec(B)], CrtBasis([3, 7]))
+
+
+def test_factor_exponent_at_index_0_must_be_0():
+    # a binary sequence sums to 0 or 1, so g^1 at index 0 is no spectrum
+    s = _spec(_complement(C))
+    bad = Spectrum(s.N, s.field, s.root, (1,) + s.values[1:])
+    factors, basis = [_spec(B), bad], CrtBasis([7, 31])
+    with pytest.raises(ValueError, match="exponent 1 at index 0"):
+        product_spectrum(factors, basis)
+    with pytest.raises(ValueError, match="exponent 1 at index 0"):
+        combiner_spectrum(AnfCombiner.parse("1+1*2"), factors, basis)
 
 
 def test_reference_217_and_93():
@@ -246,7 +259,7 @@ def test_combiner_spectrum_matches_oracle(anf, seqs):
 
 def test_complemented_input_overlaps_term_supports():
     # ~C is nonzero at index 0, so x1 and x1x2 share the indices k = 0
-    # mod 31 and the XOR-then-dlog accumulation decides their values
+    # mod 31, where their equal terms cancel
     seqs = (B, _complement(C))
     f = AnfCombiner.parse("1+1*2")
     lifts = combiner_term_supports(f, [_spec(s) for s in seqs],
@@ -256,3 +269,23 @@ def test_complemented_input_overlaps_term_supports():
     S = _combiner_or_error(f, seqs)
     assert S == _oracle_or_error(f, seqs)
     assert S.nonzero_count() == 15
+
+
+def test_combiner_costs_what_a_product_costs(monkeypatch):
+    # the combiner's only field work is the shared root, as the product's
+    factors = [_spec(C), _spec(E)]
+    basis = CrtBasis([31, 63])
+    f = AnfCombiner.parse("1+2+1*2")
+    calls = [0]
+    mul_int = FieldSpec.mul_int
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul_int(self, a, b)
+    monkeypatch.setattr(FieldSpec, "mul_int", counted)
+    product_spectrum(factors, basis)
+    product_calls, calls[0] = calls[0], 0
+    S = combiner_spectrum(f, factors, basis)
+    assert calls[0] == product_calls > 0
+    assert S.nonzero_count() == 5 + 6 + 5 * 6   # disjoint term supports
+

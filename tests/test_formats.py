@@ -36,6 +36,9 @@ def test_field_roundtrip():
         parse_field("GF2m m=6 mod=0x44", "x")      # reducible
     with pytest.raises(FormatError):
         parse_field("m=6 mod=0x43", "x")
+    # past the interpreter's 4300-digit limit: a positioned FormatError
+    with pytest.raises(FormatError, match=r"^x:1:1: expected 'GF2m"):
+        parse_field("GF2m m=" + "1" * 5000 + " mod=0x43", "x")
 
 
 def test_sequence_roundtrip():
@@ -119,6 +122,17 @@ def test_spectrum_parse_rejections():
     conj = "N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 1"
     with pytest.raises(FormatError, match="indices 1 and 2"):
         parse_spectrum(conj, "x")                      # d(2) != 2 d(1)
+
+    # digit runs past the interpreter's 4300-digit limit
+    long = "1" * 5000
+    for text, line in (
+            (f"N={long} field=GF2m(2,0x7) root=g^1\n0 Z", 1),
+            (f"N=3 field=GF2m({long},0x7) root=g^1\n0 Z", 1),
+            (f"N=3 field=GF2m(2,0x7) root=g^{long}\n0 Z", 1),
+            (f"N=3 field=GF2m(2,0x7) root=g^1\n{long} Z\n1 Z\n2 Z", 2),
+            (f"N=3 field=GF2m(2,0x7) root=g^1\n0 {long}\n1 Z\n2 Z", 2)):
+        with pytest.raises(FormatError, match=f"^x:{line}:1: expected"):
+            parse_spectrum(text, "x")
 
 
 def test_spectrum_short_text_rejected_before_allocating():

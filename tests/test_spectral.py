@@ -214,6 +214,12 @@ def test_coset_expand_inverts_reduce():
     fld, root = default_field_for_period(21)
     S = dft(U, fld, root)
     assert coset_expand(coset_reduce(S), 21, fld, root) == S
+    for leader in (2, 11, 21, -1):      # 2 and 11 lie in the coset of 1
+        with pytest.raises(ValueError,
+                           match=f"{leader} is not a coset leader mod 21"):
+            coset_expand({leader: 0}, 21, fld, root)
+    with pytest.raises(ValueError, match="need odd N"):
+        coset_expand({1: 0}, 6, fld, root)    # doubling never returns to 1
 
 
 def test_convolution_duality_at_21():
