@@ -8,6 +8,7 @@ cannot be written. All file outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -343,6 +344,7 @@ def _cmd_report(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crtspectra",

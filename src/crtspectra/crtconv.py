@@ -24,6 +24,7 @@ fixing the order-N root rho first, factor i's implied root is rho^(N/n_i).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .field import (FieldElement, FieldSpec, build_field, element_order,
@@ -130,14 +131,22 @@ def product_spectrum_point(factors, basis: CrtBasis, k: int):
 
 def embed_root(root: FieldElement, field: FieldSpec) -> FieldElement:
     """Canonical image of `root` in another field: same minimal polynomial,
-    same multiplicative order; the identity when the field already matches."""
+    same multiplicative order; the identity when the field already matches.
+    Images are found once per process and returned in the caller's `field`
+    object, so a counting view stays a counting view."""
     if root.field == field:
         return root
+    return FieldElement(field, _image_bits(root.field, root.bits, field))
+
+
+@lru_cache(maxsize=256)
+def _image_bits(source: FieldSpec, bits: int, target: FieldSpec) -> int:
+    root = FieldElement(source, bits)
     n = element_order(root)
-    if n > 1 and field.group_order % n != 0:
+    if n > 1 and target.group_order % n != 0:
         raise ValueError(
-            f"GF(2^{field.m}) has no element of order {n}")
-    return find_root_in_subgroup(minimal_polynomial_of(root), n, field)
+            f"GF(2^{target.m}) has no element of order {n}")
+    return find_root_in_subgroup(minimal_polynomial_of(root), n, target).bits
 
 
 def aligned_product_root(roots, field: FieldSpec) -> FieldElement:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2poly import is_irreducible, pgcd, pmod, poly_str, ppowmod
 
@@ -238,6 +239,15 @@ class FieldSpec:
                 e //= q
         return e
 
+    def _has_order_int(self, a: int, n: int) -> bool:
+        """a^n = 1 and a^(n/p) != 1 for each prime p | n: a few powers,
+        where _order_int walks the primes of the whole group order."""
+        if n < 1 or self.group_order % n:
+            return False
+        return self.pow_int(a, n) == 1 and all(
+            self.pow_int(a, n // q) != 1
+            for q in self.group_order_factors if n % q == 0)
+
     # wrapped API ------------------------------------------------------------
 
     def element(self, bits: int) -> "FieldElement":
@@ -313,6 +323,9 @@ class CountingField(FieldSpec):
     def _order_int(self, a: int) -> int:
         return self.base._order_int(a)
 
+    def _has_order_int(self, a: int, n: int) -> bool:
+        return self.base._has_order_int(a, n)
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -356,14 +369,27 @@ class FieldElement:
 # module-level ops in the contract's vocabulary
 
 def build_field(m: int, modulus: int | None = None) -> FieldSpec:
-    """Construct GF(2^m); default modulus comes from the primitive table."""
+    """GF(2^m); default modulus comes from the primitive table. Fields are
+    built once per process and shared (a FieldSpec is immutable), keyed on
+    the resolved modulus, so a changed table override still takes effect."""
     if modulus is None:
         modulus = default_modulus(m)
+    return _field(m, modulus)
+
+
+@lru_cache(maxsize=128)
+def _field(m: int, modulus: int) -> FieldSpec:
     return FieldSpec(m, modulus)
 
 
 def element_order(a: FieldElement) -> int:
     return a.order()
+
+
+def has_order(a: FieldElement, n: int) -> bool:
+    """True if a has multiplicative order exactly n; uncounted, like
+    element_order."""
+    return a.field._has_order_int(a.bits, n)
 
 
 def element_of_order(field: FieldSpec, N: int) -> FieldElement:
@@ -459,15 +485,28 @@ def minimal_polynomial_of(a: FieldElement) -> int:
 def find_root_in_subgroup(poly: int, order: int, field: FieldSpec) -> FieldElement:
     """First element h^j (j ascending) of the order-`order` subgroup with
     poly(h^j) = 0; h = element_of_order(field, order). Deterministic, so the
-    same embedding is chosen on every run."""
+    same embedding is chosen on every run.
+
+    The roots of a GF(2)[x] polynomial are closed under squaring, h^j ->
+    h^(2j), so the first root met has the least j of its orbit under
+    j -> 2j mod order; only those j are evaluated."""
     h = element_of_order(field, order)
     x = 1
     for j in range(order):
-        if _eval_poly_int(poly, x, field) == 0:
+        if _least_of_orbit(j, order) and _eval_poly_int(poly, x, field) == 0:
             return FieldElement(field, x)
         x = field.mul_int(x, h.bits)
     raise ValueError(
         f"{poly_str(poly)} has no root in the order-{order} subgroup")
+
+
+def _least_of_orbit(j: int, n: int) -> bool:
+    k = 2 * j % n
+    while k != j:
+        if k < j:
+            return False
+        k = 2 * k % n
+    return True
 
 
 def _eval_poly_int(poly: int, x: int, field) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .field import (FieldElement, FieldSpec, build_field, cyclotomic_cosets,
                     discrete_log, element_of_order, element_order,
-                    multiplicative_order_of_2)
+                    has_order, multiplicative_order_of_2)
 from .sequences import BitSequence
 
 ZERO = None  # spectral zero marker; never exponent-encoded
@@ -30,7 +30,7 @@ class Spectrum:
             raise ValueError(f"need exactly N={self.N} entries")
         if self.root.field != self.field:
             raise ValueError("root does not live in the stated field")
-        if element_order(self.root) != self.N:
+        if not has_order(self.root, self.N):
             raise ValueError(
                 f"root order {element_order(self.root)} != N = {self.N}")
         for k, d in enumerate(self.values):
@@ -69,10 +69,10 @@ def default_field_for_period(N: int):
     return field, element_of_order(field, N)
 
 
-def root_power_table(root: FieldElement):
-    """pw[d] = root^d as raw bits, plus the inverse lookup dict."""
+def root_power_table(root: FieldElement, N: int):
+    """pw[d] = root^d as raw bits for a root of order N, plus the inverse
+    lookup dict."""
     fld = root.field
-    N = element_order(root)
     pw = [1]
     cur = 1
     for _ in range(N - 1):
@@ -91,10 +91,10 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     filled by the conjugate square law d(2k) = 2 d(k) mod N.
     """
     N = s.period
-    if element_order(root) != N:
+    if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
-    pw, dlog = root_power_table(root)
+    pw, dlog = root_power_table(root, N)
     ones = [t for t, b in enumerate(s.bits) if b]
     reps = {}
     for coset in cyclotomic_cosets(N):
@@ -118,7 +118,7 @@ def idft(S: Spectrum) -> BitSequence:
     N = S.N
     if N % 2 == 0:
         raise ValueError(f"even period {N} rejected")
-    pw, _ = root_power_table(S.root)
+    pw, _ = root_power_table(S.root, N)
     supp = [(k, d) for k, d in enumerate(S.values) if d is not None]
     out = []
     for t in range(N):
@@ -141,7 +141,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     N = s.period
     if not 0 <= k < N:
         raise ValueError(f"index {k} outside [0, {N})")
-    if element_order(root) != N:
+    if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
     fld = root.field

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from crtspectra import crtconv, field
 from crtspectra.field import cyclotomic_cosets
 from crtspectra.spectral import Spectrum, coset_expand
 
@@ -24,3 +25,13 @@ def _random_log_spectrum(field, root, rng: random.Random) -> Spectrum:
 @pytest.fixture
 def random_log_spectrum():
     return _random_log_spectrum
+
+
+@pytest.fixture
+def clear_field_caches():
+    """Empties the per-process field and root-image memos, so the next
+    call does its set-up work as a fresh process would."""
+    def clear():
+        field._field.cache_clear()
+        crtconv._image_bits.cache_clear()
+    return clear

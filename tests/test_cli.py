@@ -90,6 +90,43 @@ def test_dft_and_crt_conv(tmp_path, capsys):
     assert got == rv.TABLE_AB
 
 
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call; a flag given once must not stick
+    paths = _write_streams(tmp_path, capsys)
+    _, full, _ = run(capsys, "dft", "--in", paths["c"])
+    code, out, _ = run(capsys, "dft", "--in", paths["c"], "--point", "3")
+    assert code == 0 and len(out.splitlines()) == 1
+    code, again, _ = run(capsys, "dft", "--in", paths["c"])
+    assert code == 0 and again == full
+    assert again.startswith("N=31 ") and len(again.splitlines()) == 32
+
+    specs = []
+    for name in ("a", "b"):
+        specs.append(str(tmp_path / f"{name}.spec"))
+        run(capsys, "dft", "--in", paths[name], "--out", specs[-1])
+    _, full, _ = run(capsys, "crt-conv", "--factors", *specs)
+    code, out, _ = run(capsys, "crt-conv", "--factors", *specs,
+                       "--support-only")
+    assert code == 0 and [int(k) for k in out.split()] == sorted(rv.TABLE_AB)
+    code, again, _ = run(capsys, "crt-conv", "--factors", *specs)
+    assert code == 0 and again == full
+    assert again.startswith("N=21 ") and len(again.splitlines()) == 22
+
+
+def test_crt_conv_golden_3x2047(tmp_path, capsys):
+    # the embedded root's header, root=g^..., is pinned by the golden
+    specs = []
+    for conn, period in (("0x7", 3), ("0x805", 2047)):
+        seq, spec = (str(tmp_path / f"{period}.{ext}") for ext in ("seq", "spec"))
+        assert run(capsys, "seq", "gen", "--poly", conn, "--seed", "0x1",
+                   "--bits", str(period), "--out", seq)[0] == 0
+        assert run(capsys, "dft", "--in", seq, "--out", spec)[0] == 0
+        specs.append(spec)
+    code, out, _ = run(capsys, "crt-conv", "--factors", *specs)
+    golden = open(os.path.join(HERE, "golden", "crt_conv_3x2047.spec")).read()
+    assert code == 0 and out == golden
+
+
 def test_dft_point_and_reduce(tmp_path, capsys):
     paths = _write_streams(tmp_path, capsys)
     code, out, _ = run(capsys, "dft", "--in", paths["b"], "--point", "3")

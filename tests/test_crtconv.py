@@ -6,7 +6,9 @@ from crtspectra.crtconv import (CrtBasis, aligned_product_root,
                                 combiner_spectrum, combiner_term_supports,
                                 crt_combine, embed_root, product_spectrum, product_spectrum_point,
                                 support_indices)
-from crtspectra.field import FieldSpec, build_field, multiplicative_order_of_2
+from crtspectra.costs import OpCounter
+from crtspectra.field import (CountingField, FieldSpec, build_field,
+                              element_of_order, multiplicative_order_of_2)
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
                                   combiner_stream, lfsr_stream)
@@ -167,6 +169,37 @@ def test_embed_root():
         embed_root(SB.root, F4)    # 7 does not divide 15
 
 
+def test_embed_root_into_a_larger_field_is_cheap(monkeypatch,
+                                                 clear_field_caches):
+    # the order-2047 root x of GF(2^11) into GF(2^22), from empty caches;
+    # an evaluation at every subgroup index took 6188 mul_int calls
+    root = element_of_order(build_field(11), 2047)
+    F22 = build_field(22)
+    calls = [0]
+    mul_int = FieldSpec.mul_int
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul_int(self, a, b)
+    monkeypatch.setattr(FieldSpec, "mul_int", counted)
+    clear_field_caches()
+    r = embed_root(root, F22)
+    assert 0 < calls[0] <= 6188 // 2
+    assert r.order() == 2047
+
+
+def test_cached_embed_root_returns_the_callers_field(clear_field_caches):
+    clear_field_caches()
+    F15 = build_field(15)
+    SB = _spec(B)
+    plain = embed_root(SB.root, F15)
+    cf = CountingField(F15, OpCounter())
+    r = embed_root(SB.root, cf)    # a cache hit
+    assert r.field is cf
+    assert r.bits == plain.bits
+    assert cf.counter.mul_count == 0
+
+
 def test_aligned_product_root_is_product_of_embeds():
     F6 = build_field(6)
     SA, SB = _spec(A), _spec(B)
@@ -271,8 +304,9 @@ def test_complemented_input_overlaps_term_supports():
     assert S.nonzero_count() == 15
 
 
-def test_combiner_costs_what_a_product_costs(monkeypatch):
-    # the combiner's only field work is the shared root, as the product's
+def test_combiner_costs_what_a_product_costs(monkeypatch, clear_field_caches):
+    # the combiner's only field work is the shared root, as the product's;
+    # both calls start from empty field and root-image caches
     factors = [_spec(C), _spec(E)]
     basis = CrtBasis([31, 63])
     f = AnfCombiner.parse("1+2+1*2")
@@ -283,8 +317,10 @@ def test_combiner_costs_what_a_product_costs(monkeypatch):
         calls[0] += 1
         return mul_int(self, a, b)
     monkeypatch.setattr(FieldSpec, "mul_int", counted)
+    clear_field_caches()
     product_spectrum(factors, basis)
     product_calls, calls[0] = calls[0], 0
+    clear_field_caches()
     S = combiner_spectrum(f, factors, basis)
     assert calls[0] == product_calls > 0
     assert S.nonzero_count() == 5 + 6 + 5 * 6   # disjoint term supports

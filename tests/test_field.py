@@ -1,12 +1,14 @@
 import random
+from math import gcd
 
 import pytest
 
 from crtspectra.field import (PRIMITIVE_POLYS, CountingField, FieldElement,
                               FieldSpec, build_field, cyclotomic_cosets,
                               default_modulus, discrete_log, element_of_order,
-                              element_order, factor_int, is_primitive,
-                              minimal_polynomial_of, multiplicative_order_of_2)
+                              element_order, factor_int, find_root_in_subgroup,
+                              has_order, is_primitive, minimal_polynomial_of,
+                              multiplicative_order_of_2)
 from crtspectra.gf2poly import is_irreducible
 
 
@@ -129,13 +131,63 @@ def test_default_table_is_primitive():
 
 def test_poly_table_env_override(tmp_path, monkeypatch):
     alt = tmp_path / "table.txt"
-    # x^4+x+1 over the built-in for degree 4, comment line ignored
-    alt.write_text("# alt table\n4 0x13\n")
+    # x^4+x^3+1 over the built-in x^4+x+1 for degree 4, comment line ignored
+    alt.write_text("# alt table\n4 0x19\n")
+    monkeypatch.delenv("CRTSPECTRA_POLY_TABLE", raising=False)
+    assert build_field(4).modulus == PRIMITIVE_POLYS[4] == 0x13
+    # the field of degree 4 is cached now; the override must still win
     monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(alt))
-    assert default_modulus(4) == 0x13
+    assert default_modulus(4) == 0x19
+    assert build_field(4).modulus == 0x19
     assert default_modulus(6) == PRIMITIVE_POLYS[6]
     monkeypatch.delenv("CRTSPECTRA_POLY_TABLE")
     assert default_modulus(4) == PRIMITIVE_POLYS[4]
+    assert build_field(4).modulus == PRIMITIVE_POLYS[4]
+
+
+def test_fields_are_built_once_and_shared():
+    assert build_field(9) is build_field(9)
+
+
+def test_has_order():
+    g = F6.generator
+    for bits in range(1, 64):
+        a = F6.element(bits)
+        n = element_order(a)
+        assert [d for d in range(1, 64) if has_order(a, d)] == [n]
+    assert not has_order(g, 126) and not has_order(g, 0)
+    assert not has_order(F6.zero, 1)
+    # uncounted on a counting view, as element orders are
+    from crtspectra.costs import OpCounter
+    cf = CountingField(F6, OpCounter())
+    assert has_order(cf.generator, 63)
+    assert cf.counter.mul_count == 0
+
+
+def _first_root_plain(poly, powers, field):
+    """The first x of powers = [h^0, h^1, ...] with poly(x) = 0."""
+    for x in powers:
+        acc = 0
+        for t in range(poly.bit_length() - 1, -1, -1):
+            acc = field.mul_int(acc, x) ^ ((poly >> t) & 1)
+        if acc == 0:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("n, m", [(7, 6), (7, 15), (31, 30), (63, 30),
+                                  (1023, 30), (2047, 22)])
+def test_root_scan_matches_plain_ascending_scan(n, m):
+    # every minimal polynomial of an order-n element: one per coset leader
+    # coprime to n
+    fld = build_field(m)
+    h = element_of_order(fld, n)
+    powers = [(h ** j).bits for j in range(n)]
+    polys = {minimal_polynomial_of(fld.element(powers[c[0]]))
+             for c in cyclotomic_cosets(n) if gcd(c[0], n) == 1}
+    for poly in sorted(polys):
+        assert find_root_in_subgroup(poly, n, fld).bits == \
+            _first_root_plain(poly, powers, fld)
 
 
 def test_counting_field_tallies():
