@@ -128,9 +128,6 @@ def _cmd_dft(args) -> int:
     s = parse_sequence_file(args.infile)
     if args.field:
         field = parse_field(args.field, "<--field>")
-        if field.group_order % s.period:
-            raise ValueError(
-                f"GF(2^{field.m}) has no element of order {s.period}")
         root = element_of_order(field, s.period)
     else:
         field, root = default_field_for_period(s.period)

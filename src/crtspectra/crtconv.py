@@ -143,9 +143,6 @@ def embed_root(root: FieldElement, field: FieldSpec) -> FieldElement:
 def _image_bits(source: FieldSpec, bits: int, target: FieldSpec) -> int:
     root = FieldElement(source, bits)
     n = element_order(root)
-    if n > 1 and target.group_order % n != 0:
-        raise ValueError(
-            f"GF(2^{target.m}) has no element of order {n}")
     return find_root_in_subgroup(minimal_polynomial_of(root), n, target).bits
 
 

@@ -186,15 +186,12 @@ class FieldSpec:
         self._generator_bits = self._find_generator()
 
     def _find_generator(self) -> int:
-        if self.group_order == 1:
-            return 1
-        cand = 2  # the class of x; primitive modulus makes this primitive
-        while True:
-            if self._order_int(cand) == self.group_order:
+        # 1 generates GF(2)^*; above it, the class of x (2) comes first and
+        # a primitive modulus makes it primitive
+        for cand in range(1, 1 << self.m):
+            if self._order_int(cand, self.group_order) == self.group_order:
                 return cand
-            cand += 1
-            if cand >= 1 << self.m:
-                raise ArithmeticError("no generator found (impossible)")
+        raise ArithmeticError("no generator found (impossible)")
 
     # raw-int arithmetic -----------------------------------------------------
 
@@ -230,23 +227,16 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return self.pow_int(a, self.group_order - 1)
 
-    def _order_int(self, a: int) -> int:
+    def _order_int(self, a: int, n: int) -> int:
+        """Least e | n with a^e = 1, given a^n = 1 and n | group order. The
+        powers are gf2poly's, so no counting view tallies an order."""
         if a == 0:
             raise ValueError("order of 0 undefined")
-        e = self.group_order
+        e = n
         for q in self.group_order_factors:
-            while e % q == 0 and self.pow_int(a, e // q) == 1:
+            while e % q == 0 and ppowmod(a, e // q, self.modulus) == 1:
                 e //= q
         return e
-
-    def _has_order_int(self, a: int, n: int) -> bool:
-        """a^n = 1 and a^(n/p) != 1 for each prime p | n: a few powers,
-        where _order_int walks the primes of the whole group order."""
-        if n < 1 or self.group_order % n:
-            return False
-        return self.pow_int(a, n) == 1 and all(
-            self.pow_int(a, n // q) != 1
-            for q in self.group_order_factors if n % q == 0)
 
     # wrapped API ------------------------------------------------------------
 
@@ -300,15 +290,13 @@ class CountingField(FieldSpec):
 
     The counter needs xor_count / mul_count / reduction_count attributes.
     Counters are per-view, never global; concurrent runs each own one.
-    Element orders are computed by the base field, so they stay uncounted.
     """
 
-    __slots__ = ("base", "counter")
+    __slots__ = ("counter",)
 
     def __init__(self, base: FieldSpec, counter):
         for name in FieldSpec.__slots__:
             setattr(self, name, getattr(base, name))
-        self.base = base
         self.counter = counter
 
     def add_int(self, a: int, b: int) -> int:
@@ -319,12 +307,6 @@ class CountingField(FieldSpec):
         self.counter.mul_count += 1
         self.counter.reduction_count += 1
         return super().mul_int(a, b)
-
-    def _order_int(self, a: int) -> int:
-        return self.base._order_int(a)
-
-    def _has_order_int(self, a: int, n: int) -> bool:
-        return self.base._has_order_int(a, n)
 
 
 @dataclass(frozen=True)
@@ -359,7 +341,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv_int(self.bits))
 
     def order(self) -> int:
-        return self.field._order_int(self.bits)
+        return self.field._order_int(self.bits, self.field.group_order)
 
     def __repr__(self):
         return f"<{poly_str(self.bits)} in GF(2^{self.field.m})>"
@@ -389,22 +371,25 @@ def element_order(a: FieldElement) -> int:
 def has_order(a: FieldElement, n: int) -> bool:
     """True if a has multiplicative order exactly n; uncounted, like
     element_order."""
-    return a.field._has_order_int(a.bits, n)
+    fld = a.field
+    return (n >= 1 and fld.group_order % n == 0
+            and ppowmod(a.bits, n, fld.modulus) == 1
+            and fld._order_int(a.bits, n) == n)
 
 
 def element_of_order(field: FieldSpec, N: int) -> FieldElement:
     """generator^((2^m - 1)/N); rejects N that does not divide the group order."""
     if N < 1 or field.group_order % N != 0:
-        raise ValueError(f"{N} does not divide group order {field.group_order}")
+        raise ValueError(f"GF(2^{field.m}) has no element of order {N}")
     return field.generator ** (field.group_order // N)
 
 
-def discrete_log(a: FieldElement, base: FieldElement) -> int:
-    """Least d >= 0 with base^d = a; baby-step giant-step over <base>."""
+def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
+    """Least d >= 0 with base^d = a; baby-step giant-step over <base>,
+    whose size `order` the caller knows (the log computes no order)."""
     if a.bits == 0:
         raise ValueError("discrete log of 0 undefined")
     a._check(base)
-    order = base.order()
     from math import isqrt
     step = isqrt(order) + 1
     fld = base.field

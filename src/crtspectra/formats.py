@@ -120,7 +120,7 @@ def serialize_spectrum(S: Spectrum) -> str:
     # root has order N, so it lies in <g^q>, q = (2^m-1)/N: a log over N
     # elements, scaled by q, is the generator log (unique mod 2^m-1)
     q = S.field.group_order // S.N
-    e = q * discrete_log(S.root, S.field.generator ** q)
+    e = q * discrete_log(S.root, S.field.generator ** q, S.N)
     out = [f"N={S.N} field=GF2m({S.field.m},0x{S.field.modulus:x}) root=g^{e}"]
     for k, d in enumerate(S.values):
         out.append(f"{k} {'Z' if d is None else d}")

@@ -161,11 +161,11 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     u = streams[0]
     for s in streams[1:]:
         u = BitSequence(tuple(u.bit(t) & s.bit(t) for t in range(u.period * s.period)))
-    u_ext = BitSequence(tuple(u.bit(t) for t in range(N)))
-    S_ref = brute_dft(u_ext, S_crt.field, S_crt.root)
+    # the periods are pairwise coprime, so u now has period N
+    S_ref = brute_dft(u, S_crt.field, S_crt.root)
 
     mismatches = compare_spectra(S_ref, S_crt)
-    r = berlekamp_massey(list(u_ext.bits) * 2)
+    r = berlekamp_massey(list(u.bits) * 2)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None
                     and S_crt.conjugacy_violation() is None)

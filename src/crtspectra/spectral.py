@@ -151,7 +151,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
         acc = fld.mul_int(acc, x) ^ s.bits[t]
     if acc == 0:
         return ZERO
-    return discrete_log(FieldElement(fld, acc), root)
+    return discrete_log(FieldElement(fld, acc), root, N)
 
 
 def blahut_check(S: Spectrum, L: int) -> bool:

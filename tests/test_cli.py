@@ -302,6 +302,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_dft_field_without_an_element_of_the_period_exits_2(tmp_path,
+                                                            capsys):
+    seq = tmp_path / "b.txt"
+    seq.write_text(f"period=7\n{rv.STREAM_B}\n")
+    code, out, err = run(capsys, "dft", "--field", "GF2m m=4 mod=0x13",
+                         "--in", str(seq))
+    assert code == 2
+    assert out == ""
+    assert err == "error: GF(2^4) has no element of order 7\n"
+
+
 def test_untrusted_spectrum_exits_2(tmp_path, capsys):
     for name, text in (
             ("huge.spec",    # N would size a 10^15-entry table

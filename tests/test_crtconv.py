@@ -165,7 +165,8 @@ def test_embed_root():
     # same field: identity
     assert embed_root(SB.root, SB.field) == SB.root
     F4 = build_field(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"GF\(2\^4\) has no element of order 7"):
         embed_root(SB.root, F4)    # 7 does not divide 15
 
 

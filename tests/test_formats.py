@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import build_field, discrete_log, element_of_order
+from crtspectra.field import (FieldSpec, build_field, discrete_log,
+                              element_of_order)
 from crtspectra.formats import (FormatError, atomic_write, parse_field,
                                 parse_sequence, parse_spectrum,
                                 serialize_field, serialize_sequence,
@@ -87,10 +88,28 @@ def test_spectrum_header_is_generator_log(m, orders, random_log_spectrum):
         root = element_of_order(fld, N) ** u   # some order-N root
         S = random_log_spectrum(fld, root, rng)
         text = serialize_spectrum(S)
-        e = discrete_log(root, fld.generator)
+        e = discrete_log(root, fld.generator, fld.group_order)
         assert text.splitlines()[0] == (
             f"N={N} field=GF2m({m},0x{fld.modulus:x}) root=g^{e}")
         assert parse_spectrum(text, "x") == S
+
+
+def test_spectrum_header_log_computes_no_order(monkeypatch,
+                                               random_log_spectrum):
+    # the root lies in <g^q> of order N, which the spectrum carries; the
+    # order over the primes of 2^30 - 1 was most of the header's log
+    fld = build_field(30)
+    S = random_log_spectrum(fld, element_of_order(fld, 7161),
+                            random.Random(7161))
+    calls = [0]
+    order_int = FieldSpec._order_int
+
+    def counted(self, *args):
+        calls[0] += 1
+        return order_int(self, *args)
+    monkeypatch.setattr(FieldSpec, "_order_int", counted)
+    serialize_spectrum(S)
+    assert calls[0] == 0
 
 
 def test_spectrum_parse_rejections():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -102,10 +103,24 @@ def test_dft_matches_brute_dft(N, random_log_spectrum):
     assert dft(u, fld, root) == brute_dft(u, fld, root)
     # raw random bits: below the full group (N = 21, 217, 651) they may
     # have no log form, and then both must raise the same error
-    for _ in range(2):
-        s = BitSequence(tuple(rng.randrange(2) for _ in range(N)))
+    raw = [BitSequence(tuple(rng.randrange(2) for _ in range(N)))
+           for _ in range(2)]
+    for s in raw:
         assert (_transform_or_error(dft, s, fld, root)
                 == _transform_or_error(brute_dft, s, fld, root))
+    # a non-canonical order-N root, and roots root^d of order N/d < N,
+    # which both sides must reject with the same error
+    v = rng.randrange(2, N)
+    while gcd(v, N) != 1:
+        v += 1
+    other = [root ** v] + [root ** d for d in range(2, N + 1) if N % d == 0]
+    for r in other:
+        seqs = raw + [u]
+        if r.order() == N:
+            seqs.append(idft(random_log_spectrum(fld, r, rng)))
+        for s in seqs:
+            assert (_transform_or_error(dft, s, fld, r)
+                    == _transform_or_error(brute_dft, s, fld, r))
 
 
 def test_dft_without_log_form_raises():
