@@ -45,13 +45,15 @@ def berlekamp_massey(bits) -> BmResult:
     if not s:
         raise ValueError("empty input")
     # C tracks the recurrence in reversed (discrepancy) orientation, bit i
-    # = coefficient of x^i, C(0) = 1 throughout
+    # = coefficient of x^i, C(0) = 1 throughout, deg C <= L. Bit i of
+    # window is s[n - i]; it keeps the whole prefix, since a jump of L
+    # reaches back to bits older than the current L.
     C, B = 1, 1
     L, m = 0, 1
+    window = 0
     for n, sn in enumerate(s):
-        d = sn
-        for i in range(1, L + 1):
-            d ^= ((C >> i) & 1) & s[n - i]
+        window = (window << 1) | sn
+        d = (C & window).bit_count() & 1
         if d == 0:
             m += 1
         elif 2 * L <= n:

@@ -442,6 +442,11 @@ def main(argv=None) -> int:
     except (FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a fault of the program, kept apart from bad input (2) and from a
+        # verification mismatch (1)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

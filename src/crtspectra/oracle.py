@@ -1,14 +1,23 @@
 """Brute-force referees: independent DFT, spectrum diffing, end-to-end audit.
 
-Nothing here shares kernels with spectral.dft or crtconv: multiplication
-is a local shift-xor routine, powers of the root come from one explicit
-repeated-multiplication walk, and every spectral point is the naive sum
-over the sequence. Slow on purpose; trusted because it is simple.
+Nothing here shares kernels with spectral.dft or crtconv. What brute_dft
+guarantees:
+- every spectral point S_k is a full sum over one period of the sequence;
+- its only field arithmetic is the local shift-xor multiply `_gfmul`, which
+  also builds the byte tables of its one walk over the powers of the root;
+- it takes no coset, conjugacy or CRT step, so the conjugacy audit of its
+  output is a real check.
+
+Two shortcuts keep it affordable without breaking those guarantees. The
+sum for S_k folds s by residue mod N / gcd(k, N), the period of
+t -> root^(tk); and x -> root*x is GF(2)-linear, so each step of the walk
+is one table lookup per byte of x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
@@ -41,27 +50,60 @@ def _gfmul(a: int, b: int, modulus: int, m: int) -> int:
     return r
 
 
+def _times_root(root_bits: int, modulus: int, m: int):
+    """x -> root*x by table lookup: the map is GF(2)-linear, so root*x is
+    the XOR over the bytes of x of root*(byte << 8j), tabulated from the
+    images root*x^i."""
+    tables = []
+    for lo in range(0, m, 8):
+        width = min(8, m - lo)
+        table = [0] * (1 << width)
+        for i in range(width):
+            image = _gfmul(1 << (lo + i), root_bits, modulus, m)
+            bit = 1 << i
+            for low in range(bit):
+                table[bit | low] = table[low] ^ image
+        tables.append((lo, table))
+
+    def times_root(x: int) -> int:
+        y = 0
+        for lo, table in tables:
+            y ^= table[(x >> lo) & 0xFF]
+        return y
+    return times_root
+
+
 def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
-    """S_k = sum over t of s_t root^(tk), written as naively as possible."""
+    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
     N = s.period
     modulus, m = field.modulus, field.m
     # one walk of repeated multiplication gives every power and the order
+    times_root = _times_root(root.bits, modulus, m)
     pw = [1]
-    cur = _gfmul(1, root.bits, modulus, m)
+    cur = times_root(1)
     while cur != 1:
         pw.append(cur)
-        cur = _gfmul(cur, root.bits, modulus, m)
+        cur = times_root(cur)
         if len(pw) > field.group_order:
             raise ArithmeticError("power walk failed to cycle")
     if len(pw) != N:
         raise ValueError(f"root order {len(pw)} != sequence period {N}")
     dlog = {bits: d for d, bits in enumerate(pw)}
-    ones = [t for t, bit in enumerate(s.bits) if bit]
+    # root^(tk) depends on t only through t mod n, n = N / gcd(k, N): fold
+    # s once per n into the residues mod n that hold an odd number of ones
+    folded: dict = {}
     values: list = [ZERO] * N
     for k in range(N):
+        n = N // gcd(k, N)
+        odd = folded.get(n)
+        if odd is None:
+            parity = [0] * n
+            for t, bit in enumerate(s.bits):
+                parity[t % n] ^= bit
+            odd = folded[n] = [r for r in range(n) if parity[r]]
         acc = 0
-        for t in ones:
-            acc ^= pw[(t * k) % N]
+        for r in odd:
+            acc ^= pw[(r * k) % N]
         if acc:
             d = dlog.get(acc)
             if d is None:

@@ -89,3 +89,63 @@ def test_random_short_sequences_regenerate():
         if r.linear_complexity * 2 <= n:
             # enough data for the profile to be trustworthy end to end
             assert regenerate(r, bits[:r.linear_complexity], n) == bits
+
+
+def _textbook_bm(s):
+    """The O(n L) loop: discrepancy summed tap by tap, then the forward
+    connection polynomial x^L C(1/x)."""
+    C, B = 1, 1
+    L, m = 0, 1
+    for n, sn in enumerate(s):
+        d = sn
+        for i in range(1, L + 1):
+            d ^= ((C >> i) & 1) & s[n - i]
+        if d == 0:
+            m += 1
+        elif 2 * L <= n:
+            C, B = C ^ (B << m), C
+            L = n + 1 - L
+            m = 1
+        else:
+            C ^= B << m
+            m += 1
+    f = 0
+    for j in range(L + 1):
+        f |= ((C >> (L - j)) & 1) << j
+    return L, f
+
+
+def _answer(s):
+    r = berlekamp_massey(s)
+    return r.linear_complexity, r.minimal_poly
+
+
+def test_matches_textbook_loop_on_random_strings():
+    rng = random.Random(41)
+    for density in (0.1, 0.5, 0.9):
+        for n in range(1, 401):
+            bits = [int(rng.random() < density) for _ in range(n)]
+            assert _answer(bits) == _textbook_bm(bits), (density, bits)
+
+
+def test_matches_textbook_loop_on_extreme_strings():
+    for n in (1, 2, 3, 17, 64, 400):
+        zeros = [0] * n
+        assert _answer(zeros) == _textbook_bm(zeros) == (0, 1)
+        last_one = [0] * (n - 1) + [1]
+        assert _answer(last_one) == _textbook_bm(last_one)
+        assert _answer(last_one)[0] == n
+
+
+def test_four_register_product_complexity_is_product_of_degrees():
+    # m-sequences of degrees 2, 3, 5 and 7 have pairwise coprime periods
+    # 3, 7, 31 and 127; their product stream has period N = 82677 and
+    # linear complexity 2*3*5*7 = 210 (Key, IEEE T-IT 22(6), 1976)
+    streams = [lfsr_stream(Lfsr(conn, 1), (1 << m) - 1)
+               for conn, m in ((0x7, 2), (0xB, 3), (0x25, 5), (0x83, 7))]
+    u = streams[0]
+    for s in streams[1:]:
+        u = pointwise_product(u, s)
+    assert u.period == 82677
+    r = berlekamp_massey(list(u.bits) * 2)
+    assert r.linear_complexity == 210

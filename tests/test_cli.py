@@ -233,6 +233,21 @@ def test_verify_plain_text_honours_out(tmp_path, capsys):
         "FAIL N=21 tampered_at=5 mismatches=1")
 
 
+def test_verify_internal_error_exits_3(monkeypatch, capsys):
+    import crtspectra.oracle
+
+    def failing_self_check(bits):
+        raise AssertionError("BM output failed to regenerate its input")
+    monkeypatch.setattr(crtspectra.oracle, "berlekamp_massey",
+                        failing_self_check)
+    code, out, err = run(capsys, "verify", "theorem1",
+                         "--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4")
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: AssertionError: "
+                   "BM output failed to regenerate its input\n")
+
+
 def test_verify_shared_period_factor_exits_2(capsys):
     code, out, err = run(capsys, "verify", "theorem1",
                          "--lfsr", "0x7:0x2", "--lfsr", "0x13:0x4")

@@ -1,11 +1,16 @@
+import random
+from math import gcd
+
 import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import build_field
+from crtspectra.field import build_field, default_modulus
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
                                verify_theorem1)
-from crtspectra.sequences import BitSequence, pointwise_product
-from crtspectra.spectral import Spectrum, default_field_for_period, dft
+from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
+                                  pointwise_product)
+from crtspectra.spectral import (ZERO, Spectrum, default_field_for_period,
+                                 dft, idft)
 
 import reference_values as rv
 
@@ -85,3 +90,95 @@ def test_verify_theorem1_rejects_shared_period_factor():
 def test_verify_theorem1_respects_bound():
     with pytest.raises(ValueError):
         verify_theorem1([rv.LFSR_A, rv.LFSR_B], bound=10)
+
+
+def _textbook_gfmul(a, b, modulus, m):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    while r and r.bit_length() - 1 >= m:
+        r ^= modulus << (r.bit_length() - 1 - m)
+    return r
+
+
+def _textbook_dft(s, field, root):
+    """The double loop: a shift-xor walk over the powers of the root, then
+    every S_k summed over the ones of s."""
+    N = s.period
+    modulus, m = field.modulus, field.m
+    pw = [1]
+    cur = _textbook_gfmul(1, root.bits, modulus, m)
+    while cur != 1:
+        pw.append(cur)
+        cur = _textbook_gfmul(cur, root.bits, modulus, m)
+        if len(pw) > field.group_order:
+            raise ArithmeticError("power walk failed to cycle")
+    if len(pw) != N:
+        raise ValueError(f"root order {len(pw)} != sequence period {N}")
+    dlog = {bits: d for d, bits in enumerate(pw)}
+    ones = [t for t, bit in enumerate(s.bits) if bit]
+    values = [ZERO] * N
+    for k in range(N):
+        acc = 0
+        for t in ones:
+            acc ^= pw[(t * k) % N]
+        if acc:
+            d = dlog.get(acc)
+            if d is None:
+                raise ValueError(
+                    f"spectral value at k={k} lies outside the cyclic group"
+                    " of the root; no log-form spectrum over this root")
+            values[k] = d
+    return Spectrum(N, field, root, tuple(values))
+
+
+def _outcome(transform, s, fld, root):
+    try:
+        return transform(s, fld, root)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _mseq_product(*degrees):
+    u = None
+    for n in degrees:
+        s = lfsr_stream(Lfsr(default_modulus(n), 1), (1 << n) - 1)
+        u = s if u is None else pointwise_product(u, s)
+    return u
+
+
+# m-sequences and products of them whose period divides one of the N below
+_TILES = [_mseq_product(*d) for d in ((2,), (3,), (4,), (6,), (2, 3), (3, 4))]
+
+
+@pytest.mark.parametrize("N", [1, 7, 9, 21, 63, 315, 455, 585, 819])
+def test_brute_dft_matches_textbook_double_loop(N, random_log_spectrum):
+    fld, root = default_field_for_period(N)
+    rng = random.Random(5000 + N)
+    seqs = [BitSequence(tuple(rng.randrange(2) for _ in range(N)))
+            for _ in range(3)]
+    # an odd number of copies of a shorter period keeps its log form
+    seqs += [BitSequence(u.bits * (N // u.period))
+             for u in _TILES if N % u.period == 0]
+    if N > 1:
+        seqs.append(idft(random_log_spectrum(fld, root, rng)))
+    v = rng.randrange(2, N) if N > 2 else 1
+    while gcd(v, N) != 1:
+        v += 1
+    roots = [root, root ** v] + [root ** d for d in range(2, N + 1)
+                                 if N % d == 0]
+    for r in roots:
+        for s in seqs:
+            assert (_outcome(brute_dft, s, fld, r)
+                    == _outcome(_textbook_dft, s, fld, r))
+
+
+def test_brute_dft_matches_textbook_double_loop_on_wide_fields():
+    # GF(2^8) fills one whole byte table, GF(2^28) four of them
+    for degrees in ((8,), (4, 7)):
+        u = _mseq_product(*degrees)
+        fld, root = default_field_for_period(u.period)
+        assert brute_dft(u, fld, root) == _textbook_dft(u, fld, root)
