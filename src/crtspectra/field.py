@@ -211,6 +211,37 @@ class FieldSpec:
             r ^= f << ((r.bit_length() - 1) - df)
         return r
 
+    def times(self, c: int):
+        """The map x -> c*x over raw ints, for a fixed multiplier c.
+
+        Multiplication by c is GF(2)-linear, so it is tabulated once: a
+        table per byte of x, filled from the images c*x^i by shift-and-
+        reduce, and each product XORs one lookup per byte."""
+        m, f = self.m, self.modulus
+        images = []
+        for _ in range(m):
+            images.append(c)
+            c <<= 1
+            if c >> m:
+                c ^= f
+        tables = []
+        for lo in range(0, m, 8):
+            t = [0]
+            for img in images[lo:lo + 8]:
+                t += [v ^ img for v in t]
+            tables.append(t)
+        if len(tables) == 1:
+            return tables[0].__getitem__
+        if len(tables) == 2:
+            t0, t1 = tables
+            return lambda x: t0[x & 0xFF] ^ t1[x >> 8]
+        if len(tables) == 3:
+            t0, t1, t2 = tables
+            return lambda x: t0[x & 0xFF] ^ t1[x >> 8 & 0xFF] ^ t2[x >> 16]
+        t0, t1, t2, t3 = tables
+        return lambda x: (t0[x & 0xFF] ^ t1[x >> 8 & 0xFF]
+                          ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24])
+
     def pow_int(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_int(self.inv_int(a), -e)
@@ -286,10 +317,13 @@ def _find_factor(f: int) -> int:
 
 
 class CountingField(FieldSpec):
-    """View of a FieldSpec whose add_int/mul_int tally into a counter.
+    """View of a FieldSpec whose add_int/mul_int/times tally into a counter.
 
-    The counter needs xor_count / mul_count / reduction_count attributes.
-    Counters are per-view, never global; concurrent runs each own one.
+    Each multiplication, by mul_int or by a map from times, tallies one
+    mul_count and one reduction_count; building a times table tallies
+    nothing, as orders do not. The counter needs xor_count / mul_count /
+    reduction_count attributes. Counters are per-view, never global;
+    concurrent runs each own one.
     """
 
     __slots__ = ("counter",)
@@ -307,6 +341,16 @@ class CountingField(FieldSpec):
         self.counter.mul_count += 1
         self.counter.reduction_count += 1
         return super().mul_int(a, b)
+
+    def times(self, c: int):
+        mul = super().times(c)
+        counter = self.counter
+
+        def counted(x: int) -> int:
+            counter.mul_count += 1
+            counter.reduction_count += 1
+            return mul(x)
+        return counted
 
 
 @dataclass(frozen=True)
@@ -393,19 +437,20 @@ def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
     from math import isqrt
     step = isqrt(order) + 1
     fld = base.field
+    times_base = fld.times(base.bits)
     baby = {}
     cur = 1
     for j in range(step):
         baby.setdefault(cur, j)
-        cur = fld.mul_int(cur, base.bits)
+        cur = times_base(cur)
     # cur is now base^step; giant strides use its inverse
-    giant = fld.inv_int(cur)
+    giant = fld.times(fld.inv_int(cur))
     gamma = a.bits
     for i in range(step + 1):
         if gamma in baby:
             d = (i * step + baby[gamma]) % order
             return d
-        gamma = fld.mul_int(gamma, giant)
+        gamma = giant(gamma)
     raise ValueError("element is not in the subgroup generated by base")
 
 
@@ -475,12 +520,12 @@ def find_root_in_subgroup(poly: int, order: int, field: FieldSpec) -> FieldEleme
     The roots of a GF(2)[x] polynomial are closed under squaring, h^j ->
     h^(2j), so the first root met has the least j of its orbit under
     j -> 2j mod order; only those j are evaluated."""
-    h = element_of_order(field, order)
+    times_h = field.times(element_of_order(field, order).bits)
     x = 1
     for j in range(order):
         if _least_of_orbit(j, order) and _eval_poly_int(poly, x, field) == 0:
             return FieldElement(field, x)
-        x = field.mul_int(x, h.bits)
+        x = times_h(x)
     raise ValueError(
         f"{poly_str(poly)} has no root in the order-{order} subgroup")
 

@@ -72,12 +72,10 @@ def default_field_for_period(N: int):
 def root_power_table(root: FieldElement, N: int):
     """pw[d] = root^d as raw bits for a root of order N, plus the inverse
     lookup dict."""
-    fld = root.field
+    times_root = root.field.times(root.bits)
     pw = [1]
-    cur = 1
     for _ in range(N - 1):
-        cur = fld.mul_int(cur, root.bits)
-        pw.append(cur)
+        pw.append(times_root(pw[-1]))
     dlog = {bits: d for d, bits in enumerate(pw)}
     return pw, dlog
 
@@ -86,9 +84,9 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     """S_k = sum_t s_t root^(tk), k = 0..N-1, positive-exponent kernel.
 
     Table-driven: the root power table is the only field multiplication
-    (N - 1 mul_int calls). Each cyclotomic coset leader k is the XOR of
-    pw[t k mod N] over the 1-bits t of s, and the rest of each coset is
-    filled by the conjugate square law d(2k) = 2 d(k) mod N.
+    (N - 1 steps of FieldSpec.times(root)). Each cyclotomic coset leader k
+    is the XOR of pw[t k mod N] over the 1-bits t of s, and the rest of
+    each coset is filled by the conjugate square law d(2k) = 2 d(k) mod N.
     """
     N = s.period
     if not has_order(root, N):
@@ -106,9 +104,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             continue  # whole coset stays ZERO
         d = dlog.get(acc)
         if d is None:
-            raise ValueError(
-                f"spectral value at k={leader} lies outside the cyclic group"
-                " of the root; no log-form spectrum over this root")
+            raise _outside_root_group(leader)
         reps[leader] = d
     return coset_expand(reps, N, field, root)
 
@@ -135,8 +131,9 @@ def idft(S: Spectrum) -> BitSequence:
 def dft_point(s: BitSequence, root: FieldElement, k: int):
     """Single spectral point in log form, no full-transform work.
 
-    Horner-evaluates sum_t s_t x^t at x = root^k. Field ops route through
-    root.field, so handing in a counting view tallies them.
+    Horner-evaluates sum_t s_t x^t at x = root^k, each step through
+    FieldSpec.times(x). Field ops route through root.field, so handing in a
+    counting view tallies them.
     """
     N = s.period
     if not 0 <= k < N:
@@ -145,13 +142,22 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
     fld = root.field
-    x = fld.pow_int(root.bits, k)
+    times_x = fld.times(fld.pow_int(root.bits, k))
     acc = 0
-    for t in range(N - 1, -1, -1):
-        acc = fld.mul_int(acc, x) ^ s.bits[t]
+    for b in reversed(s.bits):
+        acc = times_x(acc) ^ b
     if acc == 0:
         return ZERO
-    return discrete_log(FieldElement(fld, acc), root, N)
+    try:
+        return discrete_log(FieldElement(fld, acc), root, N)
+    except ValueError:
+        raise _outside_root_group(k) from None
+
+
+def _outside_root_group(k: int) -> ValueError:
+    return ValueError(
+        f"spectral value at k={k} lies outside the cyclic group of the root;"
+        " no log-form spectrum over this root")
 
 
 def blahut_check(S: Spectrum, L: int) -> bool:

@@ -140,6 +140,21 @@ def test_dft_point_and_reduce(tmp_path, capsys):
     assert out.splitlines() == ["N=21 leaders=1", "5 9"]
 
 
+def test_dft_point_outside_root_group_names_the_index(tmp_path, capsys):
+    # the same rejection as the full transform, for the point asked for
+    seq = str(tmp_path / "s.txt")
+    with open(seq, "w") as fh:
+        fh.write("period=5\n00011\n")
+    for k in (1, 2):
+        code, out, err = run(capsys, "dft", "--in", seq, "--point", str(k))
+        assert (code, out) == (2, "")
+        assert err == (f"error: spectral value at k={k} lies outside the"
+                       " cyclic group of the root; no log-form spectrum"
+                       " over this root\n")
+    code, out, _ = run(capsys, "dft", "--in", seq, "--point", "0")
+    assert (code, out.strip()) == (0, "0 Z")
+
+
 def test_combine_spectrum_roundtrip(tmp_path, capsys):
     paths = _write_streams(tmp_path, capsys)
     specs = []

@@ -204,6 +204,36 @@ def test_counting_field_tallies():
     assert hash(cf) == hash(F6)
     assert cf.generator.order() == 63
     assert cf.counter.mul_count == 1   # element orders stay uncounted
+    # a times map tallies one multiplication and one reduction per call,
+    # none for building its tables
+    times_a = cf.times(a.bits)
+    assert (cf.counter.mul_count, cf.counter.reduction_count) == (1, 1)
+    for n, x in enumerate((0, 1, 0b11, 63), 2):
+        assert times_a(x) == F6.mul_int(a.bits, x)
+        assert (cf.counter.mul_count, cf.counter.reduction_count) == (n, n)
+    assert cf.counter.xor_count == 1
+
+
+def test_times_matches_mul_int_exhaustively_for_small_fields():
+    for m in range(1, 9):
+        fld = build_field(m)
+        for c in range(1 << m):
+            times_c = fld.times(c)
+            assert [times_c(x) for x in range(1 << m)] == \
+                [fld.mul_int(c, x) for x in range(1 << m)], (m, c)
+
+
+@pytest.mark.parametrize("m", [9, 15, 16, 17, 23, 24, 25, 31, 32])
+def test_times_matches_mul_int_at_byte_table_boundaries(m):
+    fld = build_field(m)
+    rng = random.Random(m)
+    top = (1 << m) - 1
+    cs = [0, 1, top] + [rng.randrange(1 << m) for _ in range(20)]
+    xs = [0, 1, top] + [rng.randrange(1 << m) for _ in range(50)]
+    for c in cs:
+        times_c = fld.times(c)
+        for x in xs:
+            assert times_c(x) == fld.mul_int(c, x), (m, c, x)
 
 
 def test_cross_field_element_mixing_rejected():

@@ -193,7 +193,10 @@ def test_dft_point_counts_multiplications():
     counter = OpCounter()
     cf = CountingField(fld, counter)
     dft_point(U, cf.element(root.bits), 13)
-    assert counter.mul_count >= 20   # Horner walks the whole period
+    # root^13 by square-and-multiply, one Horner step per index of the
+    # period (21), then the discrete log's baby steps, the inverse of its
+    # stride and its giant steps
+    assert (counter.mul_count, counter.reduction_count) == (47, 47)
 
 
 def test_blahut_on_reference_product():
