@@ -25,7 +25,8 @@ from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
                       serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
 from .oracle import verify_theorem1
-from .sequences import AnfCombiner, combiner_stream, Lfsr, lfsr_stream, pointwise_product
+from .sequences import (AnfCombiner, combiner_stream, connection_degree, Lfsr,
+                        lfsr_stream, pointwise_product)
 from .spectral import coset_reduce, default_field_for_period, dft, dft_point
 
 
@@ -197,12 +198,11 @@ def _cmd_verify(args) -> int:
         seed = args.seed if args.seed is not None else random.randrange(1 << 30)
         rng = random.Random(seed)
         lines.append(json.dumps({"seed": seed}) if args.json else f"seed={seed}")
+        # a seed is drawn below 2^m, so each register is checked first
+        degrees = [connection_degree(conn) for conn, _ in specs]
         for _ in range(args.random_seeds):
-            run = []
-            for conn, _ in specs:
-                m = conn.bit_length() - 1
-                run.append((conn, rng.randrange(1, 1 << m)))
-            runs.append(run)
+            runs.append([(conn, rng.randrange(1, 1 << m))
+                         for (conn, _), m in zip(specs, degrees)])
     else:
         runs.append(specs)
 

@@ -1,5 +1,8 @@
 """Binary extension fields GF(2^m) for 1 <= m <= 32.
 
+FieldSpec and is_primitive both cover degrees 1..32; the group orders
+2^m - 1 below 2^32 are what lets factor_int stay plain trial division.
+
 Field elements are ints in polynomial-basis form (bit t = coefficient of
 x^t), reduced modulo the field's irreducible modulus. A thin FieldElement
 wrapper ties an element to its FieldSpec at API boundaries; hot loops work
@@ -12,7 +15,8 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import is_irreducible, pgcd, pmod, poly_str, ppowmod
+from .gf2poly import (factor_int, is_irreducible, pgcd, pmod, pmul, poly_str,
+                      ppowmod)
 
 # Lexicographically smallest primitive polynomial per degree. Verified by
 # re-derivation in the test suite (Rabin irreducibility + order check via
@@ -67,92 +71,21 @@ def default_modulus(m: int) -> int:
     return PRIMITIVE_POLYS[m]
 
 
-# ---------------------------------------------------------------------------
-# integer factorization of group orders (trial division + Pollard rho)
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3e24 with these witnesses
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _check_degree(m: int) -> None:
+    if not 1 <= m <= 32:
+        raise ValueError(f"extension degree {m} out of range 1..32")
 
 
-def _pollard_rho(n: int) -> int:
-    from math import gcd
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-def factor_int(n: int) -> list[int]:
-    """Sorted distinct prime factors of n >= 1."""
-    if n < 1:
-        raise ValueError("factor_int needs n >= 1")
-    primes: set[int] = set()
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            primes.add(p)
-            n //= p
-    d = 17
-    while d <= 1 << 16 and d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if _is_probable_prime(v):
-            primes.add(v)
-            continue
-        f = _pollard_rho(v)
-        stack.extend((f, v // f))
-    return sorted(primes)
-
-
-def is_primitive(f: int, factors: list[int] | None = None) -> bool:
-    """True if f is irreducible and x generates the full group mod f."""
+def is_primitive(f: int) -> bool:
+    """True if f is irreducible and x generates the full group mod f.
+    Degrees above 32 are refused, as FieldSpec refuses them."""
     m = f.bit_length() - 1
-    if m < 1 or not is_irreducible(f):
+    if m < 1:
         return False
+    _check_degree(m)
     order = (1 << m) - 1
-    if order == 1:
-        return True
-    if factors is None:
-        factors = factor_int(order)
-    for q in factors:
-        if ppowmod(2, order // q, f) == 1:
-            return False
-    return True
+    return is_irreducible(f) and all(
+        ppowmod(2, order // q, f) != 1 for q in factor_int(order))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +101,7 @@ class FieldSpec:
                  "_generator_bits")
 
     def __init__(self, m: int, modulus: int):
-        if not 1 <= m <= 32:
-            raise ValueError(f"extension degree {m} out of range 1..32")
+        _check_degree(m)
         if modulus.bit_length() - 1 != m:
             raise ValueError(
                 f"modulus degree {modulus.bit_length() - 1} != m = {m}")
@@ -181,8 +113,7 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self.group_order = (1 << m) - 1
-        self.group_order_factors = tuple(factor_int(self.group_order)) \
-            if self.group_order > 1 else ()
+        self.group_order_factors = tuple(factor_int(self.group_order))
         self._generator_bits = self._find_generator()
 
     def _find_generator(self) -> int:
@@ -199,17 +130,7 @@ class FieldSpec:
         return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        f = self.modulus
-        df = self.m
-        while r and r.bit_length() - 1 >= df:
-            r ^= f << ((r.bit_length() - 1) - df)
-        return r
+        return pmod(pmul(a, b), self.modulus)
 
     def times(self, c: int):
         """The map x -> c*x over raw ints, for a fixed multiplier c.
@@ -428,6 +349,18 @@ def element_of_order(field: FieldSpec, N: int) -> FieldElement:
     return field.generator ** (field.group_order // N)
 
 
+def root_power_table(root: FieldElement, N: int):
+    """pw[d] = root^d as raw bits for d = 0..N-1, by N - 1 steps of
+    FieldSpec.times(root)."""
+    times_root = root.field.times(root.bits)
+    x = 1
+    pw = [x]
+    for _ in range(N - 1):
+        x = times_root(x)
+        pw.append(x)
+    return pw
+
+
 def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
     """Least d >= 0 with base^d = a; baby-step giant-step over <base>,
     whose size `order` the caller knows (the log computes no order)."""
@@ -437,53 +370,47 @@ def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
     from math import isqrt
     step = isqrt(order) + 1
     fld = base.field
-    times_base = fld.times(base.bits)
-    baby = {}
-    cur = 1
-    for j in range(step):
-        baby.setdefault(cur, j)
-        cur = times_base(cur)
-    # cur is now base^step; giant strides use its inverse
-    giant = fld.times(fld.inv_int(cur))
+    # baby steps base^0..base^(step-1); base^step seeds the giant stride
+    pw = root_power_table(base, step + 1)
+    baby = {bits: j for j, bits in enumerate(pw[:step])}
+    giant = fld.times(fld.inv_int(pw[step]))
     gamma = a.bits
     for i in range(step + 1):
         if gamma in baby:
-            d = (i * step + baby[gamma]) % order
-            return d
+            return (i * step + baby[gamma]) % order
         gamma = giant(gamma)
     raise ValueError("element is not in the subgroup generated by base")
 
 
-def cyclotomic_cosets(N: int) -> list[list[int]]:
-    """Partition of 0..N-1 into orbits of k -> 2k mod N, each led by its min."""
+def _doubling_orbit(k: int, N: int) -> list[int]:
+    """The walk k, 2k, 4k, ... mod odd N, from k mod N up to its return."""
     if N < 1 or N % 2 == 0:
         raise ValueError(f"need odd N >= 1, got {N}")
-    seen = [False] * N
-    out = []
-    for k in range(N):
-        if seen[k]:
-            continue
-        orbit = []
-        j = k
-        while not seen[j]:
-            seen[j] = True
-            orbit.append(j)
-            j = (2 * j) % N
-        out.append(sorted(orbit))
-    return out
+    k %= N
+    orbit = [k]
+    j = 2 * k % N
+    while j != k:
+        orbit.append(j)
+        j = 2 * j % N
+    return orbit
+
+
+def cyclotomic_cosets(N: int) -> list[list[int]]:
+    """Partition of 0..N-1 into orbits of k -> 2k mod N, each led by its min."""
+    cosets = [_doubling_orbit(0, N)]   # checks N; 0 is alone in its orbit
+    seen = [True] + [False] * (N - 1)
+    for k in range(1, N):
+        if not seen[k]:
+            orbit = _doubling_orbit(k, N)
+            for j in orbit:
+                seen[j] = True
+            cosets.append(sorted(orbit))
+    return cosets
 
 
 def multiplicative_order_of_2(N: int) -> int:
     """Least n with 2^n = 1 mod N; ord(1) := 1 by convention."""
-    if N < 1 or N % 2 == 0:
-        raise ValueError(f"need odd N >= 1, got {N}")
-    if N == 1:
-        return 1
-    n, v = 1, 2 % N
-    while v != 1:
-        v = (v * 2) % N
-        n += 1
-    return n
+    return len(_doubling_orbit(1, N))
 
 
 def minimal_polynomial_of(a: FieldElement) -> int:
@@ -523,20 +450,12 @@ def find_root_in_subgroup(poly: int, order: int, field: FieldSpec) -> FieldEleme
     times_h = field.times(element_of_order(field, order).bits)
     x = 1
     for j in range(order):
-        if _least_of_orbit(j, order) and _eval_poly_int(poly, x, field) == 0:
+        if (min(_doubling_orbit(j, order)) == j
+                and _eval_poly_int(poly, x, field) == 0):
             return FieldElement(field, x)
         x = times_h(x)
     raise ValueError(
         f"{poly_str(poly)} has no root in the order-{order} subgroup")
-
-
-def _least_of_orbit(j: int, n: int) -> bool:
-    k = 2 * j % n
-    while k != j:
-        if k < j:
-            return False
-        k = 2 * k % n
-    return True
 
 
 def _eval_poly_int(poly: int, x: int, field) -> int:

@@ -33,9 +33,9 @@ def pmod(a: int, f: int) -> int:
     """Remainder of a modulo f."""
     if f == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    df = f.bit_length() - 1
-    while a and a.bit_length() - 1 >= df:
-        a ^= f << ((a.bit_length() - 1) - df)
+    df = f.bit_length()
+    while (da := a.bit_length()) >= df:
+        a ^= f << (da - df)
     return a
 
 
@@ -66,25 +66,29 @@ def is_irreducible(f: int) -> bool:
     x = pmod(2, f)
     if ppowmod(2, 1 << m, f) != x:
         return False
-    for p in _prime_divisors(m):
+    for p in factor_int(m):
         h = ppowmod(2, 1 << (m // p), f) ^ x
         if pgcd(f, h) != 1:
             return False
     return True
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
+def factor_int(n: int) -> list[int]:
+    """Sorted distinct prime factors of n >= 1, by trial division. Field
+    group orders stay below 2^32, so no divisor tried exceeds 2^16."""
+    if n < 1:
+        raise ValueError("factor_int needs n >= 1")
+    primes = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            primes.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        primes.append(n)
+    return primes
 
 
 def poly_str(p: int) -> str:

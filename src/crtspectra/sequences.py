@@ -45,6 +45,17 @@ class BitSequence:
         return iter(self.bits)
 
 
+def connection_degree(connection: int) -> int:
+    """Degree of an LFSR connection polynomial, refusing one that cannot
+    drive a register: degree below 1 or no constant term."""
+    deg = poly_degree(connection)
+    if deg == float("-inf") or deg < 1:
+        raise ValueError("connection polynomial must have degree >= 1")
+    if connection & 1 == 0:
+        raise ValueError("connection polynomial needs a nonzero constant term")
+    return int(deg)
+
+
 class Lfsr:
     """Fibonacci (external-XOR) LFSR.
 
@@ -56,12 +67,7 @@ class Lfsr:
     __slots__ = ("connection", "degree", "taps", "state")
 
     def __init__(self, connection: int, state: int):
-        deg = poly_degree(connection)
-        if deg == float("-inf") or deg < 1:
-            raise ValueError("connection polynomial must have degree >= 1")
-        if connection & 1 == 0:
-            raise ValueError("connection polynomial needs a nonzero constant term")
-        self.degree = int(deg)
+        self.degree = connection_degree(connection)
         if not 0 <= state < (1 << self.degree):
             raise ValueError(
                 f"state {state:#x} not a {self.degree}-bit vector")

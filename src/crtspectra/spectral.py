@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import (FieldElement, FieldSpec, build_field, cyclotomic_cosets,
-                    discrete_log, element_of_order, element_order,
-                    has_order, multiplicative_order_of_2)
+from .field import (FieldElement, FieldSpec, _doubling_orbit, build_field,
+                    cyclotomic_cosets, discrete_log, element_of_order,
+                    element_order, has_order, multiplicative_order_of_2,
+                    root_power_table)
 from .sequences import BitSequence
 
 ZERO = None  # spectral zero marker; never exponent-encoded
@@ -69,17 +70,6 @@ def default_field_for_period(N: int):
     return field, element_of_order(field, N)
 
 
-def root_power_table(root: FieldElement, N: int):
-    """pw[d] = root^d as raw bits for a root of order N, plus the inverse
-    lookup dict."""
-    times_root = root.field.times(root.bits)
-    pw = [1]
-    for _ in range(N - 1):
-        pw.append(times_root(pw[-1]))
-    dlog = {bits: d for d, bits in enumerate(pw)}
-    return pw, dlog
-
-
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     """S_k = sum_t s_t root^(tk), k = 0..N-1, positive-exponent kernel.
 
@@ -92,7 +82,8 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
-    pw, dlog = root_power_table(root, N)
+    pw = root_power_table(root, N)
+    dlog = {bits: d for d, bits in enumerate(pw)}
     ones = [t for t, b in enumerate(s.bits) if b]
     reps = {}
     for coset in cyclotomic_cosets(N):
@@ -112,9 +103,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
 def idft(S: Spectrum) -> BitSequence:
     """s_t = sum_k S_k root^(-tk); rejects spectra of non-binary sequences."""
     N = S.N
-    if N % 2 == 0:
-        raise ValueError(f"even period {N} rejected")
-    pw, _ = root_power_table(S.root, N)
+    pw = root_power_table(S.root, N)
     supp = [(k, d) for k, d in enumerate(S.values) if d is not None]
     out = []
     for t in range(N):
@@ -184,16 +173,12 @@ def coset_expand(reps: dict, N: int, field: FieldSpec,
                  root: FieldElement) -> Spectrum:
     """Rebuild a full Spectrum from leader representatives by squaring.
     A leader is the least index of its orbit under k -> 2k mod N."""
-    if N < 1 or N % 2 == 0:
-        raise ValueError(f"need odd N >= 1, got {N}")
     values: list = [ZERO] * N
     for leader, d in reps.items():
-        k = leader
-        while True:
-            if not 0 <= k < N or k < leader:
-                raise ValueError(f"{leader} is not a coset leader mod {N}")
+        orbit = _doubling_orbit(leader, N)
+        if min(orbit) != leader:
+            raise ValueError(f"{leader} is not a coset leader mod {N}")
+        for k in orbit:
             values[k] = d
-            k, d = 2 * k % N, 2 * d % N
-            if k == leader:
-                break
+            d = 2 * d % N
     return Spectrum(N, field, root, tuple(values))

@@ -289,6 +289,24 @@ def test_verify_negative_random_seeds_exits_2(capsys):
     assert "--random-seeds must be >= 0" in err
 
 
+def test_verify_random_seeds_checks_connection_before_drawing(capsys):
+    # a seed is drawn below 2^m, so a bad register must be refused first,
+    # with the message the run without --random-seeds gives
+    for lfsrs, msg in (
+            (("0x1:0x0",), "connection polynomial must have degree >= 1"),
+            (("0x0:0x1",), "connection polynomial must have degree >= 1"),
+            (("0x7:0x1", "0x2:0x1"),
+             "connection polynomial needs a nonzero constant term")):
+        argv = ["verify", "theorem1"]
+        for spec in lfsrs:
+            argv += ["--lfsr", spec]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+        code, out, err = run(capsys, *argv, "--random-seeds", "2",
+                             "--seed", "3")
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+
 def test_verify_random_seeds_seed_heads_the_report(tmp_path, capsys):
     args = ("verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
             "--random-seeds", "2", "--seed", "99")

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -89,8 +89,20 @@ def test_cyclotomic_cosets_21():
     assert sum(len(c) for c in cosets) == 21
     for c in cosets:
         assert c[0] == min(c)
-    with pytest.raises(ValueError):
-        cyclotomic_cosets(8)
+    # every odd N < 512 against the definition: the cosets partition
+    # range(N), each is the set {k 2^i mod N} of its least element k,
+    # sorted, and closed under doubling
+    for N in range(1, 512, 2):
+        cosets = cyclotomic_cosets(N)
+        assert sorted(k for c in cosets for k in c) == list(range(N))
+        for c in cosets:
+            assert c == sorted(c)
+            assert set(c) == {c[0] * pow(2, i, N) % N for i in range(len(c))}
+            assert {2 * k % N for k in c} == set(c)
+        assert [c[0] for c in cosets] == sorted(c[0] for c in cosets)
+    for N in (8, 0, -3):
+        with pytest.raises(ValueError, match=f"need odd N >= 1, got {N}"):
+            cyclotomic_cosets(N)
 
 
 def test_order_of_two():
@@ -99,8 +111,15 @@ def test_order_of_two():
     assert multiplicative_order_of_2(93) == 10
     assert multiplicative_order_of_2(217) == 15
     assert multiplicative_order_of_2(651) == 30
-    with pytest.raises(ValueError):
-        multiplicative_order_of_2(6)
+    # every odd N < 512 against a brute loop over n = 1, 2, ...
+    for N in range(1, 512, 2):
+        n = 1
+        while pow(2, n, N) != 1 % N:
+            n += 1
+        assert multiplicative_order_of_2(N) == n
+    for N in (6, 0):
+        with pytest.raises(ValueError, match=f"need odd N >= 1, got {N}"):
+            multiplicative_order_of_2(N)
 
 
 def test_minimal_polynomial():
@@ -115,10 +134,29 @@ def test_minimal_polynomial():
         assert 6 % (p.bit_length() - 1) == 0
 
 
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def test_factor_int():
     assert factor_int(63) == [3, 7]
     assert factor_int(2**15 - 1) == [7, 31, 151]
     assert factor_int(2**30 - 1) == [3, 7, 11, 31, 151, 331]
+    assert factor_int(1) == []
+    # every group order 2^m - 1 of a FieldSpec: sorted distinct primes
+    # that, raised to their multiplicities, multiply back to n
+    for m in range(1, 33):
+        n = (1 << m) - 1
+        primes = factor_int(n)
+        assert primes == sorted(set(primes))
+        assert all(_is_prime(p) for p in primes)
+        rest = n
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+    with pytest.raises(ValueError):
+        factor_int(0)
 
 
 def test_default_table_is_primitive():
@@ -127,6 +165,14 @@ def test_default_table_is_primitive():
         assert f.bit_length() - 1 == m
         assert is_irreducible(f)
         assert is_primitive(f)
+    assert not is_primitive(0b10101)           # reducible
+    assert not is_primitive(0b11111)           # irreducible, x of order 5
+    # degrees above 32 are refused as FieldSpec refuses them, whether or
+    # not the polynomial is irreducible
+    for f in ((1 << 33) | 0b1010011, 1 << 33):
+        with pytest.raises(ValueError,
+                           match="extension degree 33 out of range 1..32"):
+            is_primitive(f)
 
 
 def test_poly_table_env_override(tmp_path, monkeypatch):

@@ -151,10 +151,14 @@ def test_idft_roundtrip_all_streams():
 
 
 def test_idft_rejects_even_period():
+    # every root lives in a group of odd order 2^m - 1, so no spectrum of
+    # even period can be built for idft to see
     with pytest.raises(ValueError):
-        # no odd-order root can exist; constructing the spectrum itself
-        # is impossible, so go through the period guard directly
         default_field_for_period(6)
+    fld = build_field(6)
+    for root in (fld.generator, element_of_order(fld, 3)):
+        with pytest.raises(ValueError, match="!= N = 6"):
+            Spectrum(6, fld, root, (None,) * 6)
 
 
 def test_idft_rejects_non_binary_reconstruction():
