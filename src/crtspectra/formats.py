@@ -2,6 +2,13 @@
 
 Every parser reports failures as FormatError carrying path, line, and
 column, which the CLI turns into exit status 2.
+
+A spectrum file is written in one layout, a header and one line per index,
+built from a memoized all-zero body with the support lines spliced in. A
+file byte-identical to that layout is read by comparison: its support lines
+are read, the file is written again from them and compared whole. Any other
+file is read by a walk over its lines, which alone words an error, so error
+positions are the same whichever reader saw the file first.
 """
 
 from __future__ import annotations
@@ -9,8 +16,9 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from functools import lru_cache
 
-from .field import FieldSpec, build_field, discrete_log
+from .field import FieldElement, FieldSpec, build_field, discrete_log
 from .sequences import BitSequence
 from .spectral import Spectrum
 
@@ -99,9 +107,10 @@ def parse_sequence(text: str, path: str = "<input>") -> BitSequence:
     if len(bits) != N:
         raise FormatError(
             f"expected {N} bits, got {len(bits)}", path, 2, len(bits) + 1)
-    for j, ch in enumerate(bits):
-        if ch not in "01":
-            raise FormatError(f"bad bit character {ch!r}", path, 2, j + 1)
+    if bits.strip("01"):  # some character is neither 0 nor 1: find it
+        for j, ch in enumerate(bits):
+            if ch not in "01":
+                raise FormatError(f"bad bit character {ch!r}", path, 2, j + 1)
     for extra, l in enumerate(lines[2:], start=3):
         if l.strip():
             raise FormatError("trailing content after bits line", path, extra, 1)
@@ -121,17 +130,97 @@ def serialize_spectrum(S: Spectrum) -> str:
     # elements, scaled by q, is the generator log (unique mod 2^m-1)
     q = S.field.group_order // S.N
     e = q * discrete_log(S.root, S.field.generator ** q, S.N)
-    out = [f"N={S.N} field=GF2m({S.field.m},0x{S.field.modulus:x}) root=g^{e}"]
-    for k, d in enumerate(S.values):
-        out.append(f"{k} {'Z' if d is None else d}")
-    return "\n".join(out) + "\n"
+    return _spectrum_text(_spectrum_head(S.N, S.field, e), S, S.support())
+
+
+def _spectrum_head(N: int, field: FieldSpec, e: int) -> str:
+    return f"N={N} field=GF2m({field.m},0x{field.modulus:x}) root=g^{e}"
+
+
+@lru_cache(maxsize=32)
+def _zero_body(N: int) -> str:
+    """The entry lines of an all-zero spectrum, `0 Z` .. `N-1 Z`: one
+    string per N, kept for the few periods a process reads and writes."""
+    return " Z\n".join(map(str, range(N))) + " Z\n"
+
+
+def _line_offset(k: int) -> int:
+    """Offset of line `k Z` in _zero_body: each line before it is its
+    digits plus 3, and every j >= 10^p carries one digit more."""
+    off, p = 4 * k, 10
+    while p < k:
+        off += k - p
+        p *= 10
+    return off
+
+
+def _spectrum_text(head: str, S: Spectrum, support: list[int]) -> str:
+    """The one layout a spectrum is written in: the header, then the zero
+    body with the line of each index in `support`, S's support in
+    increasing order, replaced by `k d`."""
+    body = _zero_body(S.N)
+    parts = [head, "\n"]
+    pos = 0
+    for k in support:
+        start = _line_offset(k)
+        parts += (body[pos:start], f"{k} {S.values[k]}\n")
+        pos = _line_offset(k + 1)
+    parts.append(body[pos:])
+    return "".join(parts)
+
+
+# where an entry line holds an exponent: a space and a digit, never ` Z`
+_EXPONENT_AT = re.compile(r" [0-9]")
+
+
+def _read_canonical(text: str, head: str, N: int, field: FieldSpec,
+                    root: FieldElement) -> Spectrum | None:
+    """The spectrum of a text byte-identical to what serialize_spectrum
+    writes for it, or None for any other text.
+
+    Values are taken from the lines that hold an exponent, then the text is
+    written again from them and compared whole, so a match proves every
+    index has exactly the entry read. Nothing here words an error: on any
+    doubt the caller's line walk reads the text again."""
+    # shorter than the all-zero layout cannot match; checked before the
+    # N-sized body is built, so a short text never allocates it
+    if len(text) < len(head) + 1 + _line_offset(N):
+        return None
+    # a written index or exponent has at most as many digits as N-1; the
+    # searches stop there, so damaged text costs O(1) per match
+    width = len(str(N)) + 1
+    values: list = [None] * N
+    support = []    # the indices read, kept only while strictly increasing
+    try:
+        for mo in _EXPONENT_AT.finditer(text, len(head)):
+            at = mo.start()
+            start = text.rfind("\n", at - width, at)
+            end = text.find("\n", at, at + width + 1)
+            if start < 0 or end < 0:
+                return None
+            k = int(text[start + 1:at])
+            if k < 0 or support and k <= support[-1]:
+                return None
+            values[k] = int(text[at + 1:end])
+            support.append(k)
+        S = Spectrum(N, field, root, tuple(values))
+    except (ValueError, IndexError):
+        return None
+    if (_spectrum_text(head, S, support) != text
+            or S.conjugacy_violation() is not None):
+        return None
+    return S
 
 
 def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    """Read a spectrum file: by comparison (_read_canonical) when it is in
+    serialize_spectrum's exact layout, else by the line walk below, which
+    alone words an error."""
+    # the first of text.splitlines(), without splitting the whole text
+    first = text.partition("\n")[0].splitlines()
+    if not first or not first[0].strip():
         raise FormatError("missing spectrum header", path, 1, 1)
-    mo = _SPEC_HEAD_RE.match(lines[0].strip())
+    mo = _SPEC_HEAD_RE.match(first[0].strip())
     if not mo:
         raise FormatError(
             "expected 'N=<int> field=GF2m(m,0xMOD) root=g^<e>'", path, 1, 1)
@@ -147,14 +236,18 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
         raise FormatError(
             f"N={N} does not divide the group order {field.group_order}"
             f" of GF(2^{m})", path, 1, 1)
+    root = field.generator ** e
+    S = _read_canonical(text, _spectrum_head(N, field, e), N, field, root)
+    if S is not None:
+        return S
+    lines = text.splitlines()
     # checked before the N-sized tables below are allocated; with at least
     # N entry lines, distinct and in range, every index has its entry
-    entries = sum(1 for raw in lines[1:] if raw.strip())
+    entries = len(list(filter(str.strip, lines[1:])))
     if entries < N:
         raise FormatError(
             f"missing entries: {entries} entry lines for N={N} indices",
             path, len(lines) + 1, 1)
-    root = field.generator ** e
     values: list = [None] * N
     line_of = [0] * N   # line number of each index's entry, 0 if none yet
     for lineno, raw in enumerate(lines[1:], start=2):

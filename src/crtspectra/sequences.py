@@ -23,12 +23,12 @@ class BitSequence:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("empty sequence")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("bits must be 0 or 1")
 
     @classmethod
     def from_string(cls, text: str) -> "BitSequence":
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(map(int, text)))
 
     @property
     def period(self) -> int:
@@ -39,7 +39,7 @@ class BitSequence:
         return self.bits[t % len(self.bits)]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def __iter__(self):
         return iter(self.bits)

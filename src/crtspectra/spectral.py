@@ -21,6 +21,12 @@ ZERO = None  # spectral zero marker; never exponent-encoded
 
 @dataclass(frozen=True)
 class Spectrum:
+    """values[k] is the exponent d of S_k = root^d, or ZERO.
+
+    The root has order N, a divisor of the odd group order 2^m - 1, so N is
+    odd; conjugacy_violation relies on that, since for odd N the doubling
+    k -> 2k mod N permutes the indices."""
+
     N: int
     field: FieldSpec
     root: FieldElement
@@ -34,19 +40,28 @@ class Spectrum:
         if not has_order(self.root, self.N):
             raise ValueError(
                 f"root order {element_order(self.root)} != N = {self.N}")
-        for k, d in enumerate(self.values):
-            if d is not None and not 0 <= d < self.N:
-                raise ValueError(f"exponent {d} at index {k} outside [0, {self.N})")
+        present = [d for d in self.values if d is not None]
+        if present and (min(present) < 0 or max(present) >= self.N):
+            for k, d in enumerate(self.values):
+                if d is not None and not 0 <= d < self.N:
+                    raise ValueError(
+                        f"exponent {d} at index {k} outside [0, {self.N})")
 
     def support(self) -> list[int]:
         return [k for k, d in enumerate(self.values) if d is not None]
 
     def nonzero_count(self) -> int:
-        return sum(1 for d in self.values if d is not None)
+        return self.N - self.values.count(None)
 
     def conjugacy_violation(self):
         """(k, 2k mod N) for the first index pair breaking the doubling law,
         or None if the spectrum is conjugate-consistent."""
+        # N is odd, so evens then odds of values is values[2k mod N] in k
+        # order; compare it whole with 2 d(k), and walk only on a mismatch
+        v = self.values
+        if [*v[0::2], *v[1::2]] == [d if d is None else 2 * d % self.N
+                                    for d in v]:
+            return None
         for k, d in enumerate(self.values):
             k2 = (2 * k) % self.N
             d2 = self.values[k2]

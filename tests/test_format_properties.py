@@ -1,17 +1,20 @@
 """Property tests at the file-format boundary: serialize then parse is the
-identity, and a damaged file raises FormatError and nothing else."""
+identity, a damaged file raises FormatError and nothing else, and any text
+reads as the plain line walk below reads it."""
 
 import random
 import re
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crtspectra.field import build_field
 from crtspectra.formats import (FormatError, parse_sequence, parse_spectrum,
                                 serialize_sequence, serialize_spectrum)
 from crtspectra.sequences import BitSequence
-from crtspectra.spectral import default_field_for_period
+from crtspectra.spectral import Spectrum, default_field_for_period
 
 # derandomized so tier-1 stays deterministic; the fixture only hands back
 # a builder function, so sharing it across examples is safe
@@ -88,3 +91,143 @@ def test_damaged_sequence_raises_only_format_error(data):
         parse_sequence(data.draw(mutations(text)), "x")
     except FormatError:
         pass
+
+
+# The spectrum reader as a walk over every line, with the conjugacy check as
+# a loop over every index: the reference parse_spectrum must agree with on
+# every text, in its value or in its error's message, line and column.
+_DIGITS = r"\d{1,640}"
+_HEAD_RE = re.compile(rf"^N=({_DIGITS}) field=GF2m\(({_DIGITS}),"
+                      rf"0x([0-9A-Fa-f]+)\) root=g\^({_DIGITS})$")
+_LINE_RE = re.compile(rf"^({_DIGITS}) (Z|{_DIGITS})$")
+
+
+def _first_conjugacy_violation(values, N):
+    for k, d in enumerate(values):
+        k2 = (2 * k) % N
+        d2 = values[k2]
+        if d is None:
+            if d2 is not None:
+                return (k, k2)
+        elif d2 is None or d2 != (2 * d) % N:
+            return (k, k2)
+    return None
+
+
+def _line_walk_parse(text, path):
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise FormatError("missing spectrum header", path, 1, 1)
+    mo = _HEAD_RE.match(lines[0].strip())
+    if not mo:
+        raise FormatError(
+            "expected 'N=<int> field=GF2m(m,0xMOD) root=g^<e>'", path, 1, 1)
+    N = int(mo.group(1))
+    m, modulus = int(mo.group(2)), int(mo.group(3), 16)
+    e = int(mo.group(4))
+    try:
+        field = build_field(m, modulus)
+    except ValueError as err:
+        raise FormatError(str(err), path, 1, 1) from None
+    if N < 1 or field.group_order % N:
+        raise FormatError(
+            f"N={N} does not divide the group order {field.group_order}"
+            f" of GF(2^{m})", path, 1, 1)
+    entries = sum(1 for raw in lines[1:] if raw.strip())
+    if entries < N:
+        raise FormatError(
+            f"missing entries: {entries} entry lines for N={N} indices",
+            path, len(lines) + 1, 1)
+    root = field.generator ** e
+    values: list = [None] * N
+    line_of = [0] * N
+    for lineno, raw in enumerate(lines[1:], start=2):
+        raw = raw.strip()
+        if not raw:
+            continue
+        lm = _LINE_RE.match(raw)
+        if not lm:
+            raise FormatError("expected '<k> <d|Z>'", path, lineno, 1)
+        k = int(lm.group(1))
+        if k >= N:
+            raise FormatError(f"index {k} outside [0, {N})", path, lineno, 1)
+        if line_of[k]:
+            raise FormatError(f"duplicate index {k}", path, lineno, 1)
+        line_of[k] = lineno
+        if lm.group(2) != "Z":
+            d = int(lm.group(2))
+            if d >= N:
+                raise FormatError(
+                    f"exponent {d} outside [0, {N})", path, lineno,
+                    len(lm.group(1)) + 2)
+            values[k] = d
+    try:
+        S = Spectrum(N, field, root, tuple(values))
+    except ValueError as err:
+        raise FormatError(str(err), path, 1, 1) from None
+    bad = _first_conjugacy_violation(values, N)
+    if bad is not None:
+        raise FormatError(
+            f"conjugacy violated between indices {bad[0]} and {bad[1]}:"
+            " not the spectrum of a binary sequence", path, line_of[bad[0]], 1)
+    return S
+
+
+@st.composite
+def layout_edits(draw, text):
+    """`text` with up to three edits that keep or break its layout: a blank
+    or padded line, CRLF, two lines swapped, an entry given an index or
+    exponent drawn from [0, 2N), or the final newline dropped or doubled."""
+    lines = text.split("\n")[:-1]
+    N = len(lines) - 1
+    end = "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("blank", "pad", "crlf", "swap", "index",
+                                     "exponent", "no-newline", "newlines")))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(1, len(lines) - 1))
+        if kind == "blank":
+            lines.insert(i + 1, draw(st.sampled_from(("", " ", "\t"))))
+        elif kind == "pad":
+            lines[i] = (draw(st.sampled_from(("", " ", "\t"))) + lines[i]
+                        + draw(st.sampled_from(("", " ", "\r", "\t"))))
+        elif kind == "crlf":
+            if draw(st.booleans()):
+                lines = [line + "\r" for line in lines]
+            else:
+                lines[i] += "\r"
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind in ("index", "exponent"):
+            k, _, d = lines[j].partition(" ")
+            v = str(draw(st.integers(0, 2 * N)))
+            lines[j] = f"{v} {d}" if kind == "index" else f"{k} {v}"
+        elif kind == "no-newline":
+            end = ""
+        else:
+            end = "\n\n"
+    return "\n".join(lines) + end
+
+
+@settings(PROPERTY, max_examples=300)
+@given(data=st.data())
+def test_spectrum_reads_as_the_line_walk(random_log_spectrum, data):
+    S, text = data.draw(log_spectrum_texts(random_log_spectrum))
+    # the writer does not check conjugacy: one changed entry gives a text in
+    # its exact layout that only the conjugacy check refuses
+    values = list(S.values)
+    values[data.draw(st.integers(0, S.N - 1))] = data.draw(
+        st.none() | st.integers(0, S.N - 1))
+    edited = serialize_spectrum(Spectrum(S.N, S.field, S.root, tuple(values)))
+    text = data.draw(st.sampled_from((
+        text, edited, data.draw(mutations(text)),
+        data.draw(layout_edits(text)))))
+    try:
+        expected = _line_walk_parse(text, "x")
+    except FormatError as err:
+        with pytest.raises(FormatError) as got:
+            parse_spectrum(text, "x")
+        assert str(got.value) == str(err)
+        assert (got.value.line, got.value.col) == (err.line, err.col)
+    else:
+        assert parse_spectrum(text, "x") == expected

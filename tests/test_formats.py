@@ -6,14 +6,15 @@ from math import gcd
 import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import (FieldSpec, build_field, discrete_log,
-                              element_of_order)
+from crtspectra.field import (FieldSpec, _doubling_orbit, build_field,
+                              discrete_log, element_of_order)
 from crtspectra.formats import (FormatError, atomic_write, parse_field,
                                 parse_sequence, parse_spectrum,
                                 serialize_field, serialize_sequence,
                                 serialize_spectrum)
 from crtspectra.sequences import BitSequence, pointwise_product
-from crtspectra.spectral import dft, default_field_for_period
+from crtspectra.spectral import (Spectrum, coset_expand,
+                                 default_field_for_period, dft)
 
 import reference_values as rv
 
@@ -71,6 +72,34 @@ def test_spectrum_roundtrip():
     assert len(text.splitlines()) == 22      # header + all 21 indices
     T = parse_spectrum(text, "x")
     assert T == S
+
+
+@pytest.mark.parametrize(
+    "N", (1, 7, 9, 11, 99, 127, 1023, 1025, 10923, 16383, 32767))
+def test_spectrum_text_is_one_line_per_index(N):
+    # the bytes the writer has always written, one f-string per index, with
+    # support at both ends and on both sides of each digit boundary
+    fld, root = default_field_for_period(N)
+    head = (f"N={N} field=GF2m({fld.m},0x{fld.modulus:x}) root=g^"
+            f"{discrete_log(root, fld.generator, fld.group_order)}")
+    edges = {0, N - 1} | {k for p in (10, 100, 1000, 10000)
+                          for k in (p - 1, p) if k < N}
+    rng = random.Random(N)
+    reps = {}
+    for k in edges:
+        orbit = _doubling_orbit(k, N)
+        step = N // gcd(N, (1 << len(orbit)) - 1)
+        reps[min(orbit)] = step * rng.randrange(N // step)
+    zero = Spectrum(N, fld, root, (None,) * N)
+    conjugate = coset_expand(reps, N, fld, root)
+    edges_only = Spectrum(N, fld, root, tuple(
+        rng.randrange(N) if k in edges else None for k in range(N)))
+    for S in (zero, conjugate, edges_only):
+        lines = [head] + [f"{k} {'Z' if d is None else d}"
+                          for k, d in enumerate(S.values)]
+        assert serialize_spectrum(S) == "\n".join(lines) + "\n"
+    for S in (zero, conjugate):
+        assert parse_spectrum(serialize_spectrum(S), "x") == S
 
 
 @pytest.mark.parametrize("m,orders", [

@@ -20,6 +20,11 @@ def test_bitsequence_basics():
         BitSequence(())
     with pytest.raises(ValueError):
         BitSequence.from_string("01x")
+    for bits in ((0, 2, 1), (1, -1), (0.5,), (1, None)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitSequence(bits)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BitSequence.from_string("0120")
 
 
 def test_lfsr_validation():

@@ -232,6 +232,35 @@ def test_coset_reduce_rejects_conjugacy_violation():
     assert str(k) in str(e.value) and str(k2) in str(e.value)
 
 
+def test_spectrum_checks_match_index_walks():
+    # the slice-level checks against a walk over every index, on values that
+    # hold ZERO, exponents in range, and a few outside it on either side
+    rng = random.Random(13)
+    for N in (1, 3, 7, 21, 63):
+        fld, root = default_field_for_period(N)
+        for _ in range(200):
+            values = tuple(rng.choice((None, None, rng.randrange(N),
+                                       rng.randrange(-2, N + 2)))
+                           for _ in range(N))
+            bad = [(k, d) for k, d in enumerate(values)
+                   if d is not None and not 0 <= d < N]
+            if bad:
+                k, d = bad[0]
+                with pytest.raises(ValueError, match=(
+                        rf"^exponent {d} at index {k} outside \[0, {N}\)$")):
+                    Spectrum(N, fld, root, values)
+                continue
+            S = Spectrum(N, fld, root, values)
+            support = [k for k, d in enumerate(values) if d is not None]
+            assert S.support() == support
+            assert S.nonzero_count() == len(support)
+            violations = [(k, 2 * k % N) for k, d in enumerate(values)
+                          if values[2 * k % N] != (None if d is None
+                                                   else 2 * d % N)]
+            assert S.conjugacy_violation() == (
+                violations[0] if violations else None)
+
+
 def test_coset_expand_inverts_reduce():
     fld, root = default_field_for_period(21)
     S = dft(U, fld, root)
