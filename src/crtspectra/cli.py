@@ -12,6 +12,7 @@ import functools
 import json
 import random
 import sys
+import warnings
 
 from . import cases
 from .bm import berlekamp_massey
@@ -140,8 +141,7 @@ def _cmd_dft(args) -> int:
     if args.reduce:
         reps = coset_reduce(S)
         lines = [f"N={S.N} leaders={len(reps)}"]
-        for k in sorted(reps):
-            lines.append(f"{k} {reps[k]}")
+        lines += (f"{k} {d}" for k, d in reps.items())
         _emit("\n".join(lines), args.out)
         return 0
     _emit(serialize_spectrum(S), args.out)
@@ -295,9 +295,9 @@ def report_tables(example: int) -> str:
         ks = list(range(U.N))
         rows = [
             ("k", [str(k) for k in ks]),
-            ("A_(k mod 3)", [_fmt_value(A.values[k % 3]) for k in ks]),
-            ("B_(k mod 7)", [_fmt_value(B.values[k % 7]) for k in ks]),
-            ("U_k", [_fmt_value(U.values[k]) for k in ks]),
+            ("A_(k mod 3)", [_fmt_value(A.points.get(k % 3)) for k in ks]),
+            ("B_(k mod 7)", [_fmt_value(B.points.get(k % 7)) for k in ks]),
+            ("U_k", [_fmt_value(U.points.get(k)) for k in ks]),
         ]
         lines = [f"# product spectrum at period {U.N}", ""]
         lines.append("| " + " | ".join(["row"] + rows[0][1]) + " |")
@@ -313,8 +313,8 @@ def report_tables(example: int) -> str:
             lines.append("")
             lines.append("| k | S_k |")
             lines.append("|---|---|")
-            for k in S.support():
-                lines.append(f"| {k} | {_fmt_value(S.values[k])} |")
+            for k, d in S.points.items():
+                lines.append(f"| {k} | {_fmt_value(d)} |")
             lines.append("")
         return "\n".join(lines)
     raise ValueError(f"no example {example}; choose 1 or 2")
@@ -326,13 +326,14 @@ def _cmd_report(args) -> int:
             ex = cases.example1()
             S = ex.spectrum
             lines = [json.dumps({"table": "product21", "k": k,
-                                 "value": S.values[k]}) for k in range(S.N)]
+                                 "value": S.points.get(k)})
+                     for k in range(S.N)]
         else:
             lines = []
             for name, S in cases.example2().items():
-                for k in S.support():
+                for k, d in S.points.items():
                     lines.append(json.dumps(
-                        {"table": name, "k": k, "value": S.values[k]}))
+                        {"table": name, "k": k, "value": d}))
         _emit("\n".join(lines), args.out)
         return 0
     _emit(report_tables(args.example), args.out)
@@ -377,14 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dft", help="spectrum of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--field")
-    p.add_argument("--point", type=int)
-    p.add_argument("--reduce", action="store_true")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--point", type=int)
+    what.add_argument("--reduce", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("crt-conv", help="product spectrum from factor spectra")
     p.add_argument("--factors", nargs="+", required=True)
-    p.add_argument("--point", type=int)
-    p.add_argument("--support-only", action="store_true")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--point", type=int)
+    what.add_argument("--support-only", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("combine-spectrum",
@@ -438,7 +441,10 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        with warnings.catch_warnings():   # one stderr line per warning
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return _DISPATCH[args.cmd](args)
     except (FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -88,9 +88,9 @@ def _check_factors(factors, basis: CrtBasis) -> list[Spectrum]:
     for f, n in zip(factors, basis.moduli):
         if f.N != n:
             raise ValueError(f"factor modulus {f.N} != basis modulus {n}")
-        if f.values[0] not in (ZERO, 0):
+        if f.points.get(0, 0) != 0:
             raise ValueError(
-                f"factor of period {n} has exponent {f.values[0]} at index"
+                f"factor of period {n} has exponent {f.points[0]} at index"
                 " 0; a binary sequence's spectrum there is 0 or 1")
     return factors
 
@@ -104,8 +104,7 @@ def _crt_points(factors, basis: CrtBasis, variables) -> list[tuple]:
     points = [(0, 0)]
     for i in variables:
         e = basis.idempotents[i]
-        nonzero = [(j * e, d * e) for j, d in enumerate(factors[i].values)
-                   if d is not ZERO]
+        nonzero = [(j * e, d * e) for j, d in factors[i].points.items()]
         points = [((k + a) % N, (x + b) % N)
                   for k, x in points for a, b in nonzero]
     return points
@@ -122,7 +121,7 @@ def product_spectrum_point(factors, basis: CrtBasis, k: int):
         raise ValueError(f"index {k} outside [0, {basis.N})")
     residues = []
     for f in _check_factors(factors, basis):
-        d = f.values[k % f.N]
+        d = f.points.get(k % f.N)
         if d is ZERO:
             return ZERO
         residues.append(d)
@@ -166,11 +165,12 @@ def _assemble(factors, basis: CrtBasis, monomials) -> Spectrum:
     N = basis.N
     field = build_field(multiplicative_order_of_2(N))
     root = aligned_product_root([f.root for f in factors], field)
-    values: list = [ZERO] * N
+    points = {}
     for mono in monomials:
         for k, d in _crt_points(factors, basis, mono):
-            values[k] = d if values[k] is ZERO else ZERO
-    return Spectrum(N, field, root, tuple(values))
+            if points.pop(k, ZERO) is ZERO:
+                points[k] = d
+    return Spectrum(N, field, root, points)
 
 
 def product_spectrum(factors, basis: CrtBasis) -> Spectrum:

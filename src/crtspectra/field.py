@@ -333,9 +333,10 @@ def element_order(a: FieldElement) -> int:
     return a.order()
 
 
+@lru_cache(maxsize=256)
 def has_order(a: FieldElement, n: int) -> bool:
     """True if a has multiplicative order exactly n; uncounted, like
-    element_order."""
+    element_order, and memoized: every Spectrum asks it of its root."""
     fld = a.field
     return (n >= 1 and fld.group_order % n == 0
             and ppowmod(a.bits, n, fld.modulus) == 1

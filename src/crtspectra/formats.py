@@ -130,7 +130,7 @@ def serialize_spectrum(S: Spectrum) -> str:
     # elements, scaled by q, is the generator log (unique mod 2^m-1)
     q = S.field.group_order // S.N
     e = q * discrete_log(S.root, S.field.generator ** q, S.N)
-    return _spectrum_text(_spectrum_head(S.N, S.field, e), S, S.support())
+    return _spectrum_text(_spectrum_head(S.N, S.field, e), S)
 
 
 def _spectrum_head(N: int, field: FieldSpec, e: int) -> str:
@@ -154,16 +154,16 @@ def _line_offset(k: int) -> int:
     return off
 
 
-def _spectrum_text(head: str, S: Spectrum, support: list[int]) -> str:
+def _spectrum_text(head: str, S: Spectrum) -> str:
     """The one layout a spectrum is written in: the header, then the zero
-    body with the line of each index in `support`, S's support in
-    increasing order, replaced by `k d`."""
+    body with the line of each point of S, in increasing index order,
+    replaced by `k d`."""
     body = _zero_body(S.N)
     parts = [head, "\n"]
     pos = 0
-    for k in support:
+    for k, d in S.points.items():
         start = _line_offset(k)
-        parts += (body[pos:start], f"{k} {S.values[k]}\n")
+        parts += (body[pos:start], f"{k} {d}\n")
         pos = _line_offset(k + 1)
     parts.append(body[pos:])
     return "".join(parts)
@@ -189,8 +189,7 @@ def _read_canonical(text: str, head: str, N: int, field: FieldSpec,
     # a written index or exponent has at most as many digits as N-1; the
     # searches stop there, so damaged text costs O(1) per match
     width = len(str(N)) + 1
-    values: list = [None] * N
-    support = []    # the indices read, kept only while strictly increasing
+    points = {}
     try:
         for mo in _EXPONENT_AT.finditer(text, len(head)):
             at = mo.start()
@@ -198,15 +197,11 @@ def _read_canonical(text: str, head: str, N: int, field: FieldSpec,
             end = text.find("\n", at, at + width + 1)
             if start < 0 or end < 0:
                 return None
-            k = int(text[start + 1:at])
-            if k < 0 or support and k <= support[-1]:
-                return None
-            values[k] = int(text[at + 1:end])
-            support.append(k)
-        S = Spectrum(N, field, root, tuple(values))
-    except (ValueError, IndexError):
+            points[int(text[start + 1:at])] = int(text[at + 1:end])
+        S = Spectrum(N, field, root, points)
+    except ValueError:
         return None
-    if (_spectrum_text(head, S, support) != text
+    if (_spectrum_text(head, S) != text
             or S.conjugacy_violation() is not None):
         return None
     return S
@@ -248,7 +243,7 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
         raise FormatError(
             f"missing entries: {entries} entry lines for N={N} indices",
             path, len(lines) + 1, 1)
-    values: list = [None] * N
+    points = {}
     line_of = [0] * N   # line number of each index's entry, 0 if none yet
     for lineno, raw in enumerate(lines[1:], start=2):
         raw = raw.strip()
@@ -269,9 +264,9 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
                 raise FormatError(
                     f"exponent {d} outside [0, {N})", path, lineno,
                     len(lm.group(1)) + 2)
-            values[k] = d
+            points[k] = d
     try:
-        S = Spectrum(N, field, root, tuple(values))
+        S = Spectrum(N, field, root, points)
     except ValueError as err:
         raise FormatError(str(err), path, 1, 1) from None
     bad = S.conjugacy_violation()

@@ -23,7 +23,7 @@ from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
 from .sequences import BitSequence, Lfsr, sequence_period
-from .spectral import ZERO, Spectrum, dft
+from .spectral import Spectrum, dft
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     # root^(tk) depends on t only through t mod n, n = N / gcd(k, N): fold
     # s once per n into the residues mod n that hold an odd number of ones
     folded: dict = {}
-    values: list = [ZERO] * N
+    points = {}
     for k in range(N):
         n = N // gcd(k, N)
         odd = folded.get(n)
@@ -110,8 +110,8 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
                 raise ValueError(
                     f"spectral value at k={k} lies outside the cyclic group"
                     " of the root; no log-form spectrum over this root")
-            values[k] = d
-    return Spectrum(N, field, root, tuple(values))
+            points[k] = d
+    return Spectrum(N, field, root, points)
 
 
 def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
@@ -122,11 +122,9 @@ def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
         raise ValueError("incomparable: different fields")
     if X.root != Y.root:
         raise ValueError("incomparable: different roots")
-    out = []
-    for k, (e, a) in enumerate(zip(X.values, Y.values)):
-        if e != a:
-            out.append(Mismatch(k, e, a))
-    return out
+    x, y = X.points, Y.points
+    return [Mismatch(k, x.get(k), y.get(k))
+            for k in sorted(x.keys() | y.keys()) if x.get(k) != y.get(k)]
 
 
 @dataclass
@@ -196,9 +194,9 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
         factors.append(dft(s, fld, rt))
     S_crt = product_spectrum(factors, basis)
     if tamper_index is not None:
-        vals = list(S_crt.values)
-        vals[tamper_index] = 0 if vals[tamper_index] is ZERO else ZERO
-        S_crt = Spectrum(N, S_crt.field, S_crt.root, tuple(vals))
+        pts = S_crt.points
+        S_crt = Spectrum(N, S_crt.field, S_crt.root, {
+            k: pts.get(k, 0) for k in pts.keys() ^ {tamper_index}})
 
     u = streams[0]
     for s in streams[1:]:

@@ -1,14 +1,15 @@
 """Finite-field DFT of periodic binary sequences, in log form.
 
-A Spectrum stores, for each index k, either ZERO (encoded as None) or the
-exponent d with S_k = root^d. Exponent arithmetic is what the CRT path in
-crtconv operates on, so the log form is the primary representation and
-full field values are derived from it on demand.
+A Spectrum stores only its nonzero points k -> d, S_k = root^d; every
+other index is ZERO (encoded as None). Exponent arithmetic is what the CRT
+path in crtconv operates on, so the log form is the primary representation
+and full field values are derived from it on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .field import (FieldElement, FieldSpec, _doubling_orbit, build_field,
                     cyclotomic_cosets, discrete_log, element_of_order,
@@ -21,56 +22,59 @@ ZERO = None  # spectral zero marker; never exponent-encoded
 
 @dataclass(frozen=True)
 class Spectrum:
-    """values[k] is the exponent d of S_k = root^d, or ZERO.
+    """points maps each nonzero index k to the exponent d of S_k = root^d.
+    The Spectrum keeps its own copy, in ascending k, and never mutates it.
 
     The root has order N, a divisor of the odd group order 2^m - 1, so N is
-    odd; conjugacy_violation relies on that, since for odd N the doubling
+    odd; the conjugacy check relies on that, since for odd N the doubling
     k -> 2k mod N permutes the indices."""
 
     N: int
     field: FieldSpec
     root: FieldElement
-    values: tuple
+    points: dict
+    _violation: tuple | None = dc_field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 1 or len(self.values) != self.N:
-            raise ValueError(f"need exactly N={self.N} entries")
+        N, pts = self.N, dict(sorted(self.points.items()))
         if self.root.field != self.field:
             raise ValueError("root does not live in the stated field")
-        if not has_order(self.root, self.N):
+        if not has_order(self.root, N):
             raise ValueError(
-                f"root order {element_order(self.root)} != N = {self.N}")
-        present = [d for d in self.values if d is not None]
-        if present and (min(present) < 0 or max(present) >= self.N):
-            for k, d in enumerate(self.values):
-                if d is not None and not 0 <= d < self.N:
-                    raise ValueError(
-                        f"exponent {d} at index {k} outside [0, {self.N})")
+                f"root order {element_order(self.root)} != N = {N}")
+        # k breaks d(2k) = 2 d(k) exactly when k is in the support and its
+        # double is not right, or k = j (N+1)/2 is zero and its double j is
+        # in the support; the least such k is the first of an index walk
+        bad = []
+        for k, d in pts.items():
+            if not 0 <= k < N:
+                raise ValueError(f"index {k} outside [0, {N})")
+            if d is ZERO or not 0 <= d < N:
+                raise ValueError(
+                    f"exponent {d} at index {k} outside [0, {N})")
+            if pts.get(2 * k % N) != 2 * d % N:
+                bad.append((k, 2 * k % N))
+            h = k * (N + 1) // 2 % N
+            if h not in pts:
+                bad.append((h, k))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_violation", min(bad, default=None))
+
+    @cached_property
+    def values(self) -> tuple:
+        """The dense view: values[k] is the exponent at k, or ZERO."""
+        return tuple(map(self.points.get, range(self.N)))
 
     def support(self) -> list[int]:
-        return [k for k, d in enumerate(self.values) if d is not None]
+        return list(self.points)
 
     def nonzero_count(self) -> int:
-        return self.N - self.values.count(None)
+        return len(self.points)
 
     def conjugacy_violation(self):
-        """(k, 2k mod N) for the first index pair breaking the doubling law,
+        """(k, 2k mod N) for the least index k with d(2k) != 2 d(k) mod N,
         or None if the spectrum is conjugate-consistent."""
-        # N is odd, so evens then odds of values is values[2k mod N] in k
-        # order; compare it whole with 2 d(k), and walk only on a mismatch
-        v = self.values
-        if [*v[0::2], *v[1::2]] == [d if d is None else 2 * d % self.N
-                                    for d in v]:
-            return None
-        for k, d in enumerate(self.values):
-            k2 = (2 * k) % self.N
-            d2 = self.values[k2]
-            if d is None:
-                if d2 is not None:
-                    return (k, k2)
-            elif d2 is None or d2 != (2 * d) % self.N:
-                return (k, k2)
-        return None
+        return self._violation
 
     def __repr__(self):
         return (f"Spectrum(N={self.N}, GF(2^{self.field.m}),"
@@ -119,11 +123,10 @@ def idft(S: Spectrum) -> BitSequence:
     """s_t = sum_k S_k root^(-tk); rejects spectra of non-binary sequences."""
     N = S.N
     pw = root_power_table(S.root, N)
-    supp = [(k, d) for k, d in enumerate(S.values) if d is not None]
     out = []
     for t in range(N):
         acc = 0
-        for k, d in supp:
+        for k, d in S.points.items():
             acc ^= pw[(d - t * k) % N]
         if acc not in (0, 1):
             raise ValueError(
@@ -170,30 +173,26 @@ def blahut_check(S: Spectrum, L: int) -> bool:
 
 
 def coset_reduce(S: Spectrum) -> dict:
-    """Map each nonzero coset leader to its exponent; everything else is
+    """Map each nonzero coset leader, ascending, to its exponent; the rest is
     recoverable by squaring. Rejects spectra that break the doubling law."""
     bad = S.conjugacy_violation()
     if bad is not None:
         raise ValueError(
             f"conjugacy violated between indices {bad[0]} and {bad[1]}")
-    reps = {}
-    for coset in cyclotomic_cosets(S.N):
-        d = S.values[coset[0]]
-        if d is not None:
-            reps[coset[0]] = d
-    return reps
+    return {k: d for k, d in S.points.items()
+            if min(_doubling_orbit(k, S.N)) == k}
 
 
 def coset_expand(reps: dict, N: int, field: FieldSpec,
                  root: FieldElement) -> Spectrum:
     """Rebuild a full Spectrum from leader representatives by squaring.
     A leader is the least index of its orbit under k -> 2k mod N."""
-    values: list = [ZERO] * N
+    points = {}
     for leader, d in reps.items():
         orbit = _doubling_orbit(leader, N)
         if min(orbit) != leader:
             raise ValueError(f"{leader} is not a coset leader mod {N}")
         for k in orbit:
-            values[k] = d
+            points[k] = d
             d = 2 * d % N
-    return Spectrum(N, field, root, tuple(values))
+    return Spectrum(N, field, root, points)

@@ -33,5 +33,6 @@ def clear_field_caches():
     call does its set-up work as a fresh process would."""
     def clear():
         field._field.cache_clear()
+        field.has_order.cache_clear()
         crtconv._image_bits.cache_clear()
     return clear

@@ -398,6 +398,31 @@ def test_usage_error_exits_2(capsys):
     assert e.value.code == 2
 
 
+def test_conflicting_output_flags_exit_2(tmp_path, capsys):
+    # each pair asks for two different outputs; neither may be dropped
+    paths = _write_streams(tmp_path, capsys)
+    spec = str(tmp_path / "b.spec")
+    assert run(capsys, "dft", "--in", paths["b"], "--out", spec)[0] == 0
+    for argv, flags in (
+            (["dft", "--in", paths["b"], "--point", "3", "--reduce"],
+             "--reduce: not allowed with argument --point"),
+            (["crt-conv", "--factors", spec, "--point", "3",
+              "--support-only"],
+             "--support-only: not allowed with argument --point")):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        out = capsys.readouterr()
+        assert e.value.code == 2 and out.out == ""
+        assert flags in out.err
+
+
+def test_zero_seed_warns_on_one_line(capsys):
+    code, out, err = run(capsys, "seq", "gen", "--poly", "0x7", "--seed", "0",
+                         "--bits", "3")
+    assert (code, out) == (0, "period=3\n000\n")
+    assert err == "warning: zero seed: output is all zeros\n"
+
+
 def test_field_inspect(capsys):
     code, out, _ = run(capsys, "field", "inspect", "--m", "6")
     assert code == 0

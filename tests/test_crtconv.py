@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,8 @@ from crtspectra.field import (CountingField, FieldSpec, build_field,
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
                                   combiner_stream, lfsr_stream)
-from crtspectra.spectral import (Spectrum, dft, default_field_for_period,
-                                 idft)
+from crtspectra.spectral import (Spectrum, coset_expand, dft,
+                                 default_field_for_period, idft)
 
 import reference_values as rv
 
@@ -105,7 +106,7 @@ def test_support_indices():
     basis = CrtBasis([3, 7])
     assert support_indices([_spec(A), _spec(B)], basis) == sorted(rv.TABLE_AB)
     SA = _spec(A)
-    empty = Spectrum(3, SA.field, SA.root, (None, None, None))
+    empty = Spectrum(3, SA.field, SA.root, {})
     assert support_indices([empty, _spec(B)], basis) == []
 
 
@@ -121,6 +122,30 @@ def test_support_indices_four_factors():
     assert support_indices(factors, basis) == expected
 
 
+def test_product_spectrum_work_follows_the_support():
+    # four single-coset factors give N = 10,845,877 in GF(2^30) but only
+    # 3 * 5 * 15 * 30 = 6750 points; a dense length-N tuple alone would
+    # take some 87 MB
+    moduli = (7, 31, 151, 331)
+    factors = [coset_expand({1: 0}, n, *default_field_for_period(n))
+               for n in moduli]
+    basis = CrtBasis(moduli)
+    tracemalloc.start()
+    try:
+        S = product_spectrum(factors, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (S.N, S.nonzero_count()) == (10_845_877, 6750)
+    assert peak < 8_000_000
+    assert S.support() == support_indices(factors, basis)
+    rng = random.Random(14)
+    sample = rng.sample(S.support(), 50) + [0, 1, S.N - 1] + [
+        rng.randrange(S.N) for _ in range(50)]
+    for k in sample:
+        assert S.points.get(k) == product_spectrum_point(factors, basis, k)
+
+
 def test_factors_must_be_spectra():
     with pytest.raises(TypeError):
         support_indices([_spec(A).values, _spec(B)], CrtBasis([3, 7]))
@@ -129,7 +154,8 @@ def test_factors_must_be_spectra():
 def test_factor_exponent_at_index_0_must_be_0():
     # a binary sequence sums to 0 or 1, so g^1 at index 0 is no spectrum
     s = _spec(_complement(C))
-    bad = Spectrum(s.N, s.field, s.root, (1,) + s.values[1:])
+    assert s.points[0] == 0     # odd weight: S_0 = 1 = root^0
+    bad = Spectrum(s.N, s.field, s.root, {**s.points, 0: 1})
     factors, basis = [_spec(B), bad], CrtBasis([7, 31])
     with pytest.raises(ValueError, match="exponent 1 at index 0"):
         product_spectrum(factors, basis)

@@ -90,10 +90,10 @@ def test_spectrum_text_is_one_line_per_index(N):
         orbit = _doubling_orbit(k, N)
         step = N // gcd(N, (1 << len(orbit)) - 1)
         reps[min(orbit)] = step * rng.randrange(N // step)
-    zero = Spectrum(N, fld, root, (None,) * N)
+    zero = Spectrum(N, fld, root, {})
     conjugate = coset_expand(reps, N, fld, root)
-    edges_only = Spectrum(N, fld, root, tuple(
-        rng.randrange(N) if k in edges else None for k in range(N)))
+    edges_only = Spectrum(N, fld, root,
+                          {k: rng.randrange(N) for k in sorted(edges)})
     for S in (zero, conjugate, edges_only):
         lines = [head] + [f"{k} {'Z' if d is None else d}"
                           for k, d in enumerate(S.values)]

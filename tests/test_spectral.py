@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 
 from crtspectra.costs import OpCounter
-from crtspectra.field import (CountingField, build_field, default_modulus,
-                              element_of_order)
+from crtspectra.field import (CountingField, build_field, cyclotomic_cosets,
+                              default_modulus, element_of_order)
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product)
@@ -158,27 +158,36 @@ def test_idft_rejects_even_period():
     fld = build_field(6)
     for root in (fld.generator, element_of_order(fld, 3)):
         with pytest.raises(ValueError, match="!= N = 6"):
-            Spectrum(6, fld, root, (None,) * 6)
+            Spectrum(6, fld, root, {})
 
 
 def test_idft_rejects_non_binary_reconstruction():
     # single spike of value w (not 1) at k=0 inverts to the constant w
     fld, root = default_field_for_period(3)
-    S = Spectrum(3, fld, root, (1, None, None))
+    S = Spectrum(3, fld, root, {0: 1})
     with pytest.raises(ValueError):
         idft(S)
 
 
 def test_spectrum_invariants():
     fld, root = default_field_for_period(7)
-    with pytest.raises(ValueError):
-        Spectrum(7, fld, root, (None,) * 6)       # wrong length
-    with pytest.raises(ValueError):
-        Spectrum(7, fld, root, (7, None, None, None, None, None, None))
+    for k in (7, -1):
+        with pytest.raises(ValueError, match=rf"^index {k} outside \[0, 7\)$"):
+            Spectrum(7, fld, root, {3: 1, k: 0})
+    with pytest.raises(ValueError, match=r"^exponent 7 at index 0 outside"):
+        Spectrum(7, fld, root, {0: 7})
+    with pytest.raises(ValueError, match=r"^exponent None at index 1 "):
+        Spectrum(7, fld, root, {1: None})
+    # the spectrum keeps its own copy of the points, in ascending order
+    given = {4: 2, 1: 4, 2: 1}
+    S = Spectrum(7, fld, root, given)
+    given[3] = 0
+    assert list(S.points.items()) == [(1, 4), (2, 1), (4, 2)]
+    assert S.conjugacy_violation() is None
     bad_root = fld.generator                       # order 7? generator is
     if bad_root.order() != 7:                      # full group: reject
         with pytest.raises(ValueError):
-            Spectrum(7, fld, bad_root, (None,) * 7)
+            Spectrum(7, fld, bad_root, {})
 
 
 def test_dft_point_matches_full_transform():
@@ -222,9 +231,9 @@ def test_coset_reduce_reference():
 def test_coset_reduce_rejects_conjugacy_violation():
     fld, root = default_field_for_period(21)
     S = dft(U, fld, root)
-    vals = list(S.values)
-    vals[10] = (vals[10] + 1) % 21    # break 2*d rule inside coset of 5
-    broken = Spectrum(21, fld, root, tuple(vals))
+    points = dict(S.points)
+    points[10] = (points[10] + 1) % 21    # break 2*d rule inside coset of 5
+    broken = Spectrum(21, fld, root, points)
     k, k2 = broken.conjugacy_violation()
     assert (k2 - 2 * k) % 21 == 0
     with pytest.raises(ValueError) as e:
@@ -233,24 +242,38 @@ def test_coset_reduce_rejects_conjugacy_violation():
 
 
 def test_spectrum_checks_match_index_walks():
-    # the slice-level checks against a walk over every index, on values that
-    # hold ZERO, exponents in range, and a few outside it on either side
+    # the one pass over the points against a walk over every index, on
+    # values that hold ZERO, exponents in range and a few outside it on
+    # either side, and on conjugate spectra with one or two entries edited,
+    # so that the first violation is as often a zero index whose double is
+    # in the support as a support index whose double is wrong
     rng = random.Random(13)
     for N in (1, 3, 7, 21, 63):
         fld, root = default_field_for_period(N)
-        for _ in range(200):
-            values = tuple(rng.choice((None, None, rng.randrange(N),
-                                       rng.randrange(-2, N + 2)))
-                           for _ in range(N))
-            bad = [(k, d) for k, d in enumerate(values)
-                   if d is not None and not 0 <= d < N]
+        for trial in range(400):
+            if trial % 2:
+                values = tuple(rng.choice((None, None, rng.randrange(N),
+                                           rng.randrange(-2, N + 2)))
+                               for _ in range(N))
+            else:
+                # d(2^c k) = 2^c d(k) = d(k) on a coset of size c
+                reps = {c[0]: rng.randrange(N) * (N // gcd(N, 2**len(c) - 1))
+                        % N for c in cyclotomic_cosets(N) if rng.random() < .7}
+                edited = list(coset_expand(reps, N, fld, root).values)
+                for _ in range(rng.randrange(3)):
+                    edited[rng.randrange(N)] = rng.choice(
+                        (None, rng.randrange(N)))
+                values = tuple(edited)
+            points = {k: d for k, d in enumerate(values) if d is not None}
+            bad = [(k, d) for k, d in points.items() if not 0 <= d < N]
             if bad:
                 k, d = bad[0]
                 with pytest.raises(ValueError, match=(
                         rf"^exponent {d} at index {k} outside \[0, {N}\)$")):
-                    Spectrum(N, fld, root, values)
+                    Spectrum(N, fld, root, points)
                 continue
-            S = Spectrum(N, fld, root, values)
+            S = Spectrum(N, fld, root, points)
+            assert S.values == values
             support = [k for k, d in enumerate(values) if d is not None]
             assert S.support() == support
             assert S.nonzero_count() == len(support)
@@ -259,6 +282,10 @@ def test_spectrum_checks_match_index_walks():
                                                    else 2 * d % N)]
             assert S.conjugacy_violation() == (
                 violations[0] if violations else None)
+    # index 5 is zero and its double 10 is not: 5 comes before 10, whose
+    # own double 20 is missing
+    fld, root = default_field_for_period(21)
+    assert Spectrum(21, fld, root, {10: 0}).conjugacy_violation() == (5, 10)
 
 
 def test_coset_expand_inverts_reduce():
