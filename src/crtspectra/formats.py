@@ -126,11 +126,19 @@ _SPEC_LINE_RE = re.compile(rf"^({_DIGITS}) (Z|{_DIGITS})$")
 
 
 def serialize_spectrum(S: Spectrum) -> str:
-    # root has order N, so it lies in <g^q>, q = (2^m-1)/N: a log over N
-    # elements, scaled by q, is the generator log (unique mod 2^m-1)
-    q = S.field.group_order // S.N
-    e = q * discrete_log(S.root, S.field.generator ** q, S.N)
+    e = _root_exponent(S.root, S.N)
     return _spectrum_text(_spectrum_head(S.N, S.field, e), S)
+
+
+@lru_cache(maxsize=256)
+def _root_exponent(root: FieldElement, N: int) -> int:
+    """The header's e with g^e = root, for a root of order N; memoized per
+    process, as a server writes the spectra of a few roots again and again.
+
+    root lies in <g^q>, q = (2^m-1)/N: a log over N elements, scaled by q,
+    is the generator log (unique mod 2^m-1)."""
+    q = root.field.group_order // N
+    return q * discrete_log(root, root.field.generator ** q, N)
 
 
 def _spectrum_head(N: int, field: FieldSpec, e: int) -> str:

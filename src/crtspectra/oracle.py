@@ -22,7 +22,8 @@ from math import gcd
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .sequences import BitSequence, Lfsr, sequence_period
+from .sequences import (BitSequence, Lfsr, sequence_period,
+                        warn_if_zero_seed)
 from .spectral import Spectrum, dft
 
 
@@ -153,6 +154,7 @@ class VerifyReport:
 def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
     """Exact single period of an LFSR stream: run until the state recurs."""
     l = Lfsr(connection, seed)
+    warn_if_zero_seed(l)
     start = l.state
     out = [l.step()]
     while l.state != start:

@@ -82,13 +82,19 @@ class Lfsr:
         return out
 
 
+def warn_if_zero_seed(l: Lfsr) -> None:
+    """Warn, at the caller's caller, that a zero register outputs only
+    zeros; the CLI prints the warning as one stderr line."""
+    if l.state == 0:
+        warnings.warn("zero seed: output is all zeros", RuntimeWarning,
+                      stacklevel=3)
+
+
 def lfsr_stream(l: Lfsr, n: int) -> BitSequence:
     """First n output bits. Does not disturb the caller's register."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if l.state == 0:
-        warnings.warn("zero seed: output is all zeros", RuntimeWarning,
-                      stacklevel=2)
+    warn_if_zero_seed(l)
     clone = Lfsr(l.connection, l.state)
     return BitSequence(tuple(clone.step() for _ in range(n)))
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from crtspectra import formats
 from crtspectra.cli import main
 
 import reference_values as rv
@@ -113,8 +114,12 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert again.startswith("N=21 ") and len(again.splitlines()) == 22
 
 
-def test_crt_conv_golden_3x2047(tmp_path, capsys):
-    # the embedded root's header, root=g^..., is pinned by the golden
+GOLDEN_3X2047 = os.path.join(HERE, "golden", "crt_conv_3x2047.spec")
+
+
+def _factors_3x2047(tmp_path, capsys):
+    """The factor spectra of the 3*2047 golden, written by seq gen and dft
+    into tmp_path."""
     specs = []
     for conn, period in (("0x7", 3), ("0x805", 2047)):
         seq, spec = (str(tmp_path / f"{period}.{ext}") for ext in ("seq", "spec"))
@@ -122,9 +127,39 @@ def test_crt_conv_golden_3x2047(tmp_path, capsys):
                    "--bits", str(period), "--out", seq)[0] == 0
         assert run(capsys, "dft", "--in", seq, "--out", spec)[0] == 0
         specs.append(spec)
+    return specs
+
+
+def test_crt_conv_golden_3x2047(tmp_path, capsys):
+    # the embedded root's header, root=g^..., is pinned by the golden
+    specs = _factors_3x2047(tmp_path, capsys)
     code, out, _ = run(capsys, "crt-conv", "--factors", *specs)
-    golden = open(os.path.join(HERE, "golden", "crt_conv_3x2047.spec")).read()
-    assert code == 0 and out == golden
+    assert code == 0 and out == open(GOLDEN_3X2047).read()
+
+
+def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
+                                          clear_field_caches):
+    # the first call starts from empty memos, as a one-shot command does;
+    # the second reuses the field, the root image and the header exponent,
+    # so it takes no discrete log
+    specs = _factors_3x2047(tmp_path, capsys)
+    clear_field_caches()
+    golden = open(GOLDEN_3X2047).read()
+    discrete_log, logs = formats.discrete_log, []
+
+    def counted(*args):
+        logs.append(args)
+        return discrete_log(*args)
+    monkeypatch.setattr(formats, "discrete_log", counted)
+    calls = {}
+    for name in ("cold", "warm"):
+        logs.clear()
+        out = str(tmp_path / f"{name}.spec")
+        assert run(capsys, "crt-conv", "--factors", *specs,
+                   "--out", out)[0] == 0
+        assert open(out).read() == golden
+        calls[name] = len(logs)
+    assert calls == {"cold": 1, "warm": 0}
 
 
 def test_dft_point_and_reduce(tmp_path, capsys):
@@ -420,6 +455,16 @@ def test_zero_seed_warns_on_one_line(capsys):
     code, out, err = run(capsys, "seq", "gen", "--poly", "0x7", "--seed", "0",
                          "--bits", "3")
     assert (code, out) == (0, "period=3\n000\n")
+    assert err == "warning: zero seed: output is all zeros\n"
+
+
+def test_verify_zero_seed_warns_on_one_line(capsys):
+    # the verdict is the same; only the vacuous all-zero stream is named
+    code, out, err = run(capsys, "verify", "theorem1",
+                         "--lfsr", "0xb:0x0", "--lfsr", "0x7:0x1")
+    assert code == 0
+    assert out == ("PASS N=3 moduli=[1, 3] points=0/0 L=0 blahut=ok"
+                   " conjugacy=ok mismatches=0  [0xb:0x0 0x7:0x1]\n")
     assert err == "warning: zero seed: output is all zeros\n"
 
 
