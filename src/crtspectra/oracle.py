@@ -1,4 +1,5 @@
-"""Brute-force referees: independent DFT, spectrum diffing, end-to-end audit.
+"""Brute-force referees: independent DFT, exact inverse check, spectrum
+diffing, end-to-end audit.
 
 Nothing here shares kernels with spectral.dft or crtconv. What brute_dft
 guarantees:
@@ -12,12 +13,20 @@ Two shortcuts keep it affordable without breaking those guarantees. The
 sum for S_k folds s by residue mod N / gcd(k, N), the period of
 t -> root^(tk); and x -> root*x is GF(2)-linear, so each step of the walk
 is one table lookup per byte of x.
+
+inverse_matches runs the transform the other way, on the same power walk:
+for odd N the transform is a bijection on one period (Blahut, IBM J. Res.
+Dev. 23(3), 1979), so a spectrum whose inverse equals s at every t of one
+period is brute_dft(s), at N table lookups per point of its support.
+verify_theorem1 decides by it and calls brute_dft only when it fails, to
+name the mismatched indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import and_
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
@@ -74,12 +83,10 @@ def _times_root(root_bits: int, modulus: int, m: int):
     return times_root
 
 
-def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
-    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
-    N = s.period
-    modulus, m = field.modulus, field.m
-    # one walk of repeated multiplication gives every power and the order
-    times_root = _times_root(root.bits, modulus, m)
+def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
+    """[root^0, ..., root^(N-1)] as bits: one walk of repeated
+    multiplication gives every power and the order, which must be N."""
+    times_root = _times_root(root.bits, field.modulus, field.m)
     pw = [1]
     cur = times_root(1)
     while cur != 1:
@@ -89,6 +96,13 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             raise ArithmeticError("power walk failed to cycle")
     if len(pw) != N:
         raise ValueError(f"root order {len(pw)} != sequence period {N}")
+    return pw
+
+
+def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
+    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
+    N = s.period
+    pw = _power_walk(field, root, N)
     dlog = {bits: d for d, bits in enumerate(pw)}
     # root^(tk) depends on t only through t mod n, n = N / gcd(k, N): fold
     # s once per n into the residues mod n that hold an odd number of ones
@@ -113,6 +127,28 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
                     " of the root; no log-form spectrum over this root")
             points[k] = d
     return Spectrum(N, field, root, points)
+
+
+def inverse_matches(S: Spectrum, s: BitSequence) -> bool:
+    """True exactly when the inverse transform of S is s over one period.
+
+    N is odd, so the transform is a bijection on one period with inverse
+    s_t = sum over k of S_k root^(-tk) (1/N is 1 in characteristic 2),
+    and this holds exactly when
+    S == brute_dft(s, S.field, S.root). Each s_t costs one table lookup
+    per point of S; all m bits of the sum are compared with the bit s_t,
+    so a sum outside GF(2) also fails. Stops at the first t that differs.
+    """
+    N = s.period
+    pw = _power_walk(S.field, S.root, N)
+    points = list(S.points.items())
+    for t, bit in enumerate(s.bits):
+        acc = 0
+        for k, d in points:
+            acc ^= pw[(d - t * k) % N]
+        if acc != bit:
+            return False
+    return True
 
 
 def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
@@ -170,9 +206,11 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     """Both paths end to end on given (connection, seed) pairs.
 
     Generates the streams, takes each factor's spectrum, computes the
-    product spectrum by CRT and by brute_dft of the actual bitwise
-    product, and audits Blahut and conjugacy. A single LFSR degenerates
-    to comparing a sequence's spectrum with itself.
+    product spectrum by CRT and checks it against the actual bitwise
+    product u: by inverse_matches, and only when that fails by brute_dft
+    of u, whose diff names the mismatched indices. Then it audits Blahut
+    and conjugacy on the reference spectrum. A single LFSR degenerates to
+    comparing a sequence's spectrum with itself.
 
     tamper_index flips the CRT value at that index (zero <-> g^0) before
     the comparison, so the report must come back failing; it proves the
@@ -202,11 +240,14 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
 
     u = streams[0]
     for s in streams[1:]:
-        u = BitSequence(tuple(u.bit(t) & s.bit(t) for t in range(u.period * s.period)))
+        u = BitSequence(tuple(map(and_, u.bits * s.period, s.bits * u.period)))
     # the periods are pairwise coprime, so u now has period N
-    S_ref = brute_dft(u, S_crt.field, S_crt.root)
-
-    mismatches = compare_spectra(S_ref, S_crt)
+    if inverse_matches(S_crt, u):
+        S_ref, mismatches = S_crt, []
+    else:
+        # only the forward transform names the indices that differ
+        S_ref = brute_dft(u, S_crt.field, S_crt.root)
+        mismatches = compare_spectra(S_ref, S_crt)
     r = berlekamp_massey(list(u.bits) * 2)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None

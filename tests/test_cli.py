@@ -283,6 +283,20 @@ def test_verify_plain_text_honours_out(tmp_path, capsys):
         "FAIL N=21 tampered_at=5 mismatches=1")
 
 
+def test_verify_golden_31x63(capsys):
+    # six seeded runs and one tampered run of the 31*63 product (N = 1953)
+    lfsrs = ("--lfsr", "0x25:0x1", "--lfsr", "0x43:0x1")
+    code, seeded, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                          "--random-seeds", "6", "--seed", "7", "--json")
+    assert code == 0
+    code, tampered, _ = run(capsys, "verify", "theorem1", *lfsrs,
+                            "--tamper-index", "193", "--json")
+    assert code == 1
+    golden = open(os.path.join(HERE, "golden",
+                               "verify_theorem1_31x63.jsonl")).read()
+    assert seeded + tampered == golden
+
+
 def test_verify_internal_error_exits_3(monkeypatch, capsys):
     import crtspectra.oracle
 

@@ -5,8 +5,9 @@ import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
 from crtspectra.field import build_field, default_modulus
+import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
-                               verify_theorem1)
+                               inverse_matches, verify_theorem1)
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product)
 from crtspectra.spectral import Spectrum, default_field_for_period, dft, idft
@@ -39,8 +40,12 @@ def test_brute_dft_constant_one():
 
 def test_brute_dft_rejects_order_mismatch():
     fld, root = default_field_for_period(21)
-    with pytest.raises(ValueError):
-        brute_dft(B, fld, root)    # root order 21, period 7
+    S = dft(pointwise_product(A, B), fld, root)
+    for check in (lambda: brute_dft(B, fld, root),
+                  lambda: inverse_matches(S, B)):
+        with pytest.raises(ValueError) as e:
+            check()     # root order 21, period 7
+        assert str(e.value) == "root order 21 != sequence period 7"
 
 
 def test_compare_spectra_reports_tampering():
@@ -182,3 +187,109 @@ def test_brute_dft_matches_textbook_double_loop_on_wide_fields():
         u = _mseq_product(*degrees)
         fld, root = default_field_for_period(u.period)
         assert brute_dft(u, fld, root) == _textbook_dft(u, fld, root)
+
+
+def _seeded_product(degrees, rng):
+    """A product of m-sequences of the given degrees from random nonzero
+    seeds, with its CRT product spectrum."""
+    streams = [lfsr_stream(Lfsr(default_modulus(n), rng.randrange(1, 1 << n)),
+                           (1 << n) - 1) for n in degrees]
+    factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
+    S = product_spectrum(factors, CrtBasis([s.period for s in streams]))
+    u = streams[0]
+    for s in streams[1:]:
+        u = pointwise_product(u, s)
+    return u, S
+
+
+def _one_change_each(S, rng):
+    """S after each kind of single change: a zero <-> g^0 toggle, an
+    exponent + 1, a deleted point and an added point."""
+    N, pts = S.N, S.points
+    support = sorted(pts)
+    zeros = [k for k in range(N) if k not in pts]
+    toggle = rng.randrange(N)
+    bumped, deleted = rng.choice(support), rng.choice(support)
+    added = rng.choice(zeros)
+    changes = [
+        {k: pts.get(k, 0) for k in pts.keys() ^ {toggle}},
+        {**pts, bumped: (pts[bumped] + 1) % N},
+        {k: d for k, d in pts.items() if k != deleted},
+        {**pts, added: rng.randrange(N)},
+    ]
+    return [Spectrum(N, S.field, S.root, c) for c in changes]
+
+
+@pytest.mark.parametrize("degrees", [(2, 3), (3, 5), (2, 3, 5), (4, 7)])
+def test_inverse_matches_agrees_with_brute_dft_on_products(degrees):
+    # periods 3*7, 7*31, 3*7*31 and 15*127
+    rng = random.Random(sum(degrees))
+    for _ in range(2):
+        u, S = _seeded_product(degrees, rng)
+        ref = brute_dft(u, S.field, S.root)
+        assert inverse_matches(S, u)
+        assert compare_spectra(ref, S) == []
+        for T in _one_change_each(S, rng):
+            assert compare_spectra(ref, T) != []
+            assert not inverse_matches(T, u)
+
+
+@pytest.mark.parametrize("N", [7, 21, 63, 315])
+def test_inverse_matches_agrees_with_brute_dft_on_random_spectra(
+        N, random_log_spectrum):
+    fld, root = default_field_for_period(N)
+    rng = random.Random(7000 + N)
+    spectra = [random_log_spectrum(fld, root, rng) for _ in range(4)]
+    seqs = [idft(S) for S in spectra]
+    for S in spectra:
+        for s in seqs:
+            same = compare_spectra(brute_dft(s, fld, root), S) == []
+            assert inverse_matches(S, s) == same
+    assert all(inverse_matches(S, s) for S, s in zip(spectra, seqs))
+
+
+def test_inverse_matches_refuses_a_non_binary_inverse():
+    # S_1 = 1 alone inverts to s_t = root^(-t), which is not a bit; the
+    # sequence of its low bits agrees with it in bit 0 at every t
+    fld, root = default_field_for_period(31)
+    S = Spectrum(31, fld, root, {1: 0})
+    low = BitSequence(tuple((root ** (-t % 31)).bits & 1 for t in range(31)))
+    assert not inverse_matches(S, low)
+    assert compare_spectra(brute_dft(low, fld, root), S) != []
+
+
+def _counting_brute_dft(monkeypatch):
+    calls = []
+    real = oracle.brute_dft
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(oracle, "brute_dft", counted)
+    return calls
+
+
+def test_verify_theorem1_runs_brute_dft_only_on_failure(monkeypatch):
+    calls = _counting_brute_dft(monkeypatch)
+    assert verify_theorem1([rv.LFSR_B, rv.LFSR_C]).ok
+    assert len(calls) == 0
+    rep = verify_theorem1([rv.LFSR_B, rv.LFSR_C], tamper_index=5)
+    assert len(calls) == 1
+    assert not rep.ok and [m.index for m in rep.mismatches] == [5]
+
+
+def test_verify_theorem1_forced_brute_path_gives_the_same_report(
+        monkeypatch):
+    rng = random.Random(16)
+    runs = []
+    # some tuples list the longer period first
+    for degrees in [(2, 3), (4, 3), (5, 2), (3, 5), (5, 2, 3), (2, 7)] * 4:
+        runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
+                     for n in degrees])
+    normal = [verify_theorem1(run) for run in runs]
+    calls = _counting_brute_dft(monkeypatch)
+    monkeypatch.setattr(oracle, "inverse_matches", lambda S, s: False)
+    forced = [verify_theorem1(run) for run in runs]
+    assert len(calls) == len(runs) >= 20
+    assert all(rep.ok for rep in normal)
+    assert forced == normal
