@@ -14,25 +14,31 @@ sum for S_k folds s by residue mod N / gcd(k, N), the period of
 t -> root^(tk); and x -> root*x is GF(2)-linear, so each step of the walk
 is one table lookup per byte of x.
 
-inverse_matches runs the transform the other way, on the same power walk:
-for odd N the transform is a bijection on one period (Blahut, IBM J. Res.
-Dev. 23(3), 1979), so a spectrum whose inverse equals s at every t of one
-period is brute_dft(s), at N table lookups per point of its support.
-verify_theorem1 decides by it and calls brute_dft only when it fails, to
-name the mismatched indices.
+inverse_matches runs the transform the other way, on the same power walk,
+and needs only a window of t. The inverse of a spectrum with support A is
+a sequence of linear complexity |A| (Blahut, IBM J. Res. Dev. 23(3),
+1979), and a stream of linear complexity at most B differs from it by a
+sequence of linear complexity at most |A| + B. A periodic sequence that
+satisfies a recurrence of order L and is zero at t = 0 .. L-1 is zero
+everywhere. So a spectrum whose inverse equals s for t < |A| + B equals
+it at every t, and for odd N (the transform is a bijection on one period)
+it is brute_dft(s). verify_theorem1 takes B = prod of the connection
+degrees, a bound on the product's linear complexity (Key, IEEE T-IT
+22(6), 1976), decides by that window, and calls brute_dft only when it
+fails, to name the mismatched indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import and_
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .sequences import (BitSequence, Lfsr, sequence_period,
-                        warn_if_zero_seed)
+from .sequences import (BitSequence, Lfsr, connection_degree,
+                        sequence_period, warn_if_zero_seed)
 from .spectral import Spectrum, dft
 
 
@@ -129,20 +135,27 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     return Spectrum(N, field, root, points)
 
 
-def inverse_matches(S: Spectrum, s: BitSequence) -> bool:
-    """True exactly when the inverse transform of S is s over one period.
+def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
+    """True exactly when the inverse transform of S is s over one period,
+    given that s has linear complexity at most lc_bound.
 
-    N is odd, so the transform is a bijection on one period with inverse
-    s_t = sum over k of S_k root^(-tk) (1/N is 1 in characteristic 2),
-    and this holds exactly when
-    S == brute_dft(s, S.field, S.root). Each s_t costs one table lookup
-    per point of S; all m bits of the sum are compared with the bit s_t,
-    so a sum outside GF(2) also fails. Stops at the first t that differs.
+    The inverse is s_t = sum over k of S_k root^(-tk) (1/N is 1 in
+    characteristic 2). It has linear complexity |S.points|, so its
+    difference from s has linear complexity at most
+    W = |S.points| + lc_bound, and a periodic sequence with a recurrence
+    of order W that vanishes on t < W vanishes everywhere: comparing
+    t < min(N, W) decides the whole period. N is odd, so the transform is
+    a bijection on one period and this holds exactly when
+    S == brute_dft(s, S.field, S.root); lc_bound = N checks every t.
+    Each s_t costs one table lookup per point of S; all m bits of the sum
+    are compared with the bit s_t, so a sum outside GF(2) also fails.
+    Stops at the first t that differs.
     """
     N = s.period
     pw = _power_walk(S.field, S.root, N)
     points = list(S.points.items())
-    for t, bit in enumerate(s.bits):
+    window = min(N, len(points) + lc_bound)
+    for t, bit in enumerate(s.bits[:window]):
         acc = 0
         for k, d in points:
             acc ^= pw[(d - t * k) % N]
@@ -207,7 +220,8 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
 
     Generates the streams, takes each factor's spectrum, computes the
     product spectrum by CRT and checks it against the actual bitwise
-    product u: by inverse_matches, and only when that fails by brute_dft
+    product u: by inverse_matches on the window that B, the product of
+    the connection degrees, bounds, and only when that fails by brute_dft
     of u, whose diff names the mismatched indices. Then it audits Blahut
     and conjugacy on the reference spectrum. A single LFSR degenerates to
     comparing a sequence's spectrum with itself.
@@ -241,14 +255,17 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     u = streams[0]
     for s in streams[1:]:
         u = BitSequence(tuple(map(and_, u.bits * s.period, s.bits * u.period)))
-    # the periods are pairwise coprime, so u now has period N
-    if inverse_matches(S_crt, u):
+    # the periods are pairwise coprime, so u now has period N; its linear
+    # complexity is at most B, the product of the register lengths
+    B = prod(connection_degree(conn) for conn, _ in lfsrs)
+    if inverse_matches(S_crt, u, B):
         S_ref, mismatches = S_crt, []
     else:
         # only the forward transform names the indices that differ
         S_ref = brute_dft(u, S_crt.field, S_crt.root)
         mismatches = compare_spectra(S_ref, S_crt)
-    r = berlekamp_massey(list(u.bits) * 2)
+    # L <= min(B, N), and BM pins L exactly from 2L bits
+    r = berlekamp_massey((list(u.bits) * 2)[:2 * min(B, N)])
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None
                     and S_crt.conjugacy_violation() is None)

@@ -1,10 +1,10 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import build_field, default_modulus
+from crtspectra.field import build_field, default_modulus, discrete_log
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
                                inverse_matches, verify_theorem1)
@@ -42,7 +42,7 @@ def test_brute_dft_rejects_order_mismatch():
     fld, root = default_field_for_period(21)
     S = dft(pointwise_product(A, B), fld, root)
     for check in (lambda: brute_dft(B, fld, root),
-                  lambda: inverse_matches(S, B)):
+                  lambda: inverse_matches(S, B, 7)):
         with pytest.raises(ValueError) as e:
             check()     # root order 21, period 7
         assert str(e.value) == "root order 21 != sequence period 7"
@@ -220,18 +220,23 @@ def _one_change_each(S, rng):
     return [Spectrum(N, S.field, S.root, c) for c in changes]
 
 
-@pytest.mark.parametrize("degrees", [(2, 3), (3, 5), (2, 3, 5), (4, 7)])
+@pytest.mark.parametrize("degrees",
+                         [(2, 3), (3, 5), (2, 3, 5), (4, 7), (5, 6)])
 def test_inverse_matches_agrees_with_brute_dft_on_products(degrees):
-    # periods 3*7, 7*31, 3*7*31 and 15*127
+    # periods 3*7, 7*31, 3*7*31, 15*127 and 31*63; the window of
+    # |A| + B bits, B the product of the register lengths, gives the
+    # verdict of the full period and of brute_dft on every claim
     rng = random.Random(sum(degrees))
+    B = prod(degrees)
     for _ in range(2):
         u, S = _seeded_product(degrees, rng)
         ref = brute_dft(u, S.field, S.root)
-        assert inverse_matches(S, u)
+        assert inverse_matches(S, u, B) and inverse_matches(S, u, u.period)
         assert compare_spectra(ref, S) == []
         for T in _one_change_each(S, rng):
             assert compare_spectra(ref, T) != []
-            assert not inverse_matches(T, u)
+            assert not inverse_matches(T, u, B)
+            assert not inverse_matches(T, u, u.period)
 
 
 @pytest.mark.parametrize("N", [7, 21, 63, 315])
@@ -241,36 +246,41 @@ def test_inverse_matches_agrees_with_brute_dft_on_random_spectra(
     rng = random.Random(7000 + N)
     spectra = [random_log_spectrum(fld, root, rng) for _ in range(4)]
     seqs = [idft(S) for S in spectra]
+    # idft(S) has linear complexity |S.points|, its exact bound
     for S in spectra:
-        for s in seqs:
+        for s, Ss in zip(seqs, spectra):
             same = compare_spectra(brute_dft(s, fld, root), S) == []
-            assert inverse_matches(S, s) == same
-    assert all(inverse_matches(S, s) for S, s in zip(spectra, seqs))
+            assert inverse_matches(S, s, len(Ss.points)) == same
+            assert inverse_matches(S, s, N) == same
+    assert all(inverse_matches(S, s, len(S.points))
+               for S, s in zip(spectra, seqs))
 
 
 def test_inverse_matches_refuses_a_non_binary_inverse():
     # S_1 = 1 alone inverts to s_t = root^(-t), which is not a bit; the
-    # sequence of its low bits agrees with it in bit 0 at every t
+    # sequence of its low bits agrees with it in bit 0 at every t. That
+    # bit is GF(2)-linear in root^(-t), so its linear complexity is <= m
     fld, root = default_field_for_period(31)
     S = Spectrum(31, fld, root, {1: 0})
     low = BitSequence(tuple((root ** (-t % 31)).bits & 1 for t in range(31)))
-    assert not inverse_matches(S, low)
+    assert not inverse_matches(S, low, fld.m)
+    assert not inverse_matches(S, low, 31)
     assert compare_spectra(brute_dft(low, fld, root), S) != []
 
 
-def _counting_brute_dft(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    real = oracle.brute_dft
+    real = getattr(oracle, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(oracle, "brute_dft", counted)
+    monkeypatch.setattr(oracle, name, counted)
     return calls
 
 
 def test_verify_theorem1_runs_brute_dft_only_on_failure(monkeypatch):
-    calls = _counting_brute_dft(monkeypatch)
+    calls = _counting(monkeypatch, "brute_dft")
     assert verify_theorem1([rv.LFSR_B, rv.LFSR_C]).ok
     assert len(calls) == 0
     rep = verify_theorem1([rv.LFSR_B, rv.LFSR_C], tamper_index=5)
@@ -287,9 +297,99 @@ def test_verify_theorem1_forced_brute_path_gives_the_same_report(
         runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
                      for n in degrees])
     normal = [verify_theorem1(run) for run in runs]
-    calls = _counting_brute_dft(monkeypatch)
-    monkeypatch.setattr(oracle, "inverse_matches", lambda S, s: False)
+    calls = _counting(monkeypatch, "brute_dft")
+    monkeypatch.setattr(oracle, "inverse_matches", lambda S, s, lc: False)
     forced = [verify_theorem1(run) for run in runs]
     assert len(calls) == len(runs) >= 20
     assert all(rep.ok for rep in normal)
     assert forced == normal
+
+
+def test_inverse_matches_window_reaches_past_the_longest_zero_run():
+    # v, an m-sequence of register length 5 rotated so that its run of 4
+    # zeros starts at t = 0, against the empty claim S + spectrum(v) with
+    # S = spectrum(v): the difference is v, so only a window of 0 + 5 bits
+    # sees it
+    v = lfsr_stream(Lfsr(default_modulus(5), 1), 31).bits
+    t0 = "".join(map(str, v * 2)).index("0000")
+    v = BitSequence(v[t0:] + v[:t0])
+    assert v.bits[:5] == (0, 0, 0, 0, 1)
+    fld, root = default_field_for_period(31)
+    assert len(brute_dft(v, fld, root).points) == 5     # its complexity
+    none = Spectrum(31, fld, root, {})
+    assert not inverse_matches(none, v, 5)
+    assert inverse_matches(none, v, 4)      # the window ends in the run
+    # the same v as a factor-period term of the 7*31 product: S' = S +
+    # spectrum(v) is the spectrum of u xor v, which differs from u first
+    # at t = 4
+    u, S = _seeded_product((3, 5), random.Random(17))
+    uv = BitSequence(tuple(map(int.__xor__, u.bits, v.bits * 7)))
+    S2 = brute_dft(uv, S.field, S.root)
+    assert not inverse_matches(S2, u, 15)
+    assert compare_spectra(brute_dft(u, S.field, S.root), S2) != []
+
+
+def test_inverse_matches_window_is_needed_to_its_last_bit():
+    # a claim whose inverse equals the all-ones stream (register length
+    # B = 1) at t < |A'| and differs at t = |A'| = |A'| + B - 1. For
+    # distinct nodes x_k, c_k = 1 / prod_{j != k} (x_k + x_j) gives
+    # sum_k c_k x_k^t = 0 for t < L - 1 and != 0 at t = L - 1; with
+    # x_k = root^(-k) over a support D of size L holding 0, scaled to
+    # c_0 = 1, the claim S' = c on D \ {0} inverts to 1 + sum_k c_k x_k^t
+    ones = lfsr_stream(Lfsr(0x3, 1), 31)
+    fld, root = default_field_for_period(31)
+    D = [0, 1, 3, 5, 11, 15, 21]
+    x = {k: root ** (-k % 31) for k in D}
+    c = {}
+    for k in D:
+        den = fld.one
+        for j in D:
+            if j != k:
+                den = den * (x[k] + x[j])
+        c[k] = den.inverse()
+    c0 = c[0].inverse()
+    claim = Spectrum(31, fld, root, {
+        k: discrete_log(c[k] * c0, root, 31) for k in D if k})
+    W = len(claim.points) + 1
+    assert W == len(D)
+    assert not inverse_matches(claim, ones, 1)
+    assert inverse_matches(claim, ones, 0)          # W - 1 bits agree
+    assert compare_spectra(brute_dft(ones, fld, root), claim) != []
+
+
+def test_verify_theorem1_gives_bm_only_the_bits_its_bound_needs(monkeypatch):
+    # 31*63: B = 5 * 6 = 30, so BM reads 60 bits, not 2N = 3906
+    run = [(0x25, 0x1), (0x43, 0x1)]
+    bm_calls = _counting(monkeypatch, "berlekamp_massey")
+    brute_calls = _counting(monkeypatch, "brute_dft")
+    rep = verify_theorem1(run)
+    assert rep.ok and rep.N == 1953 and rep.linear_complexity == 30
+    assert [len(bits) for bits, in bm_calls] == [60]
+    assert brute_calls == []
+    rep = verify_theorem1(run, tamper_index=193)
+    assert not rep.ok and [m.index for m in rep.mismatches] == [193]
+    assert len(brute_calls) == 1
+    assert len(bm_calls[1][0]) == 60
+
+
+@pytest.mark.filterwarnings("ignore:zero seed")
+@pytest.mark.parametrize("run, summary", [
+    ([(0x7, 0x1)], "PASS N=3 moduli=[3] points=2/2 L=2"),
+    ([(0x25, 0x9)], "PASS N=31 moduli=[31] points=5/5 L=5"),
+    ([(0x13, 0x3)], "PASS N=15 moduli=[15] points=4/4 L=4"),
+    ([(0xb, 0x0), (0x7, 0x1)], "PASS N=3 moduli=[1, 3] points=0/0 L=0"),
+    ([(0x25, 0x0)], "PASS N=1 moduli=[1] points=0/0 L=0"),
+    ([(0x3, 0x1), (0xb, 0x5)], "PASS N=7 moduli=[1, 7] points=3/3 L=3"),
+])
+def test_verify_theorem1_window_matches_the_full_period_report(
+        monkeypatch, run, summary):
+    # single registers, zero seeds and a period-1 register: the window
+    # decides as the whole period does, and BM still finds the exact L
+    window = verify_theorem1(run)
+    real = oracle.inverse_matches
+    monkeypatch.setattr(oracle, "inverse_matches",
+                        lambda S, s, lc: real(S, s, s.period))
+    full = verify_theorem1(run)
+    assert window == full
+    assert window.summary() == (summary + " blahut=ok conjugacy=ok"
+                                " mismatches=0")
