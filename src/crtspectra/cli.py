@@ -19,8 +19,7 @@ from .bm import berlekamp_massey
 from .costs import estimate_crt_breakdown, estimate_direct
 from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
                       product_spectrum_point, support_indices)
-from .field import (PRIMITIVE_POLYS, build_field, default_modulus,
-                    element_of_order)
+from .field import PRIMITIVE_POLYS, build_field, element_of_order
 from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
                       parse_spectrum, serialize_field, serialize_sequence,
                       serialize_spectrum)
@@ -67,8 +66,8 @@ def _cmd_field(args) -> int:
     if args.field_cmd == "inspect":
         if args.m is None and args.mod is None:
             lines.append("# default primitive modulus table")
-            for m in sorted(PRIMITIVE_POLYS):
-                lines.append(f"{m} 0x{default_modulus(m):x}")
+            for m, f in sorted(PRIMITIVE_POLYS.items()):
+                lines.append(f"{m} 0x{f:x}")
         else:
             m = args.m
             modulus = parse_poly(args.mod) if args.mod else None

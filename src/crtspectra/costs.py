@@ -27,14 +27,14 @@ def bit_len(N: int) -> int:
 
 @dataclass
 class OpCounter:
-    """Mutable tally that a CountingField(field, counter) view writes into;
-    one per measured run."""
-    xor_count: int = 0
+    """Mutable tally of field multiplications and their reductions, written
+    by a CountingField(field, counter) view; one per measured run. Additions
+    are XORs and go uncounted."""
     mul_count: int = 0
     reduction_count: int = 0
 
     def total(self) -> int:
-        return self.xor_count + self.mul_count + self.reduction_count
+        return self.mul_count + self.reduction_count
 
 
 def estimate_direct(N: int, n: int) -> float:

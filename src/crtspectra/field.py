@@ -11,7 +11,6 @@ on raw ints through the *_int methods.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,41 +30,8 @@ PRIMITIVE_POLYS = {
     32: 0x1000000AF,
 }
 
-POLY_TABLE_ENV = "CRTSPECTRA_POLY_TABLE"
-
-
-def _load_table_override() -> dict[int, int]:
-    path = os.environ.get(POLY_TABLE_ENV)
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise ValueError(
-            f"{path}: cannot read {POLY_TABLE_ENV}: {e.strerror}") from None
-    except UnicodeDecodeError:
-        raise ValueError(
-            f"{path}: {POLY_TABLE_ENV} file is not ASCII text") from None
-    table = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            degree, poly = line.split()
-            table[int(degree)] = int(poly, 16)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected '<degree> 0x<hex>',"
-                             f" got {line!r}") from None
-    return table
-
-
 def default_modulus(m: int) -> int:
-    """Built-in primitive modulus for degree m, honoring the env override."""
-    override = _load_table_override()
-    if m in override:
-        return override[m]
+    """Built-in primitive modulus for degree m, from PRIMITIVE_POLYS."""
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"no default modulus for degree {m}")
     return PRIMITIVE_POLYS[m]
@@ -125,9 +91,6 @@ class FieldSpec:
         raise ArithmeticError("no generator found (impossible)")
 
     # raw-int arithmetic -----------------------------------------------------
-
-    def add_int(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
         return pmod(pmul(a, b), self.modulus)
@@ -238,11 +201,11 @@ def _find_factor(f: int) -> int:
 
 
 class CountingField(FieldSpec):
-    """View of a FieldSpec whose add_int/mul_int/times tally into a counter.
+    """View of a FieldSpec whose mul_int/times tally into a counter.
 
     Each multiplication, by mul_int or by a map from times, tallies one
     mul_count and one reduction_count; building a times table tallies
-    nothing, as orders do not. The counter needs xor_count / mul_count /
+    nothing, as orders do not. The counter needs mul_count /
     reduction_count attributes. Counters are per-view, never global;
     concurrent runs each own one.
     """
@@ -253,10 +216,6 @@ class CountingField(FieldSpec):
         for name in FieldSpec.__slots__:
             setattr(self, name, getattr(base, name))
         self.counter = counter
-
-    def add_int(self, a: int, b: int) -> int:
-        self.counter.xor_count += 1
-        return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
         self.counter.mul_count += 1
@@ -291,7 +250,7 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.field, self.field.add_int(self.bits, other.bits))
+        return FieldElement(self.field, self.bits ^ other.bits)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -316,9 +275,10 @@ class FieldElement:
 # module-level ops in the contract's vocabulary
 
 def build_field(m: int, modulus: int | None = None) -> FieldSpec:
-    """GF(2^m); default modulus comes from the primitive table. Fields are
-    built once per process and shared (a FieldSpec is immutable), keyed on
-    the resolved modulus, so a changed table override still takes effect."""
+    """GF(2^m); the default modulus comes from the primitive table, and an
+    explicit one may be any irreducible of degree m. Fields are built once
+    per process and shared (a FieldSpec is immutable), keyed on
+    (m, modulus)."""
     if modulus is None:
         modulus = default_modulus(m)
     return _field(m, modulus)

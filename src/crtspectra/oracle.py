@@ -37,8 +37,7 @@ from operator import and_
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .sequences import (BitSequence, Lfsr, connection_degree,
-                        sequence_period, warn_if_zero_seed)
+from .sequences import BitSequence, Lfsr, connection_degree, warn_if_zero_seed
 from .spectral import Spectrum, dft
 
 
@@ -201,7 +200,9 @@ class VerifyReport:
 
 
 def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
-    """Exact single period of an LFSR stream: run until the state recurs."""
+    """Exact single period of an LFSR stream: run until the state recurs.
+    State bit i holds s_(t+i), so the state recurs exactly when the output
+    does and the walk is already the least period."""
     l = Lfsr(connection, seed)
     warn_if_zero_seed(l)
     start = l.state
@@ -210,8 +211,7 @@ def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
         out.append(l.step())
         if len(out) > bound:
             raise ValueError(f"stream period exceeds bound {bound}")
-    p = sequence_period(out)
-    return BitSequence(tuple(out[:p]))
+    return BitSequence(tuple(out))
 
 
 def verify_theorem1(lfsrs, bound: int = 100_000,

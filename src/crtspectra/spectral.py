@@ -83,7 +83,11 @@ class Spectrum:
 
 def default_field_for_period(N: int):
     """Smallest home for a period-N spectrum: GF(2^n), n = ord of 2 mod N,
-    and its canonical order-N root."""
+    and its canonical order-N root. Every GF(2^m)^* has odd order 2^m - 1,
+    so an even period has no home."""
+    if N % 2 == 0:
+        raise ValueError(f"period {N} is even: GF(2^m) has no element of"
+                         " even order")
     n = multiplicative_order_of_2(N)
     field = build_field(n)
     return field, element_of_order(field, N)

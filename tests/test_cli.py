@@ -137,6 +137,25 @@ def test_crt_conv_golden_3x2047(tmp_path, capsys):
     assert code == 0 and out == open(GOLDEN_3X2047).read()
 
 
+def test_default_fields_ignore_crtspectra_poly_table(tmp_path, capsys,
+                                                    monkeypatch,
+                                                    clear_field_caches):
+    # the frozen table is the only source of default moduli; a
+    # CRTSPECTRA_POLY_TABLE naming another degree-22 modulus, or a missing
+    # file, changes neither the field nor the golden product spectrum
+    from crtspectra.field import build_field
+    table = tmp_path / "table.txt"
+    table.write_text("22 0x400039\n")
+    golden = open(GOLDEN_3X2047).read()
+    for path in (table, tmp_path / "missing.txt"):
+        monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(path))
+        clear_field_caches()
+        assert build_field(22).modulus == 0x400003
+        specs = _factors_3x2047(tmp_path, capsys)
+        code, out, _ = run(capsys, "crt-conv", "--factors", *specs)
+        assert code == 0 and out == golden
+
+
 def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
                                           clear_field_caches):
     # the first call starts from empty memos, as a one-shot command does;
@@ -410,6 +429,23 @@ def test_dft_field_without_an_element_of_the_period_exits_2(tmp_path,
     assert err == "error: GF(2^4) has no element of order 7\n"
 
 
+def test_even_period_exits_2_naming_the_period(tmp_path, capsys):
+    seq = tmp_path / "p6.txt"
+    seq.write_text("period=6\n001011\n")
+    code, out, err = run(capsys, "dft", "--in", str(seq))
+    assert (code, out) == (2, "")
+    assert err == ("error: period 6 is even: GF(2^m) has no element of"
+                   " even order\n")
+
+
+def test_verify_even_period_register_exits_2(capsys):
+    # x^2+1 cycles with period 2
+    code, out, err = run(capsys, "verify", "theorem1", "--lfsr", "0x5:0x1")
+    assert (code, out) == (2, "")
+    assert err == ("error: period 2 is even: GF(2^m) has no element of"
+                   " even order\n")
+
+
 def test_untrusted_spectrum_exits_2(tmp_path, capsys):
     for name, text in (
             ("huge.spec",    # N would size a 10^15-entry table
@@ -422,23 +458,6 @@ def test_untrusted_spectrum_exits_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert f"{p}:" in err and "Traceback" not in err
-
-
-def test_bad_poly_table_exits_2(tmp_path, capsys, monkeypatch):
-    seq = tmp_path / "b.txt"
-    seq.write_text("period=7\n0010111\n")
-    missing = tmp_path / "missing.txt"
-    monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(missing))
-    code, _, err = run(capsys, "dft", "--in", str(seq))
-    assert code == 2
-    assert str(missing) in err
-
-    bad = tmp_path / "table.txt"
-    bad.write_text("# alt table\n3 0xb\n4 zz\n")
-    monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(bad))
-    code, _, err = run(capsys, "dft", "--in", str(seq))
-    assert code == 2
-    assert f"{bad}:3:" in err
 
 
 def test_usage_error_exits_2(capsys):

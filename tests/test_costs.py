@@ -62,10 +62,10 @@ def test_measure_isolates_counters():
         counter.mul_count += 10
 
     def run_b(counter: OpCounter):
-        counter.xor_count += 1
+        counter.reduction_count += 1
 
     ca = measure(run_a)
     cb = measure(run_b)
-    assert (ca.mul_count, ca.xor_count) == (10, 0)
-    assert (cb.mul_count, cb.xor_count) == (0, 1)
+    assert (ca.mul_count, ca.reduction_count) == (10, 0)
+    assert (cb.mul_count, cb.reduction_count) == (0, 1)
     assert ca.total() == 10 and cb.total() == 1

@@ -9,7 +9,7 @@ import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
                                inverse_matches, verify_theorem1)
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
-                                  pointwise_product)
+                                  pointwise_product, sequence_period)
 from crtspectra.spectral import Spectrum, default_field_for_period, dft, idft
 
 import reference_values as rv
@@ -95,6 +95,18 @@ def test_verify_theorem1_rejects_shared_period_factor():
 def test_verify_theorem1_respects_bound():
     with pytest.raises(ValueError):
         verify_theorem1([rv.LFSR_A, rv.LFSR_B], bound=10)
+
+
+@pytest.mark.filterwarnings("ignore:zero seed")
+def test_one_period_is_the_least_period():
+    # every register Lfsr accepts up to degree 6, reducible connections such
+    # as x^3+1 and x^4+1 included, from every seed
+    for deg in range(1, 7):
+        for middle in range(1 << (deg - 1)):
+            conn = (1 << deg) | (middle << 1) | 1
+            for seed in range(1 << deg):
+                out = oracle._one_period(conn, seed, 1000)
+                assert out.period == sequence_period(out)
 
 
 def _textbook_gfmul(a, b, modulus, m):
