@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification found mismatches, 2 usage errors,
 malformed input files (reported with line/column) or an output path that
-cannot be written. All file outputs are written atomically.
+cannot be written. Each command returns its exit code and its text; `main`
+alone writes that text, to stdout or atomically to --out.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import random
 import sys
 import warnings
+from math import floor, log10
 
 from . import cases
 from .bm import berlekamp_massey
@@ -21,8 +23,8 @@ from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
                       product_spectrum_point, support_indices)
 from .field import PRIMITIVE_POLYS, build_field, element_of_order
 from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
-                      parse_spectrum, serialize_field, serialize_sequence,
-                      serialize_spectrum)
+                      parse_spectrum, read_text, serialize_field,
+                      serialize_sequence, serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
 from .oracle import verify_theorem1
 from .sequences import (AnfCombiner, combiner_stream, connection_degree, Lfsr,
@@ -50,7 +52,6 @@ def _sig3(x: float) -> str:
     """Three significant figures, plain decimal notation."""
     if x == 0:
         return "0"
-    from math import floor, log10
     k = 2 - floor(log10(abs(x)))
     r = round(x, k)
     if k <= 0 or r == int(r):
@@ -61,71 +62,60 @@ def _sig3(x: float) -> str:
 # --------------------------------------------------------------------------
 # subcommand bodies
 
-def _cmd_field(args) -> int:
-    lines = []
-    if args.field_cmd == "inspect":
-        if args.m is None and args.mod is None:
-            lines.append("# default primitive modulus table")
-            for m, f in sorted(PRIMITIVE_POLYS.items()):
-                lines.append(f"{m} 0x{f:x}")
-        else:
-            m = args.m
-            modulus = parse_poly(args.mod) if args.mod else None
-            if m is None:
-                m = modulus.bit_length() - 1
-            fld = build_field(m, modulus)
-            lines.append(serialize_field(fld))
-            lines.append(f"order={fld.group_order}")
-            facs = (",".join(str(p) for p in fld.group_order_factors)
-                    if fld.group_order_factors else "1")
-            lines.append(f"order_factors={facs}")
-            lines.append(
-                f"generator=0x{fld.generator.bits:x}"
-                f" ({poly_str(fld.generator.bits)})")
-    _emit("\n".join(lines), args.out)
-    return 0
+def _cmd_field_inspect(args) -> tuple[int, str]:
+    if args.m is None and args.mod is None:
+        lines = ["# default primitive modulus table"]
+        lines += (f"{m} 0x{f:x}" for m, f in sorted(PRIMITIVE_POLYS.items()))
+        return 0, "\n".join(lines)
+    m = args.m
+    modulus = parse_poly(args.mod) if args.mod else None
+    if m is None:
+        m = modulus.bit_length() - 1
+    fld = build_field(m, modulus)
+    facs = (",".join(str(p) for p in fld.group_order_factors)
+            if fld.group_order_factors else "1")
+    return 0, (f"{serialize_field(fld)}\n"
+               f"order={fld.group_order}\n"
+               f"order_factors={facs}\n"
+               f"generator=0x{fld.generator.bits:x}"
+               f" ({poly_str(fld.generator.bits)})")
 
 
-def _cmd_seq(args) -> int:
-    if args.seq_cmd == "gen":
-        conn = parse_poly(args.poly)
-        seed = int(args.seed, 0)
-        s = lfsr_stream(Lfsr(conn, seed), args.bits)
-    elif args.seq_cmd == "product":
-        seqs = [parse_sequence_file(p) for p in args.inputs]
-        if len(seqs) < 2:
-            raise ValueError("seq product needs at least two --in files")
-        s = seqs[0]
-        for t in seqs[1:]:
-            s = pointwise_product(s, t)
-    else:  # combine
-        seqs = [parse_sequence_file(p) for p in args.inputs]
-        f = AnfCombiner.parse(args.anf, n_vars=len(seqs))
-        s = combiner_stream(f, seqs)
-    _emit(serialize_sequence(s), args.out)
-    return 0
+def _cmd_seq_gen(args) -> tuple[int, str]:
+    lfsr = Lfsr(parse_poly(args.poly), int(args.seed, 0))
+    return 0, serialize_sequence(lfsr_stream(lfsr, args.bits))
+
+
+def _cmd_seq_product(args) -> tuple[int, str]:
+    seqs = [parse_sequence_file(p) for p in args.inputs]
+    if len(seqs) < 2:
+        raise ValueError("seq product needs at least two --in files")
+    return 0, serialize_sequence(functools.reduce(pointwise_product, seqs))
+
+
+def _cmd_seq_combine(args) -> tuple[int, str]:
+    seqs = [parse_sequence_file(p) for p in args.inputs]
+    f = AnfCombiner.parse(args.anf, n_vars=len(seqs))
+    return 0, serialize_sequence(combiner_stream(f, seqs))
 
 
 def parse_sequence_file(path: str):
-    from .formats import read_text
     return parse_sequence(read_text(path), path)
 
 
 def parse_spectrum_file(path: str):
-    from .formats import read_text
     return parse_spectrum(read_text(path), path)
 
 
-def _cmd_bm(args) -> int:
+def _cmd_bm(args) -> tuple[int, str]:
     s = parse_sequence_file(args.infile)
-    r = berlekamp_massey(s)
-    text = (f"L={r.linear_complexity}\n"
-            f"g=0x{r.minimal_poly:x} {poly_str(r.minimal_poly)}")
-    _emit(text, args.out)
-    return 0
+    # the file holds one period; BM needs 2L bits and L <= N
+    r = berlekamp_massey(s.bits * 2)
+    return 0, (f"L={r.linear_complexity}\n"
+               f"g=0x{r.minimal_poly:x} {poly_str(r.minimal_poly)}")
 
 
-def _cmd_dft(args) -> int:
+def _cmd_dft(args) -> tuple[int, str]:
     s = parse_sequence_file(args.infile)
     if args.field:
         field = parse_field(args.field, "<--field>")
@@ -134,42 +124,32 @@ def _cmd_dft(args) -> int:
         field, root = default_field_for_period(s.period)
     if args.point is not None:
         d = dft_point(s, root, args.point)
-        _emit(f"{args.point} {'Z' if d is None else d}", args.out)
-        return 0
+        return 0, f"{args.point} {'Z' if d is None else d}"
     S = dft(s, field, root)
     if args.reduce:
         reps = coset_reduce(S)
         lines = [f"N={S.N} leaders={len(reps)}"]
         lines += (f"{k} {d}" for k, d in reps.items())
-        _emit("\n".join(lines), args.out)
-        return 0
-    _emit(serialize_spectrum(S), args.out)
-    return 0
+        return 0, "\n".join(lines)
+    return 0, serialize_spectrum(S)
 
 
-def _cmd_crt_conv(args) -> int:
+def _cmd_crt_conv(args) -> tuple[int, str]:
     factors = [parse_spectrum_file(p) for p in args.factors]
     basis = CrtBasis([f.N for f in factors])
     if args.point is not None:
         d = product_spectrum_point(factors, basis, args.point)
-        _emit(f"{args.point} {'Z' if d is None else d}", args.out)
-        return 0
+        return 0, f"{args.point} {'Z' if d is None else d}"
     if args.support_only:
-        idx = support_indices(factors, basis)
-        _emit("\n".join(str(k) for k in idx), args.out)
-        return 0
-    S = product_spectrum(factors, basis)
-    _emit(serialize_spectrum(S), args.out)
-    return 0
+        return 0, "\n".join(map(str, support_indices(factors, basis)))
+    return 0, serialize_spectrum(product_spectrum(factors, basis))
 
 
-def _cmd_combine_spectrum(args) -> int:
+def _cmd_combine_spectrum(args) -> tuple[int, str]:
     factors = [parse_spectrum_file(p) for p in args.factors]
     basis = CrtBasis([f.N for f in factors])
     f = AnfCombiner.parse(args.anf, n_vars=len(factors))
-    S = combiner_spectrum(f, factors, basis)
-    _emit(serialize_spectrum(S), args.out)
-    return 0
+    return 0, serialize_spectrum(combiner_spectrum(f, factors, basis))
 
 
 def _parse_lfsr_spec(text: str):
@@ -181,12 +161,14 @@ def _parse_lfsr_spec(text: str):
             f"bad --lfsr {text!r}; expected <poly>:<seed> like 0xb:0x1") from None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     tamper = args.tamper_index
     if args.random_seeds < 0:
         raise ValueError("--random-seeds must be >= 0")
     if tamper is not None and args.random_seeds:
         raise ValueError("--tamper-index cannot be combined with --random-seeds")
+    if args.seed is not None and not args.random_seeds:
+        raise ValueError("--seed needs --random-seeds")
     specs = [_parse_lfsr_spec(t) for t in args.lfsr]
 
     # the seed heads the report, so --out and --json keep a replayable run
@@ -239,13 +221,10 @@ def _cmd_verify(args) -> int:
                 lines.append(json.dumps({"index": mm.index,
                                          "expected": mm.expected,
                                          "actual": mm.actual}))
-    _emit("\n".join(lines), args.out)
-    return 0 if overall_ok else 1
+    return (0 if overall_ok else 1), "\n".join(lines)
 
 
-def _cmd_bench(args) -> int:
-    if args.case != "bc108":
-        raise ValueError(f"unknown bench case {args.case!r}")
+def _cmd_bench(args) -> tuple[int, str]:
     ex = cases.pair_case(cases.LFSR_B, cases.LFSR_C)
     S = ex.spectrum
     k = 108
@@ -267,10 +246,8 @@ def _cmd_bench(args) -> int:
         ("measured field ops", str(m_direct.total()), str(m_crt.total())),
     ]
     if args.json:
-        lines = [json.dumps({"quantity": q, "direct": d, "crt": c_})
-                 for q, d, c_ in rows]
-        _emit("\n".join(lines), args.out)
-        return 0
+        return 0, "\n".join(json.dumps({"quantity": q, "direct": d, "crt": c_})
+                            for q, d, c_ in rows)
     lines = [f"# one spectral point of b.c at k={k} (N={S.N})", ""]
     lines.append("| quantity | direct | crt |")
     lines.append("|---|---|---|")
@@ -281,8 +258,7 @@ def _cmd_bench(args) -> int:
     lines.append("quantity,direct,crt")
     for q, d, c_ in rows:
         lines.append(f"{q.replace(' ', '_')},{d},{c_}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return 0, "\n".join(lines)
 
 
 def report_tables(example: int) -> str:
@@ -319,24 +295,19 @@ def report_tables(example: int) -> str:
     raise ValueError(f"no example {example}; choose 1 or 2")
 
 
-def _cmd_report(args) -> int:
-    if args.json:
-        if args.example == 1:
-            ex = cases.example1()
-            S = ex.spectrum
-            lines = [json.dumps({"table": "product21", "k": k,
-                                 "value": S.points.get(k)})
-                     for k in range(S.N)]
-        else:
-            lines = []
-            for name, S in cases.example2().items():
-                for k, d in S.points.items():
-                    lines.append(json.dumps(
-                        {"table": name, "k": k, "value": d}))
-        _emit("\n".join(lines), args.out)
-        return 0
-    _emit(report_tables(args.example), args.out)
-    return 0
+def _cmd_report(args) -> tuple[int, str]:
+    if not args.json:
+        return 0, report_tables(args.example)
+    if args.example == 1:
+        S = cases.example1().spectrum
+        lines = [json.dumps({"table": "product21", "k": k,
+                             "value": S.points.get(k)})
+                 for k in range(S.N)]
+    else:
+        lines = [json.dumps({"table": name, "k": k, "value": d})
+                 for name, S in cases.example2().items()
+                 for k, d in S.points.items()]
+    return 0, "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -354,6 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--m", type=int)
     pi.add_argument("--mod")
     pi.add_argument("--out")
+    pi.set_defaults(run=_cmd_field_inspect)
 
     p = sub.add_parser("seq", help="generate and combine sequences")
     ss = p.add_subparsers(dest="seq_cmd", required=True)
@@ -362,17 +334,21 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--seed", dest="seed", required=True)
     pg.add_argument("--bits", type=int, required=True)
     pg.add_argument("--out")
+    pg.set_defaults(run=_cmd_seq_gen)
     pp = ss.add_parser("product")
     pp.add_argument("--in", dest="inputs", action="append", required=True)
     pp.add_argument("--out")
+    pp.set_defaults(run=_cmd_seq_product)
     pc = ss.add_parser("combine")
     pc.add_argument("--anf", required=True)
     pc.add_argument("--in", dest="inputs", action="append", required=True)
     pc.add_argument("--out")
+    pc.set_defaults(run=_cmd_seq_combine)
 
     p = sub.add_parser("bm", help="linear complexity of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_bm)
 
     p = sub.add_parser("dft", help="spectrum of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
@@ -381,6 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--point", type=int)
     what.add_argument("--reduce", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_dft)
 
     p = sub.add_parser("crt-conv", help="product spectrum from factor spectra")
     p.add_argument("--factors", nargs="+", required=True)
@@ -388,12 +365,14 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--point", type=int)
     what.add_argument("--support-only", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_crt_conv)
 
     p = sub.add_parser("combine-spectrum",
                        help="combiner spectrum from factor spectra")
     p.add_argument("--anf", required=True)
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_combine_spectrum)
 
     p = sub.add_parser("verify", help="oracle-backed end-to-end checks")
     vs = p.add_subparsers(dest="verify_cmd", required=True)
@@ -410,40 +389,31 @@ def _build_parser() -> argparse.ArgumentParser:
                          "must then FAIL (exercises the mismatch path)")
     pv.add_argument("--json", action="store_true")
     pv.add_argument("--out")
+    pv.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("bench", help="cost comparison tables")
-    p.add_argument("--case", default="bc108")
+    p.add_argument("--case", default="bc108", choices=("bc108",))
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_bench)
 
     p = sub.add_parser("report", help="reproduce the worked tables")
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_report)
     return ap
 
 
-_DISPATCH = {
-    "field": _cmd_field,
-    "seq": _cmd_seq,
-    "bm": _cmd_bm,
-    "dft": _cmd_dft,
-    "crt-conv": _cmd_crt_conv,
-    "combine-spectrum": _cmd_combine_spectrum,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():   # one stderr line per warning
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
-            return _DISPATCH[args.cmd](args)
+            code, text = args.run(args)
+        _emit(text, args.out)
+        return code
     except (FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

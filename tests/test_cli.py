@@ -46,6 +46,14 @@ def test_seq_gen_product_bm(tmp_path, capsys):
     assert out.splitlines()[1] == "g=0x57 x^6+x^4+x^2+x+1"
 
 
+def test_bm_reads_the_file_as_one_period(tmp_path, capsys):
+    # L = 7 > N/2: one period alone would pin only the prefix, L=1 and g=x
+    p = tmp_path / "p7.txt"
+    p.write_text("period=7\n1000000\n")
+    code, out, err = run(capsys, "bm", "--in", str(p))
+    assert (code, out, err) == (0, "L=7\ng=0x81 x^7+1\n", "")
+
+
 def test_seq_combine(tmp_path, capsys):
     paths = _write_streams(tmp_path, capsys)
     w = str(tmp_path / "w.txt")
@@ -279,6 +287,13 @@ def test_verify_tampered_run_honours_output_flags(tmp_path, capsys):
     assert out == "" and "--random-seeds" in err
 
 
+def test_verify_seed_without_random_seeds_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem1", "--lfsr", "0x7:0x2",
+                         "--lfsr", "0xb:0x4", "--seed", "99")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed needs --random-seeds\n"
+
+
 def test_verify_plain_text_honours_out(tmp_path, capsys):
     lfsrs = ("--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4")
     code, stdout_text, _ = run(capsys, "verify", "theorem1", *lfsrs)
@@ -407,6 +422,19 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert f"{target}: cannot write" in err and "Traceback" not in err
 
 
+def test_out_naming_a_directory_exits_2_and_leaves_no_temp_file(tmp_path,
+                                                                 capsys):
+    # the temp file is made, then the rename onto the directory fails
+    target = tmp_path / "adir"
+    target.mkdir()
+    code, out, err = run(capsys, "report", "--example", "1",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: cannot write: Is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir"]
+    assert os.listdir(target) == []
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("period=7\n00101x1\n")
@@ -523,6 +551,17 @@ def test_bench_table(capsys):
             rows[q] = (int(d), int(c))
     assert rows["measured_field_mults"] == (276, 78)
     assert rows["measured_field_ops"] == (552, 156)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("bench",), "bench_bc108.md"),
+    (("bench", "--json"), "bench_bc108.jsonl"),
+    (("report", "--example", "2", "--json"), "report_example2.jsonl"),
+])
+def test_golden_output(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == open(os.path.join(HERE, "golden", golden)).read()
 
 
 def test_report_golden_example1(capsys):
