@@ -163,6 +163,8 @@ def _parse_lfsr_spec(text: str):
 
 def _cmd_verify(args) -> tuple[int, str]:
     tamper = args.tamper_index
+    if args.bound < 1:
+        raise ValueError("--bound must be >= 1")
     if args.random_seeds < 0:
         raise ValueError("--random-seeds must be >= 0")
     if tamper is not None and args.random_seeds:

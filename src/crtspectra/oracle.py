@@ -24,8 +24,17 @@ everywhere. So a spectrum whose inverse equals s for t < |A| + B equals
 it at every t, and for odd N (the transform is a bijection on one period)
 it is brute_dft(s). verify_theorem1 takes B = prod of the connection
 degrees, a bound on the product's linear complexity (Key, IEEE T-IT
-22(6), 1976), decides by that window, and calls brute_dft only when it
-fails, to name the mismatched indices.
+22(6), 1976), and decides by that window.
+
+A failing claim still needs the true spectrum, to name the indices that
+differ, and its support is known in advance: s_t = sum over k of
+S_k root^(-tk), so the minimal polynomial f of s, which Berlekamp-Massey
+(Massey, IEEE T-IT 15(1), 1969) gives from 2L bits, has exactly the roots
+root^(-k) with S_k != 0. _screen keeps the k where f(root^(-k)) = 0, at
+N * weight(f) lookups on the power walk, and _listed_dft sums only those
+k with brute_dft's own per-point code. The window then certifies the
+result, so it is brute_dft(s) without the other N - L sums; only a
+spectrum the window rejects sends verify_theorem1 to brute_dft itself.
 """
 
 from __future__ import annotations
@@ -104,16 +113,17 @@ def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
     return pw
 
 
-def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
-    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
+def _sum_points(s: BitSequence, field: FieldSpec, root: FieldElement,
+                pw: list, ks) -> Spectrum:
+    """The spectrum of s from the full sums S_k at the indices ks, taken in
+    the given order; every other point is left zero."""
     N = s.period
-    pw = _power_walk(field, root, N)
     dlog = {bits: d for d, bits in enumerate(pw)}
     # root^(tk) depends on t only through t mod n, n = N / gcd(k, N): fold
     # s once per n into the residues mod n that hold an odd number of ones
     folded: dict = {}
     points = {}
-    for k in range(N):
+    for k in ks:
         n = N // gcd(k, N)
         odd = folded.get(n)
         if odd is None:
@@ -132,6 +142,38 @@ def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
                     " of the root; no log-form spectrum over this root")
             points[k] = d
     return Spectrum(N, field, root, points)
+
+
+def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
+    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
+    pw = _power_walk(field, root, s.period)
+    return _sum_points(s, field, root, pw, range(s.period))
+
+
+def _screen(pw: list, f: int) -> list:
+    """The k in [0, N) with f(root^(-k)) = 0, ascending, N = len(pw).
+
+    s_t = sum over k of S_k root^(-tk), so a recurrence with connection
+    polynomial f holds on s exactly when f vanishes at root^(-k) for every
+    k with S_k != 0; the roots of the minimal polynomial are the support."""
+    N = len(pw)
+    taps = [i for i in range(f.bit_length()) if f >> i & 1]
+    support = []
+    for k in range(N):
+        acc = 0
+        for i in taps:
+            acc ^= pw[(-i * k) % N]
+        if not acc:
+            support.append(k)
+    return support
+
+
+def _listed_dft(s: BitSequence, field: FieldSpec, root: FieldElement,
+                f: int) -> Spectrum:
+    """brute_dft(s, field, root) summed only at the roots of f, the minimal
+    polynomial of s; with any other f its support may be wrong."""
+    pw = _power_walk(field, root, s.period)
+    return _sum_points(s, field, root, pw, _screen(pw, f))
 
 
 def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
@@ -220,11 +262,14 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
 
     Generates the streams, takes each factor's spectrum, computes the
     product spectrum by CRT and checks it against the actual bitwise
-    product u: by inverse_matches on the window that B, the product of
-    the connection degrees, bounds, and only when that fails by brute_dft
-    of u, whose diff names the mismatched indices. Then it audits Blahut
-    and conjugacy on the reference spectrum. A single LFSR degenerates to
-    comparing a sequence's spectrum with itself.
+    product u, by inverse_matches on the window that B, the product of
+    the connection degrees, bounds. When that fails, the reference
+    spectrum is u's transform summed only at the k that the screen by u's
+    minimal polynomial keeps, and its diff names the mismatched indices.
+    The same window certifies that spectrum; only if the window rejects it
+    does brute_dft of u take its place.
+    Then it audits Blahut and conjugacy on the reference spectrum. A
+    single LFSR degenerates to comparing a sequence's spectrum with itself.
 
     tamper_index flips the CRT value at that index (zero <-> g^0) before
     the comparison, so the report must come back failing; it proves the
@@ -258,14 +303,18 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     # the periods are pairwise coprime, so u now has period N; its linear
     # complexity is at most B, the product of the register lengths
     B = prod(connection_degree(conn) for conn, _ in lfsrs)
+    # L <= min(B, N), and BM pins L and the minimal polynomial from 2L bits
+    r = berlekamp_massey((list(u.bits) * 2)[:2 * min(B, N)])
     if inverse_matches(S_crt, u, B):
         S_ref, mismatches = S_crt, []
     else:
-        # only the forward transform names the indices that differ
-        S_ref = brute_dft(u, S_crt.field, S_crt.root)
+        # the forward transform at the roots of u's minimal polynomial
+        # names the indices that differ; the window certifies it, and
+        # brute_dft runs only if it does not
+        S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
+        if not inverse_matches(S_ref, u, B):
+            S_ref = brute_dft(u, S_crt.field, S_crt.root)
         mismatches = compare_spectra(S_ref, S_crt)
-    # L <= min(B, N), and BM pins L exactly from 2L bits
-    r = berlekamp_massey((list(u.bits) * 2)[:2 * min(B, N)])
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None
                     and S_crt.conjugacy_violation() is None)

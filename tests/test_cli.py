@@ -372,6 +372,13 @@ def test_verify_negative_random_seeds_exits_2(capsys):
     assert "--random-seeds must be >= 0" in err
 
 
+def test_verify_bound_below_1_exits_2(capsys):
+    for bound in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "theorem1", "--lfsr",
+                             "0xb:0x1", "--bound", bound)
+        assert (code, out, err) == (2, "", "error: --bound must be >= 1\n")
+
+
 def test_verify_random_seeds_checks_connection_before_drawing(capsys):
     # a seed is drawn below 2^m, so a bad register must be refused first,
     # with the message the run without --random-seeds gives

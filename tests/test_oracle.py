@@ -3,6 +3,7 @@ from math import gcd, prod
 
 import pytest
 
+from crtspectra.bm import berlekamp_massey
 from crtspectra.crtconv import CrtBasis, product_spectrum
 from crtspectra.field import build_field, default_modulus, discrete_log
 import crtspectra.oracle as oracle
@@ -171,8 +172,10 @@ def _mseq_product(*degrees):
 _TILES = [_mseq_product(*d) for d in ((2,), (3,), (4,), (6,), (2, 3), (3, 4))]
 
 
-@pytest.mark.parametrize("N", [1, 7, 9, 21, 63, 315, 455, 585, 819])
-def test_brute_dft_matches_textbook_double_loop(N, random_log_spectrum):
+def _odd_period_cases(N, random_log_spectrum):
+    """Sequences of period N (random ones, tiles of shorter periods and
+    inverses of random log-form spectra) and the roots to transform them
+    over: two of order N and one of each smaller order d | N."""
     fld, root = default_field_for_period(N)
     rng = random.Random(5000 + N)
     seqs = [BitSequence(tuple(rng.randrange(2) for _ in range(N)))
@@ -187,6 +190,12 @@ def test_brute_dft_matches_textbook_double_loop(N, random_log_spectrum):
         v += 1
     roots = [root, root ** v] + [root ** d for d in range(2, N + 1)
                                  if N % d == 0]
+    return fld, seqs, roots
+
+
+@pytest.mark.parametrize("N", [1, 7, 9, 21, 63, 315, 455, 585, 819])
+def test_brute_dft_matches_textbook_double_loop(N, random_log_spectrum):
+    fld, seqs, roots = _odd_period_cases(N, random_log_spectrum)
     for r in roots:
         for s in seqs:
             assert (_outcome(brute_dft, s, fld, r)
@@ -291,12 +300,13 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_verify_theorem1_runs_brute_dft_only_on_failure(monkeypatch):
+def test_verify_theorem1_lists_mismatches_without_a_full_transform(
+        monkeypatch):
     calls = _counting(monkeypatch, "brute_dft")
     assert verify_theorem1([rv.LFSR_B, rv.LFSR_C]).ok
     assert len(calls) == 0
     rep = verify_theorem1([rv.LFSR_B, rv.LFSR_C], tamper_index=5)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert not rep.ok and [m.index for m in rep.mismatches] == [5]
 
 
@@ -380,7 +390,7 @@ def test_verify_theorem1_gives_bm_only_the_bits_its_bound_needs(monkeypatch):
     assert brute_calls == []
     rep = verify_theorem1(run, tamper_index=193)
     assert not rep.ok and [m.index for m in rep.mismatches] == [193]
-    assert len(brute_calls) == 1
+    assert len(brute_calls) == 0
     assert len(bm_calls[1][0]) == 60
 
 
@@ -405,3 +415,113 @@ def test_verify_theorem1_window_matches_the_full_period_report(
     assert window == full
     assert window.summary() == (summary + " blahut=ok conjugacy=ok"
                                 " mismatches=0")
+
+
+def _claim_reports(run, claims):
+    """verify_theorem1's report on run when the CRT product spectrum it
+    checks is each of the claims in turn."""
+    reports = []
+    for T in claims:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "product_spectrum", lambda factors, basis: T)
+            reports.append(verify_theorem1(run))
+    return reports
+
+
+def _lister_forced_to_brute_dft(monkeypatch):
+    monkeypatch.setattr(oracle, "_listed_dft",
+                        lambda s, fld, root, f: oracle.brute_dft(s, fld, root))
+
+
+_PRODUCT_DEGREES = [(2, 3), (3, 5), (2, 3, 5), (4, 7), (5, 6)]
+
+
+@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
+def test_verify_theorem1_lister_names_what_brute_dft_names(
+        monkeypatch, degrees):
+    # periods 3*7, 7*31, 3*7*31, 15*127 and 31*63; every kind of single
+    # change to the claim, and tamper_index=0, gives the report that the
+    # full transform of the product gives, with no full transform
+    rng = random.Random(300 + sum(degrees))
+    run = [(default_modulus(n), rng.randrange(1, 1 << n)) for n in degrees]
+    streams = [oracle._one_period(conn, seed, 10 ** 5) for conn, seed in run]
+    factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
+    S = product_spectrum(factors, CrtBasis([s.period for s in streams]))
+    claims = _one_change_each(S, rng)
+    calls = _counting(monkeypatch, "brute_dft")
+    listed = [verify_theorem1(run, tamper_index=0)] + _claim_reports(
+        run, claims)
+    assert calls == []
+    _lister_forced_to_brute_dft(monkeypatch)
+    forced = [verify_theorem1(run, tamper_index=0)] + _claim_reports(
+        run, claims)
+    assert len(calls) == len(forced) == 5
+    assert not any(rep.ok for rep in listed)
+    assert listed == forced
+
+
+@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
+def test_screen_finds_exactly_the_support(degrees):
+    rng = random.Random(400 + sum(degrees))
+    for _ in range(2):
+        u, S = _seeded_product(degrees, rng)
+        bits = (list(u.bits) * 2)[:2 * min(prod(degrees), u.period)]
+        f = berlekamp_massey(bits).minimal_poly
+        pw = oracle._power_walk(S.field, S.root, u.period)
+        assert oracle._screen(pw, f) == sorted(
+            brute_dft(u, S.field, S.root).points)
+
+
+@pytest.mark.parametrize("N", [1, 7, 9, 21, 63, 315, 455])
+def test_listed_dft_matches_brute_dft_on_odd_periods(N, random_log_spectrum):
+    # given the minimal polynomial from 2N bits, the same spectrum or the
+    # same error, "outside the cyclic group" at the same first k included
+    fld, seqs, roots = _odd_period_cases(N, random_log_spectrum)
+    outcomes = []
+    for s in seqs:
+        f = berlekamp_massey(s.bits * 2).minimal_poly
+
+        def listed(s, fld, r):
+            return oracle._listed_dft(s, fld, r, f)
+        for r in roots:
+            outcomes.append(_outcome(brute_dft, s, fld, r))
+            assert _outcome(listed, s, fld, r) == outcomes[-1]
+    if N < fld.group_order:
+        assert any("outside the cyclic group" in str(o) for o in outcomes)
+
+
+@pytest.mark.filterwarnings("ignore:zero seed")
+@pytest.mark.parametrize("run", [
+    [(0x7, 0x1)], [(0x25, 0x9)], [(0x13, 0x3)], [(0xb, 0x0), (0x7, 0x1)],
+    [(0x25, 0x0)], [(0x3, 0x1), (0xb, 0x5)]])
+def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
+        monkeypatch, run):
+    N = verify_theorem1(run).N
+    tampers = sorted({0, N // 2, N - 1})
+    listed = [verify_theorem1(run, tamper_index=t) for t in tampers]
+    assert [[m.index for m in rep.mismatches] for rep in listed] == [
+        [t] for t in tampers]
+    _lister_forced_to_brute_dft(monkeypatch)
+    assert [verify_theorem1(run, tamper_index=t) for t in tampers] == listed
+
+
+def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
+        monkeypatch):
+    run = [(0x25, 0x1), (0x43, 0x1)]
+    expected = verify_theorem1(run, tamper_index=193)
+    real_screen, real_inverse = oracle._screen, oracle.inverse_matches
+    # the screen loses the least index of the true support
+    monkeypatch.setattr(oracle, "_screen",
+                        lambda pw, f: real_screen(pw, f)[1:])
+    verdicts = []
+
+    def inverse(S, s, lc_bound):
+        verdicts.append(real_inverse(S, s, lc_bound))
+        return verdicts[-1]
+    monkeypatch.setattr(oracle, "inverse_matches", inverse)
+    calls = _counting(monkeypatch, "brute_dft")
+    assert verify_theorem1(run, tamper_index=193) == expected
+    # the claim fails the window, and so does the screened spectrum
+    assert verdicts == [False, False]
+    assert len(calls) == 1
+    assert [m.index for m in expected.mismatches] == [193]
