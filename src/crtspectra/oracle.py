@@ -4,8 +4,9 @@ diffing, end-to-end audit.
 Nothing here shares kernels with spectral.dft or crtconv. What brute_dft
 guarantees:
 - every spectral point S_k is a full sum over one period of the sequence;
-- its only field arithmetic is the local shift-xor multiply `_gfmul`, which
-  also builds the byte tables of its one walk over the powers of the root;
+- its only field arithmetic is the oracle's own byte tables, whose images
+  `_byte_tables` fills by shift-and-reduce, stepping its one walk over the
+  powers of the root;
 - it takes no coset, conjugacy or CRT step, so the conjugacy audit of its
   output is a real check.
 
@@ -26,13 +27,20 @@ it is brute_dft(s). verify_theorem1 takes B = prod of the connection
 degrees, a bound on the product's linear complexity (Key, IEEE T-IT
 22(6), 1976), and decides by that window.
 
+coset_window_matches gives inverse_matches' verdict with no power walk:
+it steps one element per cyclotomic coset of the claim over the window
+and reads the coset's GF(2) share as a parity. verify_theorem1 feeds it
+the window bits of u alone, u_t = prod of s_i[t mod n_i], so a passing
+claim costs work in |A| + B and the cosets, and holds nothing of length N.
+
 A failing claim still needs the true spectrum, to name the indices that
 differ, and its support is known in advance: s_t = sum over k of
 S_k root^(-tk), so the minimal polynomial f of s, which Berlekamp-Massey
 (Massey, IEEE T-IT 15(1), 1969) gives from 2L bits, has exactly the roots
-root^(-k) with S_k != 0. _screen keeps the k where f(root^(-k)) = 0, at
-N * weight(f) lookups on the power walk, and _listed_dft sums only those
-k with brute_dft's own per-point code. The window then certifies the
+root^(-k) with S_k != 0. Only this path builds u over one period and the
+power walk, once: _screen keeps the k where f(root^(-k)) = 0, at
+N * weight(f) lookups on the walk, and _listed_dft sums only those k with
+brute_dft's own per-point code. The coset window then certifies the
 result, so it is brute_dft(s) without the other N - L sums; only a
 spectrum the window rejects sends verify_theorem1 to brute_dft itself.
 """
@@ -40,6 +48,7 @@ spectrum the window rejects sends verify_theorem1 to brute_dft itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import gcd, prod
 from operator import and_
 
@@ -61,46 +70,38 @@ class Mismatch:
             raise ValueError("not a mismatch: values agree")
 
 
-def _gfmul(a: int, b: int, modulus: int, m: int) -> int:
-    # deliberately rewritten here; the oracle must not lean on field.py
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    while r and r.bit_length() - 1 >= m:
-        r ^= modulus << (r.bit_length() - 1 - m)
-    return r
-
-
-def _times_root(root_bits: int, modulus: int, m: int):
-    """x -> root*x by table lookup: the map is GF(2)-linear, so root*x is
-    the XOR over the bytes of x of root*(byte << 8j), tabulated from the
-    images root*x^i."""
+def _byte_tables(start: int, shift: int, modulus: int, m: int) -> list:
+    """The byte tables of the GF(2)-linear map x^i -> start * x^(shift i),
+    i < m: table j maps each byte value b to the image of b << 8j. Each
+    basis image is the one before it shifted left `shift` times and
+    reduced, so shift 1 tabulates x -> start*x, and start 1 with shift 2
+    tabulates squaring. Fields stop at degree 32, so there are always four
+    tables; those past bit m map only 0."""
     tables = []
-    for lo in range(0, m, 8):
-        width = min(8, m - lo)
-        table = [0] * (1 << width)
-        for i in range(width):
-            image = _gfmul(1 << (lo + i), root_bits, modulus, m)
-            bit = 1 << i
-            for low in range(bit):
-                table[bit | low] = table[low] ^ image
-        tables.append((lo, table))
+    image = start
+    for lo in range(0, 32, 8):
+        table = [0]
+        for _ in range(min(8, m - lo)):
+            table += [v ^ image for v in table]
+            for _ in range(shift):
+                image <<= 1
+                if image >> m:
+                    image ^= modulus
+        tables.append(table)
+    return tables
 
-    def times_root(x: int) -> int:
-        y = 0
-        for lo, table in tables:
-            y ^= table[(x >> lo) & 0xFF]
-        return y
-    return times_root
+
+def _apply(tables):
+    """The tabulated map as a function: one lookup per byte of x."""
+    t0, t1, t2, t3 = tables
+    return lambda x: (t0[x & 0xFF] ^ t1[x >> 8 & 0xFF]
+                      ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24])
 
 
 def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
     """[root^0, ..., root^(N-1)] as bits: one walk of repeated
     multiplication gives every power and the order, which must be N."""
-    times_root = _times_root(root.bits, field.modulus, field.m)
+    times_root = _apply(_byte_tables(root.bits, 1, field.modulus, field.m))
     pw = [1]
     cur = times_root(1)
     while cur != 1:
@@ -205,6 +206,101 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
+    """inverse_matches(S, s, lc_bound) for a sequence s of period N given by
+    its first bits only, t < min(N, |S.points| + lc_bound), checked one
+    cyclotomic coset at a time with no walk over the N powers of the root.
+
+    A coset c of the support with leader k and exponent d adds
+    sum over i < |c| of y^(2^i), y = root^(d - tk), to the inverse at t.
+    When S is conjugate-consistent y lies in GF(2^|c|), so that sum is a
+    bit: bit 0 of a GF(2)-linear map of y, the parity of y & mask. Each
+    coset keeps one y and steps it by a byte table of y -> root^(-k) y.
+    A claim that breaks conjugacy is rejected before the window: its
+    inverse is not binary, so whenever lc_bound bounds the linear
+    complexity of s, inverse_matches rejects it too. The root's order is
+    checked against N, as the power walk checks it, by square-and-multiply
+    on the oracle's own tables.
+    """
+    pts = S.points
+    F = S.field
+    squares = _byte_tables(1, 2, F.modulus, F.m)
+    square = _apply(squares)
+    times_root = _apply(_byte_tables(S.root.bits, 1, F.modulus, F.m))
+
+    def power(e: int) -> int:
+        x = 1
+        for b in bin(e)[2:]:
+            x = square(x)
+            if b == "1":
+                x = times_root(x)
+        return x
+
+    if power(N) != 1 or any(power(N // p) == 1 for p in _prime_factors(N)):
+        order = F.group_order
+        for p in _prime_factors(order):
+            while order % p == 0 and power(order // p) == 1:
+                order //= p
+        raise ValueError(f"root order {order} != sequence period {N}")
+    # walk each orbit k -> 2k mod N of the support: every index on it must
+    # carry the doubled exponent, back to the leader's own
+    cosets, seen = [], set()
+    for k, d in pts.items():
+        if k in seen:
+            continue
+        j, e, size = k, d, 0
+        while True:
+            if pts.get(j) != e:
+                return False
+            seen.add(j)
+            size += 1
+            j, e = 2 * j % N, 2 * e % N
+            if j == k:
+                break
+        if e != d:
+            return False
+        cosets.append((k, d, size))
+
+    window = min(N, len(pts) + lc_bound)
+    if len(bits) < window:
+        raise ValueError(f"{len(bits)} bits given, the window needs {window}")
+    # s_t plus every coset's share is zero at each t exactly on a match
+    residue = bytearray(bits[:window])
+    masks = {}
+    for k, d, size in cosets:
+        mask = masks.get(size)
+        if mask is None:
+            # the mask of y -> bit 0 of y^(2^i) is the one of i - 1 composed
+            # with squaring: bit j is the parity of (x^j)^2 & that mask
+            images = [squares[j >> 3][1 << (j & 7)] for j in range(F.m)]
+            mask, v = 0, 1
+            for _ in range(size):
+                mask ^= v
+                v = sum(((image & v).bit_count() & 1) << j
+                        for j, image in enumerate(images))
+            masks[size] = mask
+        t0, t1, t2, t3 = _byte_tables(power(-k % N), 1, F.modulus, F.m)
+        y = power(d)
+        for t in range(window):
+            residue[t] ^= (y & mask).bit_count() & 1
+            y = (t0[y & 0xFF] ^ t1[y >> 8 & 0xFF]
+                 ^ t2[y >> 16 & 0xFF] ^ t3[y >> 24])
+    return not any(residue)
+
+
 def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
     """Index-by-index diff; first argument is the reference side."""
     if X.N != Y.N:
@@ -256,18 +352,28 @@ def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
     return BitSequence(tuple(out))
 
 
+def _product_bits(streams, n: int) -> list:
+    """u_t = prod over the streams of s_i[t mod n_i], for t < n."""
+    bits = list(islice(cycle(streams[0].bits), n))
+    for s in streams[1:]:
+        bits = list(map(and_, bits, cycle(s.bits)))
+    return bits
+
+
 def verify_theorem1(lfsrs, bound: int = 100_000,
                     tamper_index: int | None = None) -> VerifyReport:
     """Both paths end to end on given (connection, seed) pairs.
 
     Generates the streams, takes each factor's spectrum, computes the
     product spectrum by CRT and checks it against the actual bitwise
-    product u, by inverse_matches on the window that B, the product of
-    the connection degrees, bounds. When that fails, the reference
-    spectrum is u's transform summed only at the k that the screen by u's
-    minimal polynomial keeps, and its diff names the mismatched indices.
-    The same window certifies that spectrum; only if the window rejects it
-    does brute_dft of u take its place.
+    product u by coset_window_matches, on the window that B, the product
+    of the connection degrees, bounds. A pass builds only those bits of u
+    and no power walk. When the check fails, u is built over one period
+    and the reference spectrum is u's transform summed only at the k that
+    the screen by u's minimal polynomial keeps, on the one power walk of
+    the run; its diff names the mismatched indices. The same window
+    certifies that spectrum; only if the window rejects it does brute_dft
+    of u take its place.
     Then it audits Blahut and conjugacy on the reference spectrum. A
     single LFSR degenerates to comparing a sequence's spectrum with itself.
 
@@ -297,22 +403,23 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
         S_crt = Spectrum(N, S_crt.field, S_crt.root, {
             k: pts.get(k, 0) for k in pts.keys() ^ {tamper_index}})
 
-    u = streams[0]
-    for s in streams[1:]:
-        u = BitSequence(tuple(map(and_, u.bits * s.period, s.bits * u.period)))
-    # the periods are pairwise coprime, so u now has period N; its linear
-    # complexity is at most B, the product of the register lengths
+    # the periods are pairwise coprime, so u_t = prod of s_i[t mod n_i] has
+    # period N; its linear complexity L is at most B, the product of the
+    # register lengths. BM pins L and the minimal polynomial from the first
+    # 2 min(B, N) bits, and the coset window reads min(N, |A| + B)
     B = prod(connection_degree(conn) for conn, _ in lfsrs)
-    # L <= min(B, N), and BM pins L and the minimal polynomial from 2L bits
-    r = berlekamp_massey((list(u.bits) * 2)[:2 * min(B, N)])
-    if inverse_matches(S_crt, u, B):
+    window = _product_bits(streams, max(2 * min(B, N),
+                                        min(N, len(S_crt.points) + B)))
+    r = berlekamp_massey(window[:2 * min(B, N)])
+    if coset_window_matches(S_crt, window, N, B):
         S_ref, mismatches = S_crt, []
     else:
         # the forward transform at the roots of u's minimal polynomial
         # names the indices that differ; the window certifies it, and
         # brute_dft runs only if it does not
+        u = BitSequence(tuple(_product_bits(streams, N)))
         S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
-        if not inverse_matches(S_ref, u, B):
+        if not coset_window_matches(S_ref, u.bits, N, B):
             S_ref = brute_dft(u, S_crt.field, S_crt.root)
         mismatches = compare_spectra(S_ref, S_crt)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity

@@ -8,7 +8,8 @@ from crtspectra.crtconv import CrtBasis, product_spectrum
 from crtspectra.field import build_field, default_modulus, discrete_log
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
-                               inverse_matches, verify_theorem1)
+                               coset_window_matches, inverse_matches,
+                               verify_theorem1)
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product, sequence_period)
 from crtspectra.spectral import Spectrum, default_field_for_period, dft, idft
@@ -43,7 +44,8 @@ def test_brute_dft_rejects_order_mismatch():
     fld, root = default_field_for_period(21)
     S = dft(pointwise_product(A, B), fld, root)
     for check in (lambda: brute_dft(B, fld, root),
-                  lambda: inverse_matches(S, B, 7)):
+                  lambda: inverse_matches(S, B, 7),
+                  lambda: coset_window_matches(S, B.bits, 7, 7)):
         with pytest.raises(ValueError) as e:
             check()     # root order 21, period 7
         assert str(e.value) == "root order 21 != sequence period 7"
@@ -286,6 +288,7 @@ def test_inverse_matches_refuses_a_non_binary_inverse():
     low = BitSequence(tuple((root ** (-t % 31)).bits & 1 for t in range(31)))
     assert not inverse_matches(S, low, fld.m)
     assert not inverse_matches(S, low, 31)
+    assert not coset_window_matches(S, low.bits, 31, fld.m)
     assert compare_spectra(brute_dft(low, fld, root), S) != []
 
 
@@ -320,7 +323,8 @@ def test_verify_theorem1_forced_brute_path_gives_the_same_report(
                      for n in degrees])
     normal = [verify_theorem1(run) for run in runs]
     calls = _counting(monkeypatch, "brute_dft")
-    monkeypatch.setattr(oracle, "inverse_matches", lambda S, s, lc: False)
+    monkeypatch.setattr(oracle, "coset_window_matches",
+                        lambda S, bits, N, lc: False)
     forced = [verify_theorem1(run) for run in runs]
     assert len(calls) == len(runs) >= 20
     assert all(rep.ok for rep in normal)
@@ -408,9 +412,15 @@ def test_verify_theorem1_window_matches_the_full_period_report(
     # single registers, zero seeds and a period-1 register: the window
     # decides as the whole period does, and BM still finds the exact L
     window = verify_theorem1(run)
-    real = oracle.inverse_matches
-    monkeypatch.setattr(oracle, "inverse_matches",
-                        lambda S, s, lc: real(S, s, s.period))
+    # u over the whole product period, which pointwise_product would
+    # minimize
+    u = BitSequence((1,))
+    for conn, seed in run:
+        s = oracle._one_period(conn, seed, 10 ** 5)
+        u = BitSequence(tuple(a & b for a, b in zip(u.bits * s.period,
+                                                    s.bits * u.period)))
+    monkeypatch.setattr(oracle, "coset_window_matches",
+                        lambda S, bits, N, lc: inverse_matches(S, u, N))
     full = verify_theorem1(run)
     assert window == full
     assert window.summary() == (summary + " blahut=ok conjugacy=ok"
@@ -490,10 +500,13 @@ def test_listed_dft_matches_brute_dft_on_odd_periods(N, random_log_spectrum):
         assert any("outside the cyclic group" in str(o) for o in outcomes)
 
 
-@pytest.mark.filterwarnings("ignore:zero seed")
-@pytest.mark.parametrize("run", [
+_SMALL_RUNS = [
     [(0x7, 0x1)], [(0x25, 0x9)], [(0x13, 0x3)], [(0xb, 0x0), (0x7, 0x1)],
-    [(0x25, 0x0)], [(0x3, 0x1), (0xb, 0x5)]])
+    [(0x25, 0x0)], [(0x3, 0x1), (0xb, 0x5)]]
+
+
+@pytest.mark.filterwarnings("ignore:zero seed")
+@pytest.mark.parametrize("run", _SMALL_RUNS)
 def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
         monkeypatch, run):
     N = verify_theorem1(run).N
@@ -509,19 +522,104 @@ def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
         monkeypatch):
     run = [(0x25, 0x1), (0x43, 0x1)]
     expected = verify_theorem1(run, tamper_index=193)
-    real_screen, real_inverse = oracle._screen, oracle.inverse_matches
+    real_screen, real_window = oracle._screen, oracle.coset_window_matches
     # the screen loses the least index of the true support
     monkeypatch.setattr(oracle, "_screen",
                         lambda pw, f: real_screen(pw, f)[1:])
     verdicts = []
 
-    def inverse(S, s, lc_bound):
-        verdicts.append(real_inverse(S, s, lc_bound))
+    def window(S, bits, N, lc_bound):
+        verdicts.append(real_window(S, bits, N, lc_bound))
         return verdicts[-1]
-    monkeypatch.setattr(oracle, "inverse_matches", inverse)
+    monkeypatch.setattr(oracle, "coset_window_matches", window)
     calls = _counting(monkeypatch, "brute_dft")
     assert verify_theorem1(run, tamper_index=193) == expected
     # the claim fails the window, and so does the screened spectrum
     assert verdicts == [False, False]
     assert len(calls) == 1
     assert [m.index for m in expected.mismatches] == [193]
+
+
+def _shifted(S, j):
+    """The claim S_k root^(jk): the spectrum of the sequence delayed by j,
+    conjugate-consistent whenever S is."""
+    return Spectrum(S.N, S.field, S.root,
+                    {k: (d + j * k) % S.N for k, d in S.points.items()})
+
+
+def _window_verdict(T, s, lc_bound):
+    """coset_window_matches given only the bits its window reads."""
+    window = min(s.period, len(T.points) + lc_bound)
+    return coset_window_matches(T, s.bits[:window], s.period, lc_bound)
+
+
+@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
+def test_coset_window_matches_agrees_with_inverse_matches_on_products(
+        degrees):
+    # every single change to the claim, time-shifted claims (which reach
+    # the coset loop) and single changes to those
+    rng = random.Random(500 + sum(degrees))
+    B = prod(degrees)
+    for _ in range(2):
+        u, S = _seeded_product(degrees, rng)
+        N = u.period
+        shifted = [_shifted(S, j)
+                   for j in (1, 2, N - 1, rng.randrange(3, N - 1))]
+        claims = [S] + _one_change_each(S, rng) + shifted
+        claims += _one_change_each(shifted[0], rng)
+        for T in claims:
+            for lc in (B, N):
+                assert _window_verdict(T, u, lc) == inverse_matches(T, u, lc)
+        assert _window_verdict(S, u, B)
+        assert not any(_window_verdict(T, u, B) for T in shifted)
+
+
+@pytest.mark.parametrize("N", [7, 21, 63, 315])
+def test_coset_window_matches_agrees_with_inverse_matches_on_random_spectra(
+        N, random_log_spectrum):
+    # conjugate-consistent claims get inverse_matches' verdict at any
+    # lc_bound, one too short for the sequence included
+    fld, root = default_field_for_period(N)
+    rng = random.Random(7100 + N)
+    spectra = [random_log_spectrum(fld, root, rng) for _ in range(4)]
+    seqs = [idft(S) for S in spectra]
+    for S in spectra:
+        for s in seqs:
+            for lc in (0, 1, len(S.points), N):
+                assert _window_verdict(S, s, lc) == inverse_matches(S, s, lc)
+
+
+def test_coset_window_matches_rejects_a_divisor_order_and_a_short_window():
+    # root^63 = 1 but root^(63/3) = 1 too; and 6 + 7 bits are needed
+    fld, root = default_field_for_period(21)
+    u = pointwise_product(A, B)
+    S = dft(u, fld, root)
+    with pytest.raises(ValueError) as e:
+        coset_window_matches(S, u.bits * 3, 63, 7)
+    assert str(e.value) == "root order 21 != sequence period 63"
+    with pytest.raises(ValueError) as e:
+        coset_window_matches(S, u.bits[:12], 21, 7)
+    assert str(e.value) == "12 bits given, the window needs 13"
+
+
+@pytest.mark.filterwarnings("ignore:zero seed")
+def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
+    # the lister tests' register sets: a pass builds no power walk, and a
+    # tampered run builds one, in the lister, and no full transform
+    runs = list(_SMALL_RUNS)
+    for degrees in _PRODUCT_DEGREES:
+        rng = random.Random(300 + sum(degrees))
+        runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
+                     for n in degrees])
+    walks = _counting(monkeypatch, "_power_walk")
+    brute_calls = _counting(monkeypatch, "brute_dft")
+    for run in runs:
+        before = len(walks)
+        assert not verify_theorem1(run, tamper_index=0).ok
+        assert len(walks) - before == 1
+    assert brute_calls == []
+
+    def no_walk(*args):
+        raise AssertionError("power walk on a passing run")
+    monkeypatch.setattr(oracle, "_power_walk", no_walk)
+    assert all(verify_theorem1(run).ok for run in runs)
