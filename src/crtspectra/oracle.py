@@ -32,14 +32,17 @@ it steps one element per cyclotomic coset of the claim over the window
 and reads the coset's GF(2) share as a parity. verify_theorem1 feeds it
 the window bits of u alone, u_t = prod of s_i[t mod n_i], so a passing
 claim costs work in |A| + B and the cosets, and holds nothing of length N.
+Its squaring and x -> root*x tables and its trace masks depend only on
+the field, the root and the coset size, so they are memoized per process.
 
 A failing claim still needs the true spectrum, to name the indices that
 differ, and its support is known in advance: s_t = sum over k of
 S_k root^(-tk), so the minimal polynomial f of s, which Berlekamp-Massey
 (Massey, IEEE T-IT 15(1), 1969) gives from 2L bits, has exactly the roots
 root^(-k) with S_k != 0. Only this path builds u over one period and the
-power walk, once: _screen keeps the k where f(root^(-k)) = 0, at
-N * weight(f) lookups on the walk, and _listed_dft sums only those k with
+power walk, once: _screen keeps the k where f(root^(-k)) = 0, evaluating
+f once per doubling orbit k -> 2k mod N at weight(f) lookups on the walk
+(f(x^2) = f(x)^2), and _listed_dft sums only those k with
 brute_dft's own per-point code. The coset window then certifies the
 result, so it is brute_dft(s) without the other N - L sums; only a
 spectrum the window rejects sends verify_theorem1 to brute_dft itself.
@@ -48,6 +51,7 @@ spectrum the window rejects sends verify_theorem1 to brute_dft itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import cycle, islice
 from math import gcd, prod
 from operator import and_
@@ -96,6 +100,31 @@ def _apply(tables):
     t0, t1, t2, t3 = tables
     return lambda x: (t0[x & 0xFF] ^ t1[x >> 8 & 0xFF]
                       ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24])
+
+
+# coset_window_matches' squaring and x -> root*x tables and its masks
+# depend only on the field, the root and the coset size, so each is built
+# once per process. A table entry is four tables of at most 256 ints,
+# about 33 kB, so the table memo stays near 1 MB when full
+@lru_cache(maxsize=32)
+def _memo_tables(start: int, shift: int, modulus: int, m: int) -> tuple:
+    """_byte_tables(start, shift, modulus, m) as tuples."""
+    return tuple(map(tuple, _byte_tables(start, shift, modulus, m)))
+
+
+@lru_cache(maxsize=256)
+def _trace_mask(modulus: int, m: int, size: int) -> int:
+    """The mask whose parity with y is bit 0 of sum over i < size of
+    y^(2^i). The mask of y -> bit 0 of y^(2^i) is the one of i - 1
+    composed with squaring: bit j is the parity of (x^j)^2 & that mask."""
+    squares = _memo_tables(1, 2, modulus, m)
+    images = [squares[j >> 3][1 << (j & 7)] for j in range(m)]
+    mask, v = 0, 1
+    for _ in range(size):
+        mask ^= v
+        v = sum(((image & v).bit_count() & 1) << j
+                for j, image in enumerate(images))
+    return mask
 
 
 def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
@@ -156,17 +185,26 @@ def _screen(pw: list, f: int) -> list:
 
     s_t = sum over k of S_k root^(-tk), so a recurrence with connection
     polynomial f holds on s exactly when f vanishes at root^(-k) for every
-    k with S_k != 0; the roots of the minimal polynomial are the support."""
+    k with S_k != 0; the roots of the minimal polynomial are the support.
+    f has GF(2) coefficients, so f(x^2) = f(x)^2 and its roots are closed
+    under squaring: f is evaluated once per orbit k -> 2k mod N, at the
+    orbit's first index, and the whole orbit is kept or dropped with it."""
     N = len(pw)
     taps = [i for i in range(f.bit_length()) if f >> i & 1]
-    support = []
+    support, seen = [], bytearray(N)
     for k in range(N):
+        if seen[k]:
+            continue
         acc = 0
         for i in taps:
             acc ^= pw[(-i * k) % N]
-        if not acc:
-            support.append(k)
-    return support
+        j = k
+        while not seen[j]:
+            seen[j] = 1
+            if not acc:
+                support.append(j)
+            j = 2 * j % N
+    return sorted(support)
 
 
 def _listed_dft(s: BitSequence, field: FieldSpec, root: FieldElement,
@@ -191,8 +229,10 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     S == brute_dft(s, S.field, S.root); lc_bound = N checks every t.
     Each s_t costs one table lookup per point of S; all m bits of the sum
     are compared with the bit s_t, so a sum outside GF(2) also fails.
-    Stops at the first t that differs.
+    Stops at the first t that differs. A negative lc_bound is refused.
     """
+    if lc_bound < 0:
+        raise ValueError(f"lc_bound {lc_bound} is negative")
     N = s.period
     pw = _power_walk(S.field, S.root, N)
     points = list(S.points.items())
@@ -233,13 +273,17 @@ def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
     inverse is not binary, so whenever lc_bound bounds the linear
     complexity of s, inverse_matches rejects it too. The root's order is
     checked against N, as the power walk checks it, by square-and-multiply
-    on the oracle's own tables.
+    on the oracle's own tables. The squaring and x -> root*x tables and
+    the masks are memoized per field and root; the root-order check and
+    each coset's step table are built on every call. A negative lc_bound
+    is refused.
     """
+    if lc_bound < 0:
+        raise ValueError(f"lc_bound {lc_bound} is negative")
     pts = S.points
     F = S.field
-    squares = _byte_tables(1, 2, F.modulus, F.m)
-    square = _apply(squares)
-    times_root = _apply(_byte_tables(S.root.bits, 1, F.modulus, F.m))
+    square = _apply(_memo_tables(1, 2, F.modulus, F.m))
+    times_root = _apply(_memo_tables(S.root.bits, 1, F.modulus, F.m))
 
     def power(e: int) -> int:
         x = 1
@@ -279,19 +323,8 @@ def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
         raise ValueError(f"{len(bits)} bits given, the window needs {window}")
     # s_t plus every coset's share is zero at each t exactly on a match
     residue = bytearray(bits[:window])
-    masks = {}
     for k, d, size in cosets:
-        mask = masks.get(size)
-        if mask is None:
-            # the mask of y -> bit 0 of y^(2^i) is the one of i - 1 composed
-            # with squaring: bit j is the parity of (x^j)^2 & that mask
-            images = [squares[j >> 3][1 << (j & 7)] for j in range(F.m)]
-            mask, v = 0, 1
-            for _ in range(size):
-                mask ^= v
-                v = sum(((image & v).bit_count() & 1) << j
-                        for j, image in enumerate(images))
-            masks[size] = mask
+        mask = _trace_mask(F.modulus, F.m, size)
         t0, t1, t2, t3 = _byte_tables(power(-k % N), 1, F.modulus, F.m)
         y = power(d)
         for t in range(window):

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from crtspectra import crtconv, field, formats
+from crtspectra import crtconv, field, formats, oracle
 from crtspectra.field import cyclotomic_cosets
 from crtspectra.spectral import Spectrum, coset_expand
 
@@ -29,11 +29,14 @@ def random_log_spectrum():
 
 @pytest.fixture
 def clear_field_caches():
-    """Empties the per-process field, root-image and header-exponent
-    memos, so the next call does its set-up work as a fresh process would."""
+    """Empties the per-process field, root-image, header-exponent and
+    oracle table memos, so the next call does its set-up work as a fresh
+    process would."""
     def clear():
         field._field.cache_clear()
         field.has_order.cache_clear()
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
+        oracle._memo_tables.cache_clear()
+        oracle._trace_mask.cache_clear()
     return clear

@@ -5,7 +5,9 @@ import pytest
 
 from crtspectra.bm import berlekamp_massey
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import build_field, default_modulus, discrete_log
+from crtspectra.field import (build_field, cyclotomic_cosets, default_modulus,
+                              discrete_log)
+from crtspectra.gf2poly import pmod, pmul
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
                                coset_window_matches, inverse_matches,
@@ -600,6 +602,61 @@ def test_coset_window_matches_rejects_a_divisor_order_and_a_short_window():
     with pytest.raises(ValueError) as e:
         coset_window_matches(S, u.bits[:12], 21, 7)
     assert str(e.value) == "12 bits given, the window needs 13"
+
+
+def test_window_checks_refuse_a_negative_lc_bound():
+    # with lc_bound = -40 the empty claim's window is empty, so a check
+    # would pass the degree-5 m-sequence having compared nothing; 0 is a
+    # valid bound and still compares |A| bits
+    v = lfsr_stream(Lfsr(0x25, 0x1), 31)
+    fld, root = default_field_for_period(31)
+    none = Spectrum(31, fld, root, {})
+    S = brute_dft(v, fld, root)
+    for check in (inverse_matches, _window_verdict):
+        with pytest.raises(ValueError) as e:
+            check(none, v, -40)
+        assert str(e.value) == "lc_bound -40 is negative"
+        assert check(S, v, 0)
+        assert not check(none, v, 5)
+
+
+def test_coset_window_matches_builds_its_field_tables_once(
+        monkeypatch, clear_field_caches):
+    # a cold call builds the squaring and x -> root*x tables and one step
+    # table per coset; a warm call on the same field and root builds only
+    # the step tables, and still checks the root's order against N
+    u, S = _seeded_product((5, 6), random.Random(41))
+    N = u.period
+    cosets = [c for c in cyclotomic_cosets(N) if c[0] in S.points]
+    clear_field_caches()
+    tables = _counting(monkeypatch, "_byte_tables")
+    cold = _window_verdict(S, u, 30)
+    assert len(tables) == 2 + len(cosets)
+    del tables[:]
+    assert _window_verdict(S, u, 30) == cold
+    assert len(tables) == len(cosets)
+    with pytest.raises(ValueError) as e:
+        coset_window_matches(S, u.bits * 3, 3 * N, 30)
+    assert str(e.value) == f"root order {N} != sequence period {3 * N}"
+
+
+def test_trace_mask_reads_the_subfield_trace():
+    # for y in GF(2^c) inside GF(2^m), y^(2^c) = y, the parity of y & mask
+    # is bit 0 of sum over i < c of y^(2^i), that sum taken by squaring
+    for m in range(1, 13):
+        modulus = default_modulus(m)
+        for y in range(1 << m):
+            conj = [y]
+            for _ in range(m):
+                conj.append(pmod(pmul(conj[-1], conj[-1]), modulus))
+            for c in range(1, m + 1):
+                if m % c or conj[c] != y:
+                    continue
+                trace = 0
+                for x in conj[:c]:
+                    trace ^= x
+                mask = oracle._trace_mask(modulus, m, c)
+                assert (y & mask).bit_count() & 1 == trace & 1
 
 
 @pytest.mark.filterwarnings("ignore:zero seed")
