@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import BitSequence
-
 
 @dataclass(frozen=True)
 class BmResult:
@@ -28,10 +26,6 @@ class BmResult:
 
 
 def _as_bits(s) -> list[int]:
-    if isinstance(s, BitSequence):
-        return list(s.bits)
-    if isinstance(s, str):
-        return [int(ch) for ch in s]
     return [int(b) for b in s]
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .costs import OpCounter, measure
 from .crtconv import CrtBasis, product_spectrum, product_spectrum_point
 from .field import CountingField
-from .sequences import BitSequence, Lfsr, lfsr_stream, pointwise_product
+from .sequences import (BitSequence, _one_period, connection_degree,
+                        pointwise_product)
 from .spectral import ZERO, Spectrum, default_field_for_period, dft, dft_point
 
 # degree-2, degree-3, degree-5 primitive connections with the standard seeds
@@ -24,8 +25,7 @@ LFSR_C = (0x25, 0b10000)    # x^5+x^2+1, seed 00001 -> period-31 stream
 
 def _stream(spec) -> BitSequence:
     conn, seed = spec
-    m = conn.bit_length() - 1
-    return lfsr_stream(Lfsr(conn, seed), (1 << m) - 1)
+    return _one_period(conn, seed, (1 << connection_degree(conn)) - 1)
 
 
 def _factor_spectrum(s: BitSequence) -> Spectrum:

@@ -95,10 +95,10 @@ def parse_sequence(text: str, path: str = "<input>") -> BitSequence:
     head = lines[0].strip()
     if not head.startswith("period="):
         raise FormatError("first line must be 'period=<N>'", path, 1, 1)
-    try:
-        N = int(head[len("period="):])
-    except ValueError:
-        raise FormatError(f"bad period {head[7:]!r}", path, 1, 8) from None
+    digits = head[len("period="):]
+    if not re.fullmatch(_DIGITS, digits):
+        raise FormatError(f"bad period {digits!r}", path, 1, 8)
+    N = int(digits)
     if N < 1:
         raise FormatError(f"period must be >= 1, got {N}", path, 1, 8)
     if len(lines) < 2:

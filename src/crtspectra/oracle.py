@@ -1,8 +1,11 @@
 """Brute-force referees: independent DFT, exact inverse check, spectrum
 diffing, end-to-end audit.
 
-Nothing here shares kernels with spectral.dft or crtconv. What brute_dft
-guarantees:
+Nothing here shares kernels with spectral.dft or crtconv: field
+arithmetic, transforms and CRT are the oracle's own. What it shares is
+what is not a kernel: its LFSR periods and stream products come from
+sequences, the one stream layer, and its prime factors from
+gf2poly.factor_int. What brute_dft guarantees:
 - every spectral point S_k is a full sum over one period of the sequence;
 - its only field arithmetic is the oracle's own byte tables, whose images
   `_byte_tables` fills by shift-and-reduce, stepping its one walk over the
@@ -52,15 +55,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice
 from math import gcd, prod
-from operator import and_
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .sequences import BitSequence, Lfsr, connection_degree, warn_if_zero_seed
-from .spectral import Spectrum, dft
+from .gf2poly import factor_int
+from .sequences import (BitSequence, _one_period, _product_bits,
+                        connection_degree)
+from .spectral import Spectrum, default_field_for_period, dft
 
 
 @dataclass(frozen=True)
@@ -246,19 +249,6 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list:
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
     """inverse_matches(S, s, lc_bound) for a sequence s of period N given by
     its first bits only, t < min(N, |S.points| + lc_bound), checked one
@@ -293,9 +283,9 @@ def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
                 x = times_root(x)
         return x
 
-    if power(N) != 1 or any(power(N // p) == 1 for p in _prime_factors(N)):
+    if power(N) != 1 or any(power(N // p) == 1 for p in factor_int(N)):
         order = F.group_order
-        for p in _prime_factors(order):
+        for p in factor_int(order):
             while order % p == 0 and power(order // p) == 1:
                 order //= p
         raise ValueError(f"root order {order} != sequence period {N}")
@@ -370,29 +360,6 @@ class VerifyReport:
                 f" mismatches={len(self.mismatches)}")
 
 
-def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
-    """Exact single period of an LFSR stream: run until the state recurs.
-    State bit i holds s_(t+i), so the state recurs exactly when the output
-    does and the walk is already the least period."""
-    l = Lfsr(connection, seed)
-    warn_if_zero_seed(l)
-    start = l.state
-    out = [l.step()]
-    while l.state != start:
-        out.append(l.step())
-        if len(out) > bound:
-            raise ValueError(f"stream period exceeds bound {bound}")
-    return BitSequence(tuple(out))
-
-
-def _product_bits(streams, n: int) -> list:
-    """u_t = prod over the streams of s_i[t mod n_i], for t < n."""
-    bits = list(islice(cycle(streams[0].bits), n))
-    for s in streams[1:]:
-        bits = list(map(and_, bits, cycle(s.bits)))
-    return bits
-
-
 def verify_theorem1(lfsrs, bound: int = 100_000,
                     tamper_index: int | None = None) -> VerifyReport:
     """Both paths end to end on given (connection, seed) pairs.
@@ -414,7 +381,6 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     the comparison, so the report must come back failing; it proves the
     referee is not vacuous.
     """
-    from .spectral import default_field_for_period
     if not lfsrs:
         raise ValueError("need at least one (connection, seed) pair")
     streams = [_one_period(conn, seed, bound) for conn, seed in lfsrs]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import lcm
+from operator import and_, xor
 
 from .gf2poly import poly_degree
 
@@ -99,33 +101,48 @@ def lfsr_stream(l: Lfsr, n: int) -> BitSequence:
     return BitSequence(tuple(clone.step() for _ in range(n)))
 
 
+def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
+    """Exact single period of an LFSR stream: run until the state recurs.
+    State bit i holds s_(t+i), so the state recurs exactly when the output
+    does and the walk is already the least period."""
+    l = Lfsr(connection, seed)
+    warn_if_zero_seed(l)
+    start = l.state
+    out = [l.step()]
+    while l.state != start:
+        out.append(l.step())
+        if len(out) > bound:
+            raise ValueError(f"stream period exceeds bound {bound}")
+    return BitSequence(tuple(out))
+
+
 def sequence_period(s) -> int:
-    """Least p dividing len(s) with s[i] == s[i mod p] throughout.
+    """Least p dividing len(s) with s[i] == s[i mod p] throughout: the
+    first shift p > 0 at which s occurs in s + s.
 
-    Accepts a BitSequence, a string of '0'/'1', or any indexable bit array.
+    Accepts a BitSequence, a string of '0'/'1', or any iterable of bits.
     """
-    if isinstance(s, BitSequence):
-        s = s.bits
-    L = len(s)
-    if L == 0:
+    b = s.encode() if isinstance(s, str) else bytes(s)
+    if not b:
         raise ValueError("empty sequence")
-    for p in range(1, L + 1):
-        if L % p:
-            continue
-        if all(s[i] == s[i % p] for i in range(p, L)):
-            return p
-    return L
+    return (b + b).find(b, 1)
 
 
-def _minimize(bits: tuple[int, ...]) -> BitSequence:
-    p = sequence_period(bits)
-    return BitSequence(bits[:p])
+def _minimize(bits) -> BitSequence:
+    return BitSequence(tuple(bits[:sequence_period(bits)]))
+
+
+def _product_bits(streams, n: int) -> list:
+    """u_t = prod over the streams of s_i[t mod n_i], for t < n."""
+    bits = list(islice(cycle(streams[0].bits), n))
+    for s in streams[1:]:
+        bits = list(map(and_, bits, cycle(s.bits)))
+    return bits
 
 
 def pointwise_product(a: BitSequence, b: BitSequence) -> BitSequence:
     """u_t = a_t AND b_t over one lcm period, then period-minimized."""
-    L = lcm(a.period, b.period)
-    return _minimize(tuple(a.bit(t) & b.bit(t) for t in range(L)))
+    return _minimize(_product_bits((a, b), lcm(a.period, b.period)))
 
 
 class AnfCombiner:
@@ -189,11 +206,15 @@ class AnfCombiner:
 
 
 def combiner_stream(f: AnfCombiner, inputs: list[BitSequence]) -> BitSequence:
-    """s_t = f(input bits at t) over one lcm period, period-minimized."""
+    """s_t = f(input bits at t) over one lcm period, period-minimized: the
+    XOR over f's monomials of each monomial's stream product."""
     if len(inputs) != f.n_vars:
         raise ValueError(
             f"combiner takes {f.n_vars} sequences, got {len(inputs)}")
-    L = lcm(*(s.period for s in inputs)) if inputs else 1
-    return _minimize(tuple(
-        f.evaluate([s.bit(t) for s in inputs]) for t in range(L)))
+    L = lcm(*(s.period for s in inputs))
+    bits = [0] * L
+    for mono in f.monomials:
+        bits = list(map(xor, bits,
+                        _product_bits([inputs[v - 1] for v in mono], L)))
+    return _minimize(bits)
 

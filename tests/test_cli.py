@@ -453,6 +453,16 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("period", ("7_0", "+7", " 7"))
+def test_period_header_takes_only_decimal_digits(tmp_path, capsys, period):
+    # int() would read 7_0 as 70 and accept +7 and " 7"
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"period={period}\n{rv.STREAM_B}\n")
+    code, out, err = run(capsys, "bm", "--in", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}:1:8: bad period {period!r}\n"
+
+
 def test_dft_field_without_an_element_of_the_period_exits_2(tmp_path,
                                                             capsys):
     seq = tmp_path / "b.txt"
@@ -569,6 +579,26 @@ def test_golden_output(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == open(os.path.join(HERE, "golden", golden)).read()
+
+
+@pytest.mark.parametrize("cmd, golden", [
+    (("product",), "seq_product_7x31x151.seq"),
+    (("combine", "--anf", "1*2+2*3+1*3"), "seq_combine_7x31x151.seq"),
+])
+def test_seq_golden_7x31x151(tmp_path, capsys, cmd, golden):
+    # the product and the majority of three registers, N = 32,767
+    regs = []
+    for poly, seed, bits in (("0xb", "0x1", 7), ("0x25", "0x9", 31),
+                             ("0xc4d7", "0x315f", 151)):
+        regs += ["--in", str(tmp_path / f"r{bits}.seq")]
+        code, _, _ = run(capsys, "seq", "gen", "--poly", poly, "--seed", seed,
+                         "--bits", str(bits), "--out", regs[-1])
+        assert code == 0
+    out = tmp_path / "out.seq"
+    code, _, err = run(capsys, "seq", *cmd, *regs, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == open(os.path.join(HERE, "golden", golden),
+                                    "rb").read()
 
 
 def test_report_golden_example1(capsys):

@@ -52,6 +52,9 @@ def test_sequence_roundtrip():
 
 @pytest.mark.parametrize("body,line,col", [
     ("period=x\n0010111\n", 1, 8),     # non-numeric period
+    ("period=7_0\n0010111\n", 1, 8),   # digit separator
+    ("period=+7\n0010111\n", 1, 8),    # signed period
+    ("period= 7\n0010111\n", 1, 8),    # space inside the header
     ("period=7\n00101x1\n", 2, 6),     # bad bit character
     ("period=9\n0010111\n", 2, 8),     # length mismatch
     ("0010111\n", 1, 1),               # missing header

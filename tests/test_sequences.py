@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from crtspectra import oracle, sequences
 from crtspectra.sequences import (AnfCombiner, BitSequence, Lfsr,
                                   combiner_stream, lfsr_stream,
                                   pointwise_product, sequence_period)
@@ -78,6 +79,71 @@ def test_sequence_period_sampled():
         q = sequence_period(s)
         assert len(s) % q == 0 and q <= p
         assert all(s[i] == s[i % q] for i in range(len(s)))
+
+
+def _least_period(bits) -> int:
+    """The textbook definition: the least divisor p of len(bits) with
+    bits[i] == bits[i mod p] for every i."""
+    L = len(bits)
+    return next(p for p in range(1, L + 1)
+                if L % p == 0 and all(bits[i] == bits[i % p]
+                                      for i in range(L)))
+
+
+def _minimal(bits) -> BitSequence:
+    return BitSequence(tuple(bits[:_least_period(bits)]))
+
+
+def test_sequence_period_matches_the_divisor_scan():
+    rng = random.Random(29)
+    for _ in range(300):
+        core = [rng.randrange(2) for _ in range(rng.randrange(1, 40))]
+        bits = core * rng.randrange(1, 7)
+        want = _least_period(bits)
+        assert sequence_period(bits) == want
+        assert sequence_period("".join(map(str, bits))) == want
+        assert sequence_period(BitSequence(tuple(bits))) == want
+
+
+def test_pointwise_product_is_and_per_t():
+    rng = random.Random(31)
+    for _ in range(100):
+        a = BitSequence(tuple(rng.randrange(2)
+                              for _ in range(rng.randrange(1, 16))))
+        b = BitSequence(tuple(rng.randrange(2)
+                              for _ in range(rng.randrange(1, 16))))
+        L = math.lcm(a.period, b.period)
+        want = _minimal([a.bit(t) & b.bit(t) for t in range(L)])
+        assert pointwise_product(a, b) == want
+
+
+@pytest.mark.parametrize("periods", ((3, 7, 31), (2, 5, 9), (4, 6, 9),
+                                     (6, 10, 15), (3, 3, 12, 8)))
+def test_combiner_stream_is_f_per_t(periods):
+    rng = random.Random(str(periods))
+    n = len(periods)
+    everything = list(range(1, n + 1))
+    anfs = [AnfCombiner(n, [[1, 2], [2, 3], [1, 2]]),  # cancels to 2*3
+            AnfCombiner(n, [[1], [1]]),                 # cancels to zero
+            AnfCombiner(n, [everything])]               # one monomial
+    for _ in range(12):
+        anfs.append(AnfCombiner(n, [
+            rng.sample(everything, rng.randrange(1, n + 1))
+            for _ in range(rng.randrange(1, 6))]))
+    for f in anfs:
+        inputs = [BitSequence(tuple(rng.randrange(2) for _ in range(p)))
+                  for p in periods]
+        L = math.lcm(*periods)
+        want = _minimal([f.evaluate([s.bit(t) for s in inputs])
+                         for t in range(L)])
+        assert combiner_stream(f, inputs) == want
+    assert combiner_stream(anfs[1], inputs) == BitSequence((0,))
+
+
+def test_oracle_takes_its_streams_from_sequences():
+    # one implementation of the period walk and the stream product
+    assert oracle._one_period is sequences._one_period
+    assert oracle._product_bits is sequences._product_bits
 
 
 def test_pointwise_product_reference():
