@@ -59,6 +59,29 @@ def _sig3(x: float) -> str:
     return f"{r:.{k}f}"
 
 
+def _md_table(header, rows) -> list[str]:
+    """A markdown table's lines: the header, its rule, one line per row."""
+    return (["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+            + ["| " + " | ".join(row) + " |" for row in rows])
+
+
+_POLY = "a polynomial like 0xb or x^3+x+1"
+
+
+def _flag(flag: str, text: str, parse, expected: str):
+    """parse(text), or a ValueError that names the flag, the text given and
+    the form expected."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}; expected {expected}") from None
+
+
+def _lfsr_spec(text: str) -> tuple[int, int]:
+    conn_s, seed_s = text.split(":", 1)
+    return parse_poly(conn_s), int(seed_s, 0)
+
+
 # --------------------------------------------------------------------------
 # subcommand bodies
 
@@ -68,7 +91,7 @@ def _cmd_field_inspect(args) -> tuple[int, str]:
         lines += (f"{m} 0x{f:x}" for m, f in sorted(PRIMITIVE_POLYS.items()))
         return 0, "\n".join(lines)
     m = args.m
-    modulus = parse_poly(args.mod) if args.mod else None
+    modulus = _flag("--mod", args.mod, parse_poly, _POLY) if args.mod else None
     if m is None:
         m = modulus.bit_length() - 1
     fld = build_field(m, modulus)
@@ -82,7 +105,9 @@ def _cmd_field_inspect(args) -> tuple[int, str]:
 
 
 def _cmd_seq_gen(args) -> tuple[int, str]:
-    lfsr = Lfsr(parse_poly(args.poly), int(args.seed, 0))
+    lfsr = Lfsr(_flag("--poly", args.poly, parse_poly, _POLY),
+                _flag("--seed", args.seed, lambda t: int(t, 0),
+                      "an integer like 0x1"))
     return 0, serialize_sequence(lfsr_stream(lfsr, args.bits))
 
 
@@ -152,15 +177,6 @@ def _cmd_combine_spectrum(args) -> tuple[int, str]:
     return 0, serialize_spectrum(combiner_spectrum(f, factors, basis))
 
 
-def _parse_lfsr_spec(text: str):
-    try:
-        conn_s, seed_s = text.split(":", 1)
-        return parse_poly(conn_s), int(seed_s, 0)
-    except ValueError:
-        raise ValueError(
-            f"bad --lfsr {text!r}; expected <poly>:<seed> like 0xb:0x1") from None
-
-
 def _cmd_verify(args) -> tuple[int, str]:
     tamper = args.tamper_index
     if args.bound < 1:
@@ -171,11 +187,12 @@ def _cmd_verify(args) -> tuple[int, str]:
         raise ValueError("--tamper-index cannot be combined with --random-seeds")
     if args.seed is not None and not args.random_seeds:
         raise ValueError("--seed needs --random-seeds")
-    specs = [_parse_lfsr_spec(t) for t in args.lfsr]
+    specs = [_flag("--lfsr", t, _lfsr_spec, "<poly>:<seed> like 0xb:0x1")
+             for t in args.lfsr]
 
     # the seed heads the report, so --out and --json keep a replayable run
     lines = []
-    runs = []
+    runs = [specs]
     seed = None
     if args.random_seeds:
         seed = args.seed if args.seed is not None else random.randrange(1 << 30)
@@ -183,11 +200,9 @@ def _cmd_verify(args) -> tuple[int, str]:
         lines.append(json.dumps({"seed": seed}) if args.json else f"seed={seed}")
         # a seed is drawn below 2^m, so each register is checked first
         degrees = [connection_degree(conn) for conn, _ in specs]
-        for _ in range(args.random_seeds):
-            runs.append([(conn, rng.randrange(1, 1 << m))
-                         for (conn, _), m in zip(specs, degrees)])
-    else:
-        runs.append(specs)
+        runs = [[(conn, rng.randrange(1, 1 << m))
+                 for (conn, _), m in zip(specs, degrees)]
+                for _ in range(args.random_seeds)]
 
     overall_ok = True
     for run in runs:
@@ -208,21 +223,17 @@ def _cmd_verify(args) -> tuple[int, str]:
             if tamper is not None:
                 rec["tampered_at"] = tamper
             lines.append(json.dumps(rec))
-            for mm in rep.mismatches:
-                lines.append(json.dumps({
-                    "lfsrs": label, "index": mm.index,
-                    "expected": mm.expected, "actual": mm.actual}))
+        elif tamper is None:
+            lines.append(f"{rep.summary()}  [{label}]")
         else:
-            if tamper is None:
-                lines.append(f"{rep.summary()}  [{label}]")
-            else:
-                lines.append(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
-                             f" tampered_at={tamper}"
-                             f" mismatches={len(rep.mismatches)}")
-            for mm in rep.mismatches:
-                lines.append(json.dumps({"index": mm.index,
-                                         "expected": mm.expected,
-                                         "actual": mm.actual}))
+            lines.append(f"{'PASS' if rep.ok else 'FAIL'} N={rep.N}"
+                         f" tampered_at={tamper}"
+                         f" mismatches={len(rep.mismatches)}")
+        for mm in rep.mismatches:
+            rec = {"index": mm.index, "expected": mm.expected,
+                   "actual": mm.actual}
+            lines.append(json.dumps({"lfsrs": label, **rec} if args.json
+                                    else rec))
     return (0 if overall_ok else 1), "\n".join(lines)
 
 
@@ -251,15 +262,9 @@ def _cmd_bench(args) -> tuple[int, str]:
         return 0, "\n".join(json.dumps({"quantity": q, "direct": d, "crt": c_})
                             for q, d, c_ in rows)
     lines = [f"# one spectral point of b.c at k={k} (N={S.N})", ""]
-    lines.append("| quantity | direct | crt |")
-    lines.append("|---|---|---|")
-    for q, d, c_ in rows:
-        lines.append(f"| {q} | {d} | {c_} |")
-    lines.append("")
-    lines.append("csv:")
-    lines.append("quantity,direct,crt")
-    for q, d, c_ in rows:
-        lines.append(f"{q.replace(' ', '_')},{d},{c_}")
+    lines += _md_table(("quantity", "direct", "crt"), rows)
+    lines += ["", "csv:", "quantity,direct,crt"]
+    lines += (f"{q.replace(' ', '_')},{d},{c_}" for q, d, c_ in rows)
     return 0, "\n".join(lines)
 
 
@@ -269,29 +274,19 @@ def report_tables(example: int) -> str:
         ex = cases.example1()
         A, B = ex.factors
         U = ex.spectrum
-        ks = list(range(U.N))
-        rows = [
-            ("k", [str(k) for k in ks]),
-            ("A_(k mod 3)", [_fmt_value(A.points.get(k % 3)) for k in ks]),
-            ("B_(k mod 7)", [_fmt_value(B.points.get(k % 7)) for k in ks]),
-            ("U_k", [_fmt_value(U.points.get(k)) for k in ks]),
-        ]
+        ks = range(U.N)
+        rows = [[name] + [_fmt_value(S.points.get(k % S.N)) for k in ks]
+                for name, S in (("A_(k mod 3)", A), ("B_(k mod 7)", B),
+                                ("U_k", U))]
         lines = [f"# product spectrum at period {U.N}", ""]
-        lines.append("| " + " | ".join(["row"] + rows[0][1]) + " |")
-        lines.append("|" + "---|" * (U.N + 1))
-        for name, cells in rows[1:]:
-            lines.append("| " + " | ".join([name] + cells) + " |")
-        lines.append("")
-        return "\n".join(lines)
+        lines += _md_table(["row"] + [str(k) for k in ks], rows)
+        return "\n".join(lines + [""])
     if example == 2:
         lines = []
         for name, S in cases.example2().items():
-            lines.append(f"# spectrum of {'.'.join(name)}, period {S.N}")
-            lines.append("")
-            lines.append("| k | S_k |")
-            lines.append("|---|---|")
-            for k, d in S.points.items():
-                lines.append(f"| {k} | {_fmt_value(d)} |")
+            lines += [f"# spectrum of {'.'.join(name)}, period {S.N}", ""]
+            lines += _md_table(("k", "S_k"), ((str(k), _fmt_value(d))
+                                              for k, d in S.points.items()))
             lines.append("")
         return "\n".join(lines)
     raise ValueError(f"no example {example}; choose 1 or 2")
@@ -314,6 +309,15 @@ def _cmd_report(args) -> tuple[int, str]:
 
 # --------------------------------------------------------------------------
 
+def _leaf(group, name: str, run, **kw) -> argparse.ArgumentParser:
+    """A subcommand. `main` calls its `run` and writes the text to its
+    `--out`, so every leaf is made here."""
+    p = group.add_parser(name, **kw)
+    p.add_argument("--out")
+    p.set_defaults(run=run)
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -323,87 +327,66 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="field inspection")
     fs = p.add_subparsers(dest="field_cmd", required=True)
-    pi = fs.add_parser("inspect")
-    pi.add_argument("--m", type=int)
-    pi.add_argument("--mod")
-    pi.add_argument("--out")
-    pi.set_defaults(run=_cmd_field_inspect)
+    p = _leaf(fs, "inspect", _cmd_field_inspect)
+    p.add_argument("--m", type=int)
+    p.add_argument("--mod")
 
     p = sub.add_parser("seq", help="generate and combine sequences")
     ss = p.add_subparsers(dest="seq_cmd", required=True)
-    pg = ss.add_parser("gen")
-    pg.add_argument("--poly", required=True)
-    pg.add_argument("--seed", dest="seed", required=True)
-    pg.add_argument("--bits", type=int, required=True)
-    pg.add_argument("--out")
-    pg.set_defaults(run=_cmd_seq_gen)
-    pp = ss.add_parser("product")
-    pp.add_argument("--in", dest="inputs", action="append", required=True)
-    pp.add_argument("--out")
-    pp.set_defaults(run=_cmd_seq_product)
-    pc = ss.add_parser("combine")
-    pc.add_argument("--anf", required=True)
-    pc.add_argument("--in", dest="inputs", action="append", required=True)
-    pc.add_argument("--out")
-    pc.set_defaults(run=_cmd_seq_combine)
+    p = _leaf(ss, "gen", _cmd_seq_gen)
+    p.add_argument("--poly", required=True)
+    p.add_argument("--seed", required=True)
+    p.add_argument("--bits", type=int, required=True)
+    p = _leaf(ss, "product", _cmd_seq_product)
+    p.add_argument("--in", dest="inputs", action="append", required=True)
+    p = _leaf(ss, "combine", _cmd_seq_combine)
+    p.add_argument("--anf", required=True)
+    p.add_argument("--in", dest="inputs", action="append", required=True)
 
-    p = sub.add_parser("bm", help="linear complexity of a sequence file")
+    p = _leaf(sub, "bm", _cmd_bm, help="linear complexity of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_bm)
 
-    p = sub.add_parser("dft", help="spectrum of a sequence file")
+    p = _leaf(sub, "dft", _cmd_dft, help="spectrum of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--field")
     what = p.add_mutually_exclusive_group()
     what.add_argument("--point", type=int)
     what.add_argument("--reduce", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_dft)
 
-    p = sub.add_parser("crt-conv", help="product spectrum from factor spectra")
+    p = _leaf(sub, "crt-conv", _cmd_crt_conv,
+              help="product spectrum from factor spectra")
     p.add_argument("--factors", nargs="+", required=True)
     what = p.add_mutually_exclusive_group()
     what.add_argument("--point", type=int)
     what.add_argument("--support-only", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_crt_conv)
 
-    p = sub.add_parser("combine-spectrum",
-                       help="combiner spectrum from factor spectra")
+    p = _leaf(sub, "combine-spectrum", _cmd_combine_spectrum,
+              help="combiner spectrum from factor spectra")
     p.add_argument("--anf", required=True)
     p.add_argument("--factors", nargs="+", required=True)
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_combine_spectrum)
 
     p = sub.add_parser("verify", help="oracle-backed end-to-end checks")
     vs = p.add_subparsers(dest="verify_cmd", required=True)
-    pv = vs.add_parser("theorem1")
-    pv.add_argument("--lfsr", action="append", required=True,
-                    metavar="POLY:SEED")
-    pv.add_argument("--bound", type=int, default=100_000)
-    pv.add_argument("--random-seeds", type=int, default=0,
-                    help="also run this many random nonzero seed tuples")
-    pv.add_argument("--seed", type=int, default=None,
-                    help="seed for --random-seeds; printed so runs replay")
-    pv.add_argument("--tamper-index", type=int, default=None,
-                    help="inject a fault at this spectral index; the run "
-                         "must then FAIL (exercises the mismatch path)")
-    pv.add_argument("--json", action="store_true")
-    pv.add_argument("--out")
-    pv.set_defaults(run=_cmd_verify)
+    p = _leaf(vs, "theorem1", _cmd_verify)
+    p.add_argument("--lfsr", action="append", required=True,
+                   metavar="POLY:SEED")
+    p.add_argument("--bound", type=int, default=100_000)
+    p.add_argument("--random-seeds", type=int, default=0,
+                   help="also run this many random nonzero seed tuples")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for --random-seeds; printed so runs replay")
+    p.add_argument("--tamper-index", type=int, default=None,
+                   help="inject a fault at this spectral index; the run "
+                        "must then FAIL (exercises the mismatch path)")
+    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("bench", help="cost comparison tables")
+    p = _leaf(sub, "bench", _cmd_bench, help="cost comparison tables")
     p.add_argument("--case", default="bc108", choices=("bc108",))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_bench)
 
-    p = sub.add_parser("report", help="reproduce the worked tables")
+    p = _leaf(sub, "report", _cmd_report, help="reproduce the worked tables")
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_report)
     return ap
 
 

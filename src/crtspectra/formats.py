@@ -43,12 +43,14 @@ class FormatError(Exception):
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+    half-written file. The file gets the permissions open(path, "w") would
+    leave: those of the file it replaces, else 0666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
+        os.chmod(tmp, _open_mode(path))   # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,12 +58,22 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _open_mode(path: str) -> int:
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)   # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 # --------------------------------------------------------------------------
 # field spec: `GF2m m=<int> mod=0x<hex>`
 
-# decimal runs are bounded so int() of a match never passes the interpreter's
+# ASCII decimal runs (\d would take any Unicode digit, and int() reads
+# those too), bounded so int() of a match never passes the interpreter's
 # digit limit (640 is its least setting); a longer run fails the match
-_DIGITS = r"\d{1,640}"
+_DIGITS = r"[0-9]{1,640}"
 _FIELD_RE = re.compile(rf"^GF2m m=({_DIGITS}) mod=0x([0-9A-Fa-f]+)$")
 
 
@@ -145,11 +157,17 @@ def _spectrum_head(N: int, field: FieldSpec, e: int) -> str:
     return f"N={N} field=GF2m({field.m},0x{field.modulus:x}) root=g^{e}"
 
 
+_ZERO_BLOCK = 1 << 16
+
+
 @lru_cache(maxsize=32)
 def _zero_body(N: int) -> str:
     """The entry lines of an all-zero spectrum, `0 Z` .. `N-1 Z`: one
-    string per N, kept for the few periods a process reads and writes."""
-    return " Z\n".join(map(str, range(N))) + " Z\n"
+    string per N, kept for the few periods a process reads and writes.
+    Joined _ZERO_BLOCK indices at a time, so the small strings of one block,
+    not of all N, are alive at once."""
+    return "".join(" Z\n".join(map(str, range(N)[i:i + _ZERO_BLOCK])) + " Z\n"
+                   for i in range(0, N, _ZERO_BLOCK))
 
 
 def _line_offset(k: int) -> int:

@@ -420,6 +420,52 @@ def test_verify_random_seeds_seed_heads_the_report(tmp_path, capsys):
     assert "seed=99" in err and "exceeds bound 10" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("field", "inspect", "--m", "6"),
+    ("seq", "gen", "--poly", "0xb", "--seed", "0x1", "--bits", "7"),
+    ("seq", "product", "--in", "a", "--in", "b"),
+    ("seq", "combine", "--anf", "1*2+1", "--in", "a", "--in", "b"),
+    ("bm", "--in", "b"),
+    ("dft", "--in", "b"),
+    ("crt-conv", "--factors", "a.spec", "b.spec"),
+    ("combine-spectrum", "--anf", "1*2+1", "--factors", "a.spec", "b.spec"),
+    ("verify", "theorem1", "--lfsr", "0x7:0x2", "--lfsr", "0xb:0x4",
+     "--tamper-index", "5"),
+    ("bench",),
+    ("report", "--example", "1"),
+], ids=["field-inspect", "seq-gen", "seq-product", "seq-combine", "bm", "dft",
+        "crt-conv", "combine-spectrum", "verify-theorem1", "bench", "report"])
+def test_every_command_writes_its_stdout_to_out(tmp_path, capsys, argv):
+    # every leaf command takes --out; the file holds what stdout would,
+    # with the same exit code (verify's tampered run exits 1)
+    paths = _write_streams(tmp_path, capsys)
+    for name in ("a", "b"):
+        paths[f"{name}.spec"] = str(tmp_path / f"{name}.spec")
+        assert run(capsys, "dft", "--in", paths[name],
+                   "--out", paths[f"{name}.spec"])[0] == 0
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and out and err == ""
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("seq", "gen", "--poly", "0xzz", "--seed", "0x1", "--bits", "7"),
+     "bad --poly '0xzz'; expected a polynomial like 0xb or x^3+x+1"),
+    (("seq", "gen", "--poly", "0xb", "--seed", "zz", "--bits", "7"),
+     "bad --seed 'zz'; expected an integer like 0x1"),
+    (("field", "inspect", "--mod", "0xzz"),
+     "bad --mod '0xzz'; expected a polynomial like 0xb or x^3+x+1"),
+    (("verify", "theorem1", "--lfsr", "0xzz:1"),
+     "bad --lfsr '0xzz:1'; expected <poly>:<seed> like 0xb:0x1"),
+], ids=["poly", "seed", "mod", "lfsr"])
+def test_unparsable_flag_value_names_the_flag(capsys, argv, message):
+    # not int()'s "invalid literal ..." with no flag in it
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "nonexistent" / "x.md"
     code, out, err = run(capsys, "report", "--example", "1",

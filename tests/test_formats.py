@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 import tracemalloc
 from math import gcd
 
@@ -41,6 +42,9 @@ def test_field_roundtrip():
     # past the interpreter's 4300-digit limit: a positioned FormatError
     with pytest.raises(FormatError, match=r"^x:1:1: expected 'GF2m"):
         parse_field("GF2m m=" + "1" * 5000 + " mod=0x43", "x")
+    # an Arabic-Indic six is a Unicode decimal digit, but not an ASCII one
+    with pytest.raises(FormatError, match=r"^x:1:1: expected 'GF2m"):
+        parse_field("GF2m m=\u0666 mod=0x43", "x")
 
 
 def test_sequence_roundtrip():
@@ -55,6 +59,7 @@ def test_sequence_roundtrip():
     ("period=7_0\n0010111\n", 1, 8),   # digit separator
     ("period=+7\n0010111\n", 1, 8),    # signed period
     ("period= 7\n0010111\n", 1, 8),    # space inside the header
+    ("period=\u0667\n0010111\n", 1, 8),  # Arabic-Indic seven
     ("period=7\n00101x1\n", 2, 6),     # bad bit character
     ("period=9\n0010111\n", 2, 8),     # length mismatch
     ("0010111\n", 1, 1),               # missing header
@@ -78,14 +83,15 @@ def test_spectrum_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "N", (1, 7, 9, 11, 99, 127, 1023, 1025, 10923, 16383, 32767))
+    "N", (1, 7, 9, 11, 99, 127, 1023, 1025, 10923, 16383, 32767, 131071))
 def test_spectrum_text_is_one_line_per_index(N):
     # the bytes the writer has always written, one f-string per index, with
-    # support at both ends and on both sides of each digit boundary
+    # support at both ends and on both sides of each digit boundary;
+    # 2^17 - 1 spans two of the zero body's 65,536-index blocks and a third
     fld, root = default_field_for_period(N)
     head = (f"N={N} field=GF2m({fld.m},0x{fld.modulus:x}) root=g^"
             f"{discrete_log(root, fld.generator, fld.group_order)}")
-    edges = {0, N - 1} | {k for p in (10, 100, 1000, 10000)
+    edges = {0, N - 1} | {k for p in (10, 100, 1000, 10000, 100000)
                           for k in (p - 1, p) if k < N}
     rng = random.Random(N)
     reps = {}
@@ -193,6 +199,22 @@ def test_spectrum_parse_rejections():
             parse_spectrum(text, "x")
 
 
+@pytest.mark.parametrize("text, digit", [
+    ("N={} field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 0\n", "3"),   # header
+    ("N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n{} 0\n2 0\n", "1"),   # index
+    ("N=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 {}\n2 0\n", "0"),   # exponent
+], ids=["header", "index", "exponent"])
+def test_spectrum_numbers_take_ascii_digits_only(text, digit):
+    # int() reads Arabic-Indic digits as it reads ASCII ones; the parser
+    # must refuse them where it refuses any other non-digit
+    parse_spectrum(text.format(digit), "x")
+    with pytest.raises(FormatError) as unicode_digit:
+        parse_spectrum(text.format(chr(0x660 + int(digit))), "x")
+    with pytest.raises(FormatError) as letter:
+        parse_spectrum(text.format("x"), "x")
+    assert str(unicode_digit.value) == str(letter.value)
+
+
 def test_spectrum_short_text_rejected_before_allocating():
     # the header passes the group-order check, but one entry line cannot
     # fill N = 2^24 - 1 indices; no N-sized table may be built first
@@ -221,3 +243,25 @@ def test_atomic_write_failure_leaves_no_residue(tmp_path):
     with pytest.raises(OSError):
         atomic_write(str(target), "x")
     assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_leaves_the_mode_open_leaves(tmp_path):
+    # mkstemp makes its file 0600; the renamed file must not keep that
+    def mode(p):
+        return stat.S_IMODE(os.stat(p).st_mode)
+
+    old_umask = os.umask(0o027)
+    try:
+        for name in ("old_opened", "old_written"):
+            (tmp_path / name).write_text("old\n")
+            os.chmod(tmp_path / name, 0o644)
+        for name in ("new_opened", "old_opened"):   # open(path, "w")
+            (tmp_path / name).write_text("new\n")
+        atomic_write(str(tmp_path / "new_written"), "new\n")
+        atomic_write(str(tmp_path / "old_written"), "new\n")
+    finally:
+        os.umask(old_umask)
+    assert mode(tmp_path / "new_written") == mode(tmp_path / "new_opened") \
+        == 0o640
+    assert mode(tmp_path / "old_written") == mode(tmp_path / "old_opened") \
+        == 0o644
