@@ -105,6 +105,8 @@ def _cmd_field_inspect(args) -> tuple[int, str]:
 
 
 def _cmd_seq_gen(args) -> tuple[int, str]:
+    if args.bits < 1:
+        raise ValueError("--bits must be >= 1")
     lfsr = Lfsr(_flag("--poly", args.poly, parse_poly, _POLY),
                 _flag("--seed", args.seed, lambda t: int(t, 0),
                       "an integer like 0x1"))

@@ -39,6 +39,20 @@ def pmod(a: int, f: int) -> int:
     return a
 
 
+def pdivmod(a: int, f: int) -> tuple[int, int]:
+    """Quotient and remainder (q, r) of a by f: a = q f + r, deg r < deg f.
+    pmod is the same loop without the quotient, which would cost it a
+    deg(a)-bit int per step."""
+    if f == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    df = f.bit_length()
+    q = 0
+    while (da := a.bit_length()) >= df:
+        q ^= 1 << (da - df)
+        a ^= f << (da - df)
+    return q, a
+
+
 def pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, pmod(a, b)

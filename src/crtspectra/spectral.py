@@ -4,6 +4,11 @@ A Spectrum stores only its nonzero points k -> d, S_k = root^d; every
 other index is ZERO (encoded as None). Exponent arithmetic is what the CRT
 path in crtconv operates on, so the log form is the primary representation
 and full field values are derived from it on demand.
+
+dft finds the support before it sums anything: S_k != 0 exactly at the
+roots root^k of the support polynomial c = (x^N + 1) / gcd(x^N + 1, s(x)),
+of degree L, the linear complexity (Blahut 1979). c comes from GF(2)[x]
+int arithmetic, so the power table stays dft's only field work.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .field import (FieldElement, FieldSpec, _doubling_orbit, build_field,
-                    cyclotomic_cosets, discrete_log, element_of_order,
-                    element_order, has_order, multiplicative_order_of_2,
-                    root_power_table)
+                    discrete_log, element_of_order, element_order, has_order,
+                    multiplicative_order_of_2, root_power_table)
+from .gf2poly import pdivmod, pgcd, pmod
 from .sequences import BitSequence
 
 ZERO = None  # spectral zero marker; never exponent-encoded
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -93,13 +99,37 @@ def default_field_for_period(N: int):
     return field, element_of_order(field, N)
 
 
+def support_polynomial(s: BitSequence) -> tuple[int, int]:
+    """(c, r) with c = (x^N + 1) / gcd(x^N + 1, s(x)) and r = s(x) mod c,
+    where s(x) = sum_t s_t x^t over one period, N = s.period.
+
+    Pure GF(2)[x] int arithmetic. For odd N and a root of order N, the
+    powers root^k are the N simple roots of x^N + 1, and S_k = s(root^k),
+    so S_k != 0 exactly when c(root^k) = 0, and there S_k = r(root^k).
+    deg c is the linear complexity L of s (Blahut 1979), and c reversed is
+    its minimal polynomial: s(x) / (x^N + 1) in lowest terms has
+    denominator c."""
+    N = s.period
+    sx = int(bytes(s.bits[::-1]).translate(_ASCII_BITS), 2)
+    xn1 = 1 << N | 1
+    c, _ = pdivmod(xn1, pgcd(xn1, sx))
+    return c, pmod(sx, c)
+
+
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     """S_k = sum_t s_t root^(tk), k = 0..N-1, positive-exponent kernel.
 
     Table-driven: the root power table is the only field multiplication
-    (N - 1 steps of FieldSpec.times(root)). Each cyclotomic coset leader k
-    is the XOR of pw[t k mod N] over the 1-bits t of s, and the rest of
-    each coset is filled by the conjugate square law d(2k) = 2 d(k) mod N.
+    (N - 1 steps of FieldSpec.times(root)). The support polynomial c of s
+    (see support_polynomial) screens each cyclotomic coset leader k: the
+    coset is ZERO unless c(root^k) = 0, and then S_k = r(root^k). Both are
+    XORs of pw[i k mod N] over the 1-bits i of c or r. Where weight(c) +
+    weight(r) >= weight(s) the screen cannot pay, and each leader sums the
+    1-bits of s instead. The rest of each coset is filled by the conjugate
+    square law d(2k) = 2 d(k) mod N.
+
+    Cost: O(N) set-up (power table, log table, the walk over the doubling
+    orbits), plus leaders x weight(c), plus support leaders x weight(r).
     """
     N = s.period
     if not has_order(root, N):
@@ -107,20 +137,39 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             f"root order {element_order(root)} != sequence period {N}")
     pw = root_power_table(root, N)
     dlog = {bits: d for d, bits in enumerate(pw)}
-    ones = [t for t, b in enumerate(s.bits) if b]
+    c, r = support_polynomial(s)
+    if c.bit_count() + r.bit_count() < s.bits.count(1):
+        screen, taps = _ones(c), _ones(r)
+    else:  # the screen cannot pay: no screen, and the 1-bits of s
+        screen, taps = [], [t for t, b in enumerate(s.bits) if b]
     reps = {}
-    for coset in cyclotomic_cosets(N):
-        leader = coset[0]
+    seen = bytearray(N)
+    for leader in range(N):
+        if seen[leader]:
+            continue
+        j = leader
+        while not seen[j]:
+            seen[j] = 1
+            j = 2 * j % N
         acc = 0
-        for t in ones:
+        for i in screen:
+            acc ^= pw[i * leader % N]
+        if acc:
+            continue  # c(root^leader) != 0: the whole coset stays ZERO
+        for t in taps:
             acc ^= pw[t * leader % N]
         if acc == 0:
-            continue  # whole coset stays ZERO
+            continue
         d = dlog.get(acc)
         if d is None:
             raise _outside_root_group(leader)
         reps[leader] = d
     return coset_expand(reps, N, field, root)
+
+
+def _ones(p: int) -> list[int]:
+    """The exponents of the nonzero terms of a GF(2)[x] polynomial."""
+    return [i for i, b in enumerate(bin(p)[:1:-1]) if b == "1"]
 
 
 def idft(S: Spectrum) -> BitSequence:

@@ -46,6 +46,15 @@ def test_seq_gen_product_bm(tmp_path, capsys):
     assert out.splitlines()[1] == "g=0x57 x^6+x^4+x^2+x+1"
 
 
+def test_seq_gen_bits_below_1_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "o.seq"
+    for bits in ("0", "-1"):
+        code, out, err = run(capsys, "seq", "gen", "--poly", "0xb", "--seed",
+                             "0x1", "--bits", bits, "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: --bits must be >= 1\n")
+    assert not out_file.exists()
+
+
 def test_bm_reads_the_file_as_one_period(tmp_path, capsys):
     # L = 7 > N/2: one period alone would pin only the prefix, L=1 and g=x
     p = tmp_path / "p7.txt"

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from crtspectra.gf2poly import (is_irreducible, parse_poly, pgcd, pmod, pmul,
-                                poly_degree, poly_str, ppowmod)
+from crtspectra.gf2poly import (is_irreducible, parse_poly, pdivmod, pgcd,
+                                pmod, pmul, poly_degree, poly_str, ppowmod)
 
 
 def test_degree():
@@ -27,11 +27,30 @@ def test_divmod_roundtrip():
         q = rng.randrange(1 << 12)
         r = rng.randrange(1 << (b.bit_length() - 1))
         assert pmod(pmul(q, b) ^ r, b) == r
+        assert pdivmod(pmul(q, b) ^ r, b) == (q, r)
+
+
+def test_pdivmod_property():
+    # any a and nonzero f: a = q f + r with deg r < deg f, r = pmod(a, f);
+    # sizes reach past one machine word, and a below f gives q = 0
+    rng = random.Random(11)
+    for _ in range(300):
+        a = rng.getrandbits(rng.randrange(1, 300))
+        f = rng.randrange(1, 1 << rng.randrange(1, 200))
+        q, r = pdivmod(a, f)
+        assert a == pmul(q, f) ^ r
+        assert poly_degree(r) < poly_degree(f)
+        assert r == pmod(a, f)
+    assert pdivmod(0b101, 0b1011) == (0, 0b101)
+    assert pdivmod(0, 0b11) == (0, 0)
+    assert pdivmod(0b1011, 1) == (0b1011, 0)
 
 
 def test_divmod_rejects_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        pmod(5, 0)
+    for div in (pmod, pdivmod):
+        with pytest.raises(ZeroDivisionError,
+                           match="^polynomial division by zero$"):
+            div(5, 0)
 
 
 def test_gcd():

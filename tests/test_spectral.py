@@ -3,15 +3,18 @@ from math import gcd
 
 import pytest
 
+from crtspectra import spectral
+from crtspectra.bm import berlekamp_massey
 from crtspectra.costs import OpCounter
 from crtspectra.field import (CountingField, build_field, cyclotomic_cosets,
-                              default_modulus, element_of_order)
+                              default_modulus, element_of_order,
+                              multiplicative_order_of_2, root_power_table)
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product)
 from crtspectra.spectral import (Spectrum, blahut_check, coset_expand,
                                  coset_reduce, default_field_for_period, dft,
-                                 dft_point, idft)
+                                 dft_point, idft, support_polynomial)
 
 import reference_values as rv
 
@@ -123,6 +126,62 @@ def test_dft_matches_brute_dft(N, random_log_spectrum):
                     == _transform_or_error(brute_dft, s, fld, r))
 
 
+def test_support_polynomial_is_the_reversed_bm_polynomial():
+    # Blahut: deg c is the linear complexity, and c = (x^N + 1) / gcd(x^N
+    # + 1, s(x)) reversed is the minimal polynomial Berlekamp-Massey finds
+    # on two periods. Where GF(2^ord_N(2)) has a default modulus, dft
+    # screened by c gives brute_dft's spectrum, or its error, on the same
+    # bits. Dense, sparse and short-period bits reach both sides of the
+    # screen's weight test.
+    rng = random.Random(25)
+    sides = set()
+    for N in range(1, 256, 2):
+        divisors = [d for d in range(1, N + 1) if N % d == 0]
+        d = rng.choice(divisors)
+        short = [rng.randrange(2) for _ in range(d)]
+        for bits in (tuple(rng.randrange(2) for _ in range(N)),
+                     tuple(int(rng.random() < 0.1) for _ in range(N)),
+                     tuple(short * (N // d))):
+            s = BitSequence(bits)
+            c, r = support_polynomial(s)
+            bm = berlekamp_massey(bits * 2)
+            assert c.bit_length() - 1 == bm.linear_complexity
+            assert int(bin(c)[:1:-1], 2) == bm.minimal_poly
+            assert c.bit_length() > r.bit_length()
+            if multiplicative_order_of_2(N) > 32:
+                continue
+            sides.add(c.bit_count() + r.bit_count() < sum(bits))
+            fld, root = default_field_for_period(N)
+            assert (_transform_or_error(dft, s, fld, root)
+                    == _transform_or_error(brute_dft, s, fld, root))
+    assert sides == {True, False}
+
+
+def test_dft_edge_sequences():
+    # all-zero periods have an empty spectrum; all-one periods are the
+    # constant 1, whose only point is S_0 = N = 1 = root^0
+    for N in (1, 3, 7):
+        fld, root = default_field_for_period(N)
+        assert dft(BitSequence((0,) * N), fld, root).points == {}
+    for text in ("1", "1111111"):
+        fld, root = default_field_for_period(len(text))
+        assert dft(BitSequence.from_string(text), fld, root).points == {0: 0}
+
+
+def test_dft_of_a_degree_17_m_sequence():
+    # N = 131,071: the support is one coset of 17 points, found by the
+    # screen at one weight-3 evaluation per leader, not a sum over the
+    # 65,536 1-bits of s at each of the 7711 leaders
+    s = lfsr_stream(Lfsr(default_modulus(17), 1), (1 << 17) - 1)
+    fld, root = default_field_for_period(s.period)
+    S = dft(s, fld, root)
+    assert S.nonzero_count() == 17
+    reps = coset_reduce(S)
+    assert len(reps) == 1
+    (leader, d), = reps.items()
+    assert dft_point(s, root, leader) == d
+
+
 def test_dft_without_log_form_raises():
     s = BitSequence.from_string("00011")
     fld, root = default_field_for_period(5)
@@ -142,6 +201,41 @@ def test_dft_multiplies_only_to_build_the_power_table():
         cf = CountingField(fld, counter)
         dft(s, cf, cf.element(root.bits))
         assert counter.mul_count == s.period - 1
+
+
+class _CountingTable(list):
+    """A power table that counts its indexed reads."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_dft_reads_weight_c_per_leader_and_weight_r_per_support_leader(
+        monkeypatch):
+    # the screen's cost: weight(c) reads at each coset leader and weight(r)
+    # more at each leader of the support, not weight(s) at every leader;
+    # where weight(c) + weight(r) >= weight(s) (U: 5 + 4 against 8) the
+    # screen is not taken and each leader reads weight(s)
+    tables = []
+
+    def counted(root, N):
+        tables.append(_CountingTable(root_power_table(root, N)))
+        return tables[-1]
+
+    monkeypatch.setattr(spectral, "root_power_table", counted)
+    for s in (U, _mseq_product(3, 5), _mseq_product(10)):
+        fld, root = default_field_for_period(s.period)
+        c, r = support_polynomial(s)
+        S = dft(s, fld, root)
+        leaders = len(cyclotomic_cosets(s.period))
+        if s is U:
+            assert c.bit_count() + r.bit_count() >= sum(s.bits)
+            assert tables[-1].reads == leaders * sum(s.bits)
+        else:
+            assert tables[-1].reads == (leaders * c.bit_count()
+                                        + len(coset_reduce(S)) * r.bit_count())
 
 
 def test_idft_roundtrip_all_streams():
