@@ -25,8 +25,10 @@ class BmResult:
                 f"disagrees with L={self.linear_complexity}")
 
 
-def _as_bits(s) -> list[int]:
-    return [int(b) for b in s]
+def _as_bits(s) -> bytes:
+    """s as bytes of 0 or 1; bytes, such as sequences.bit_bytes makes from
+    a packed word, are taken as they are."""
+    return s if isinstance(s, bytes) else bytes(int(b) for b in s)
 
 
 def berlekamp_massey(bits) -> BmResult:
@@ -63,7 +65,7 @@ def berlekamp_massey(bits) -> BmResult:
     for j in range(L + 1):
         f |= ((C >> (L - j)) & 1) << j
     result = BmResult(L, f)
-    if regenerate(result, s[:L], len(s)) != s:
+    if bytes(regenerate(result, s[:L], len(s))) != s:
         raise AssertionError("BM output failed to regenerate its input")
     return result
 

@@ -27,8 +27,9 @@ from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
                       serialize_sequence, serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
 from .oracle import verify_theorem1
-from .sequences import (AnfCombiner, combiner_stream, connection_degree, Lfsr,
-                        lfsr_stream, pointwise_product)
+from .sequences import (AnfCombiner, bit_bytes, combiner_stream,
+                        connection_degree, Lfsr, lfsr_stream,
+                        pointwise_product)
 from .spectral import coset_reduce, default_field_for_period, dft, dft_point
 
 
@@ -137,7 +138,7 @@ def parse_spectrum_file(path: str):
 def _cmd_bm(args) -> tuple[int, str]:
     s = parse_sequence_file(args.infile)
     # the file holds one period; BM needs 2L bits and L <= N
-    r = berlekamp_massey(s.bits * 2)
+    r = berlekamp_massey(bit_bytes(s.word, s.period) * 2)
     return 0, (f"L={r.linear_complexity}\n"
                f"g=0x{r.minimal_poly:x} {poly_str(r.minimal_poly)}")
 

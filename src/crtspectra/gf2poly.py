@@ -30,10 +30,25 @@ def pmul(a: int, b: int) -> int:
 
 
 def pmod(a: int, f: int) -> int:
-    """Remainder of a modulo f."""
+    """Remainder of a modulo f.
+
+    Each step of the loop XORs f, shifted under the top bit, into a. When a
+    is 256 bits or more longer than f, those steps would each rewrite all
+    of a, so a is reduced from the top in chunks of 256 bits instead: the
+    chunks are read from one to_bytes copy of a, the remainder so far is
+    shifted up and the next chunk appended, and the loop runs on that, an
+    int of under deg f + 256 bits. The work is then linear in deg a, not
+    quadratic."""
     if f == 0:
         raise ZeroDivisionError("polynomial division by zero")
     df = f.bit_length()
+    if a.bit_length() - df >= 256:
+        data = a.to_bytes((a.bit_length() + 7) // 8, "big")
+        head = len(data) - (a.bit_length() - df) // 256 * 32
+        r = pmod(int.from_bytes(data[:head], "big"), f)
+        for i in range(head, len(data), 32):
+            r = pmod(r << 256 | int.from_bytes(data[i:i + 32], "big"), f)
+        return r
     while (da := a.bit_length()) >= df:
         a ^= f << (da - df)
     return a

@@ -3,9 +3,10 @@ diffing, end-to-end audit.
 
 Nothing here shares kernels with spectral.dft or crtconv: field
 arithmetic, transforms and CRT are the oracle's own. What it shares is
-what is not a kernel: its LFSR periods and stream products come from
-sequences, the one stream layer, and its prime factors from
-gf2poly.factor_int. What brute_dft guarantees:
+what is not a kernel: its LFSR periods, stream products and the bytes
+it unpacks from a packed sequence come from sequences, the one stream
+layer, and its prime factors from gf2poly.factor_int. What brute_dft
+guarantees:
 - every spectral point S_k is a full sum over one period of the sequence;
 - its only field arithmetic is the oracle's own byte tables, whose images
   `_byte_tables` fills by shift-and-reduce, stepping its one walk over the
@@ -15,7 +16,7 @@ gf2poly.factor_int. What brute_dft guarantees:
 
 Two shortcuts keep it affordable without breaking those guarantees. The
 sum for S_k folds s by residue mod N / gcd(k, N), the period of
-t -> root^(tk); and x -> root*x is GF(2)-linear, so each step of the walk
+t -> root^(tk), by the oracle's own XOR of the word's chunks; and x -> root*x is GF(2)-linear, so each step of the walk
 is one table lookup per byte of x.
 
 inverse_matches runs the transform the other way, on the same power walk,
@@ -55,13 +56,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, prod
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
 from .gf2poly import factor_int
-from .sequences import (BitSequence, _one_period, _product_bits,
+from .sequences import (BitSequence, _one_period, _product_bits, bit_bytes,
                         connection_degree)
 from .spectral import Spectrum, default_field_for_period, dft
 
@@ -160,10 +162,8 @@ def _sum_points(s: BitSequence, field: FieldSpec, root: FieldElement,
         n = N // gcd(k, N)
         odd = folded.get(n)
         if odd is None:
-            parity = [0] * n
-            for t, bit in enumerate(s.bits):
-                parity[t % n] ^= bit
-            odd = folded[n] = [r for r in range(n) if parity[r]]
+            parity = _fold(s.word, N, n)
+            odd = folded[n] = list(compress(range(n), bit_bytes(parity, n)))
         acc = 0
         for r in odd:
             acc ^= pw[(r * k) % N]
@@ -175,6 +175,18 @@ def _sum_points(s: BitSequence, field: FieldSpec, root: FieldElement,
                     " of the root; no log-form spectrum over this root")
             points[k] = d
     return Spectrum(N, field, root, points)
+
+
+def _fold(word: int, N: int, n: int) -> int:
+    """The XOR of the N / n chunks of n bits of an N-bit word, n | N: bit r
+    is the parity of the bits t = r mod n. Each step XORs the upper chunks
+    onto the lower ones and so halves their number, so the work is O(N)."""
+    m = N // n
+    while m > 1:
+        h = m // 2
+        word = (word & ((1 << h * n) - 1)) ^ (word >> h * n)
+        m -= h
+    return word
 
 
 def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
@@ -240,7 +252,7 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     pw = _power_walk(S.field, S.root, N)
     points = list(S.points.items())
     window = min(N, len(points) + lc_bound)
-    for t, bit in enumerate(s.bits[:window]):
+    for t, bit in enumerate(bit_bytes(s.word, window)):
         acc = 0
         for k, d in points:
             acc ^= pw[(d - t * k) % N]
@@ -407,8 +419,8 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     # register lengths. BM pins L and the minimal polynomial from the first
     # 2 min(B, N) bits, and the coset window reads min(N, |A| + B)
     B = prod(connection_degree(conn) for conn, _ in lfsrs)
-    window = _product_bits(streams, max(2 * min(B, N),
-                                        min(N, len(S_crt.points) + B)))
+    W = max(2 * min(B, N), min(N, len(S_crt.points) + B))
+    window = bit_bytes(_product_bits(streams, W), W)
     r = berlekamp_massey(window[:2 * min(B, N)])
     if coset_window_matches(S_crt, window, N, B):
         S_ref, mismatches = S_crt, []
@@ -416,9 +428,9 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
         # the forward transform at the roots of u's minimal polynomial
         # names the indices that differ; the window certifies it, and
         # brute_dft runs only if it does not
-        u = BitSequence(tuple(_product_bits(streams, N)))
+        u = BitSequence.from_word(_product_bits(streams, N), N)
         S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
-        if not coset_window_matches(S_ref, u.bits, N, B):
+        if not coset_window_matches(S_ref, bit_bytes(u.word, N), N, B):
             S_ref = brute_dft(u, S_crt.field, S_crt.root)
         mismatches = compare_spectra(S_ref, S_crt)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity

@@ -1,47 +1,108 @@
-"""Periodic binary sequences, LFSR streams, and time-domain combining."""
+"""Periodic binary sequences, LFSR streams, and time-domain combining.
+
+A BitSequence is packed: one int `word` whose bit t is s_t, and its
+`period` N. The word is s(x) = sum_t s_t x^t, the polynomial that Blahut's
+theorem reads the spectrum from, so spectral work starts from it with no
+conversion. Every stream operation here is int arithmetic on words: a word
+is repeated to a longer length by doubling, products are ANDs, combiners
+XOR their monomials' products, and a least period is found by comparing
+the word with its rotations. Text goes in and out through one int(., 2)
+or format(., "b") call, and bit_bytes unpacks a word into one byte per bit
+for the bit-serial algorithms (Berlekamp-Massey, the oracle's windows).
+The LFSR stepper is the one loop here that takes a Python step per bit.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import cycle, islice
+from functools import cached_property
 from math import lcm
-from operator import and_, xor
 
-from .gf2poly import poly_degree
+from .gf2poly import factor_int, poly_degree
+
+_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
+def bit_bytes(word: int, n: int) -> bytes:
+    """Bits 0 .. n-1 of word as n bytes of 0 or 1, byte t holding bit t."""
+    return f"{word:0{n}b}"[:-n - 1:-1].encode().translate(_FROM_ASCII)
+
+
+def _pack(bits) -> int:
+    """The word whose bit t is bits[t], for bytes-like 0/1 values."""
+    return int(bytes(bits)[::-1].translate(_TO_ASCII) or b"0", 2)
+
+
+def _repeat(word: int, period: int, n: int) -> int:
+    """The n-bit word whose bit t is bit (t mod period) of word, by
+    doubling: each step appends the word built so far to itself."""
+    while period < n:
+        word |= word << period
+        period *= 2
+    return word & ((1 << n) - 1)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class BitSequence:
-    """One full period of a periodic binary sequence.
+    """One full period of a periodic binary sequence, packed into an int.
 
-    The stored array IS the period: len(bits) = N >= 1. Minimality is not
-    required by the type; pointwise_product and combiner_stream minimize
-    before returning.
+    Bit t of word is s_t for t < period = N >= 1, and word has no bit at
+    or above N. Minimality is not required by the type; pointwise_product
+    and combiner_stream minimize before returning. BitSequence(bits) takes
+    an iterable of 0s and 1s, from_string a string of '0' and '1', s_0
+    first, and from_word a word and its period.
     """
 
-    bits: tuple[int, ...]
+    word: int
+    period: int
 
-    def __post_init__(self):
-        if len(self.bits) < 1:
+    def __init__(self, bits):
+        bits = tuple(bits)
+        if len(bits) < 1:
             raise ValueError("empty sequence")
-        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "word", _pack(map(int, bits)))
+        object.__setattr__(self, "period", len(bits))
+
+    @classmethod
+    def from_word(cls, word: int, period: int) -> "BitSequence":
+        if period < 1:
+            raise ValueError("empty sequence")
+        if word < 0 or word >> period:
+            raise ValueError(f"word has bits outside [0, {period})")
+        s = cls.__new__(cls)
+        object.__setattr__(s, "word", word)
+        object.__setattr__(s, "period", period)
+        return s
 
     @classmethod
     def from_string(cls, text: str) -> "BitSequence":
-        return cls(tuple(map(int, text)))
+        """int(., 2) alone would also read '_' separators, surrounding
+        whitespace and non-ASCII digits, so any character but '0' and '1'
+        is refused first."""
+        if text.strip("01"):
+            raise ValueError("bits must be 0 or 1")
+        return cls.from_word(int(text[::-1] or "0", 2), len(text))
 
-    @property
-    def period(self) -> int:
-        return len(self.bits)
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """s_0 .. s_(N-1) as a tuple, built on first use."""
+        return tuple(bit_bytes(self.word, self.period))
 
     def bit(self, t: int) -> int:
         """s_t for any integer t (periodic extension)."""
-        return self.bits[t % len(self.bits)]
+        return (self.word >> (t % self.period)) & 1
 
     def __str__(self) -> str:
-        return "".join(map(str, self.bits))
+        return f"{self.word:0{self.period}b}"[::-1]
+
+    def __repr__(self) -> str:
+        # hex: a long word has no decimal form under Python's default
+        # limit on int-to-decimal conversion
+        return f"BitSequence.from_word(0x{self.word:x}, {self.period})"
 
     def __iter__(self):
         return iter(self.bits)
@@ -98,7 +159,7 @@ def lfsr_stream(l: Lfsr, n: int) -> BitSequence:
         raise ValueError("need n >= 1")
     warn_if_zero_seed(l)
     clone = Lfsr(l.connection, l.state)
-    return BitSequence(tuple(clone.step() for _ in range(n)))
+    return BitSequence.from_word(_pack(clone.step() for _ in range(n)), n)
 
 
 def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
@@ -108,41 +169,58 @@ def _one_period(connection: int, seed: int, bound: int) -> BitSequence:
     l = Lfsr(connection, seed)
     warn_if_zero_seed(l)
     start = l.state
-    out = [l.step()]
+    out = bytearray([l.step()])
     while l.state != start:
         out.append(l.step())
         if len(out) > bound:
             raise ValueError(f"stream period exceeds bound {bound}")
-    return BitSequence(tuple(out))
+    return BitSequence.from_word(_pack(out), len(out))
 
 
 def sequence_period(s) -> int:
-    """Least p dividing len(s) with s[i] == s[i mod p] throughout: the
-    first shift p > 0 at which s occurs in s + s.
+    """Least p dividing the length of s with s_t = s_(t mod p) throughout.
 
     Accepts a BitSequence, a string of '0'/'1', or any iterable of bits.
     """
-    b = s.encode() if isinstance(s, str) else bytes(s)
-    if not b:
-        raise ValueError("empty sequence")
-    return (b + b).find(b, 1)
+    if isinstance(s, str):
+        s = BitSequence.from_string(s)
+    elif not isinstance(s, BitSequence):
+        s = BitSequence(s)
+    return _least_period(s.word, s.period)
 
 
-def _minimize(bits) -> BitSequence:
-    return BitSequence(tuple(bits[:sequence_period(bits)]))
+def _least_period(word: int, N: int) -> int:
+    """The least p | N with word equal to its rotation by p, which is the
+    same as equal to its low p bits repeated. The p that qualify are the
+    multiples of the least one that divide N, so N is divided by each of
+    its primes while the quotient still qualifies."""
+    mask, p = (1 << N) - 1, N
+    for q in factor_int(N):
+        while p % q == 0:
+            d = p // q
+            if ((word << d) & mask | word >> (N - d)) != word:
+                break
+            p = d
+    return p
 
 
-def _product_bits(streams, n: int) -> list:
-    """u_t = prod over the streams of s_i[t mod n_i], for t < n."""
-    bits = list(islice(cycle(streams[0].bits), n))
-    for s in streams[1:]:
-        bits = list(map(and_, bits, cycle(s.bits)))
-    return bits
+def _minimize(word: int, N: int) -> BitSequence:
+    p = _least_period(word, N)
+    return BitSequence.from_word(word & ((1 << p) - 1), p)
+
+
+def _product_bits(streams, n: int) -> int:
+    """The n-bit word of u_t = prod over the streams of s_i[t mod n_i]."""
+    word = (1 << n) - 1
+    for s in streams:
+        word &= _repeat(s.word, s.period, n)
+    return word
 
 
 def pointwise_product(a: BitSequence, b: BitSequence) -> BitSequence:
     """u_t = a_t AND b_t over one lcm period, then period-minimized."""
-    return _minimize(_product_bits((a, b), lcm(a.period, b.period)))
+    L = lcm(a.period, b.period)
+    return _minimize(_product_bits((a, b), L), L)
 
 
 class AnfCombiner:
@@ -212,9 +290,7 @@ def combiner_stream(f: AnfCombiner, inputs: list[BitSequence]) -> BitSequence:
         raise ValueError(
             f"combiner takes {f.n_vars} sequences, got {len(inputs)}")
     L = lcm(*(s.period for s in inputs))
-    bits = [0] * L
+    word = 0
     for mono in f.monomials:
-        bits = list(map(xor, bits,
-                        _product_bits([inputs[v - 1] for v in mono], L)))
-    return _minimize(bits)
-
+        word ^= _product_bits([inputs[v - 1] for v in mono], L)
+    return _minimize(word, L)

@@ -14,16 +14,16 @@ int arithmetic, so the power table stays dft's only field work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress, count
 
 from .field import (FieldElement, FieldSpec, _doubling_orbit, build_field,
                     discrete_log, element_of_order, element_order, has_order,
                     multiplicative_order_of_2, root_power_table)
 from .gf2poly import pdivmod, pgcd, pmod
-from .sequences import BitSequence
+from .sequences import BitSequence, bit_bytes
 
 ZERO = None  # spectral zero marker; never exponent-encoded
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,12 @@ class Spectrum:
                 f" {self.nonzero_count()} nonzero)")
 
 
+@lru_cache(maxsize=256)
 def default_field_for_period(N: int):
     """Smallest home for a period-N spectrum: GF(2^n), n = ord of 2 mod N,
     and its canonical order-N root. Every GF(2^m)^* has odd order 2^m - 1,
-    so an even period has no home."""
+    so an even period has no home. Memoized per process: the root search
+    runs once per N."""
     if N % 2 == 0:
         raise ValueError(f"period {N} is even: GF(2^m) has no element of"
                          " even order")
@@ -101,7 +103,8 @@ def default_field_for_period(N: int):
 
 def support_polynomial(s: BitSequence) -> tuple[int, int]:
     """(c, r) with c = (x^N + 1) / gcd(x^N + 1, s(x)) and r = s(x) mod c,
-    where s(x) = sum_t s_t x^t over one period, N = s.period.
+    where s(x) = sum_t s_t x^t over one period, N = s.period: the packed
+    word of s.
 
     Pure GF(2)[x] int arithmetic. For odd N and a root of order N, the
     powers root^k are the N simple roots of x^N + 1, and S_k = s(root^k),
@@ -109,11 +112,9 @@ def support_polynomial(s: BitSequence) -> tuple[int, int]:
     deg c is the linear complexity L of s (Blahut 1979), and c reversed is
     its minimal polynomial: s(x) / (x^N + 1) in lowest terms has
     denominator c."""
-    N = s.period
-    sx = int(bytes(s.bits[::-1]).translate(_ASCII_BITS), 2)
-    xn1 = 1 << N | 1
-    c, _ = pdivmod(xn1, pgcd(xn1, sx))
-    return c, pmod(sx, c)
+    xn1 = 1 << s.period | 1
+    c, _ = pdivmod(xn1, pgcd(xn1, s.word))
+    return c, pmod(s.word, c)
 
 
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
@@ -138,10 +139,10 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     pw = root_power_table(root, N)
     dlog = {bits: d for d, bits in enumerate(pw)}
     c, r = support_polynomial(s)
-    if c.bit_count() + r.bit_count() < s.bits.count(1):
+    if c.bit_count() + r.bit_count() < s.word.bit_count():
         screen, taps = _ones(c), _ones(r)
     else:  # the screen cannot pay: no screen, and the 1-bits of s
-        screen, taps = [], [t for t, b in enumerate(s.bits) if b]
+        screen, taps = [], _ones(s.word)
     reps = {}
     seen = bytearray(N)
     for leader in range(N):
@@ -169,7 +170,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
 
 def _ones(p: int) -> list[int]:
     """The exponents of the nonzero terms of a GF(2)[x] polynomial."""
-    return [i for i, b in enumerate(bin(p)[:1:-1]) if b == "1"]
+    return list(compress(count(), bit_bytes(p, p.bit_length())))
 
 
 def idft(S: Spectrum) -> BitSequence:
@@ -191,9 +192,9 @@ def idft(S: Spectrum) -> BitSequence:
 def dft_point(s: BitSequence, root: FieldElement, k: int):
     """Single spectral point in log form, no full-transform work.
 
-    Horner-evaluates sum_t s_t x^t at x = root^k, each step through
-    FieldSpec.times(x). Field ops route through root.field, so handing in a
-    counting view tallies them.
+    Horner-evaluates sum_t s_t x^t at x = root^k, walking the word's bits
+    from the top, each step through FieldSpec.times(x). Field ops route
+    through root.field, so handing in a counting view tallies them.
     """
     N = s.period
     if not 0 <= k < N:
@@ -204,7 +205,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     fld = root.field
     times_x = fld.times(fld.pow_int(root.bits, k))
     acc = 0
-    for b in reversed(s.bits):
+    for b in bit_bytes(s.word, N)[::-1]:
         acc = times_x(acc) ^ b
     if acc == 0:
         return ZERO

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from crtspectra import crtconv, field, formats, oracle
+from crtspectra import crtconv, field, formats, oracle, spectral
 from crtspectra.field import cyclotomic_cosets
 from crtspectra.spectral import Spectrum, coset_expand
 
@@ -29,12 +29,13 @@ def random_log_spectrum():
 
 @pytest.fixture
 def clear_field_caches():
-    """Empties the per-process field, root-image, header-exponent and
-    oracle table memos, so the next call does its set-up work as a fresh
-    process would."""
+    """Empties the per-process field, canonical-root, root-image,
+    header-exponent and oracle table memos, so the next call does its
+    set-up work as a fresh process would."""
     def clear():
         field._field.cache_clear()
         field.has_order.cache_clear()
+        spectral.default_field_for_period.cache_clear()
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
         oracle._memo_tables.cache_clear()

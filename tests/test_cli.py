@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from crtspectra import formats
+from crtspectra import formats, spectral
 from crtspectra.cli import main
 
 import reference_values as rv
@@ -209,6 +209,29 @@ def test_dft_point_and_reduce(tmp_path, capsys):
     code, out, _ = run(capsys, "dft", "--in", u, "--reduce")
     assert code == 0
     assert out.splitlines() == ["N=21 leaders=1", "5 9"]
+
+
+def test_dft_point_warm_takes_no_root_search(tmp_path, capsys, monkeypatch,
+                                            clear_field_caches):
+    # the first request starts from empty memos, as a one-shot command
+    # does; the second, on the same period, reuses the canonical root
+    paths = _write_streams(tmp_path, capsys)
+    clear_field_caches()
+    element_of_order, searches = spectral.element_of_order, []
+
+    def counted(*args):
+        searches.append(args)
+        return element_of_order(*args)
+    monkeypatch.setattr(spectral, "element_of_order", counted)
+    calls, outs = {}, set()
+    for name in ("cold", "warm"):
+        searches.clear()
+        code, out, _ = run(capsys, "dft", "--in", paths["c"], "--point", "3")
+        assert code == 0
+        outs.add(out)
+        calls[name] = len(searches)
+    assert calls == {"cold": 1, "warm": 0}
+    assert len(outs) == 1
 
 
 def test_dft_point_outside_root_group_names_the_index(tmp_path, capsys):

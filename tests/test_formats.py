@@ -63,6 +63,11 @@ def test_sequence_roundtrip():
     ("period=7\n00101x1\n", 2, 6),     # bad bit character
     ("period=9\n0010111\n", 2, 8),     # length mismatch
     ("0010111\n", 1, 1),               # missing header
+    # bits lines that int(text[::-1], 2) would read
+    ("period=3\n1_0\n", 2, 2),         # digit separator
+    ("period=3\n 10\n", 2, 3),         # the line is stripped: 2 bits
+    ("period=3\n10 \n", 2, 3),
+    ("period=2\n\u0661\u0660\n", 2, 1),  # Arabic-Indic one, zero
 ])
 def test_sequence_diagnostics_carry_position(body, line, col):
     with pytest.raises(FormatError) as e:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtspectra.gf2poly import (is_irreducible, parse_poly, pdivmod, pgcd,
                                 pmod, pmul, poly_degree, poly_str, ppowmod)
@@ -44,6 +46,23 @@ def test_pdivmod_property():
     assert pdivmod(0b101, 0b1011) == (0, 0b101)
     assert pdivmod(0, 0b11) == (0, 0)
     assert pdivmod(0b1011, 1) == (0b1011, 0)
+
+
+def _long_division_remainder(a: int, f: int) -> int:
+    """Schoolbook long division, one leading term at a time."""
+    while a.bit_length() >= f.bit_length():
+        a ^= f << (a.bit_length() - f.bit_length())
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 4000).flatmap(lambda n: st.integers(0, (1 << n) - 1)),
+       st.integers(1, 700).flatmap(
+           lambda n: st.integers(1 << (n - 1), (1 << n) - 1)))
+def test_pmod_equals_long_division(a, f):
+    # dividends up to 4000 bits over divisors up to 700 bits: both the
+    # plain loop and the chunk-at-a-time reduction of a long dividend
+    assert pmod(a, f) == _long_division_remainder(a, f)
 
 
 def test_divmod_rejects_zero_divisor():

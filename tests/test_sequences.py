@@ -28,6 +28,20 @@ def test_bitsequence_basics():
         BitSequence.from_string("0120")
 
 
+@pytest.mark.parametrize("text", ("1_0", " 10", "10 ", "\u0661\u0660"))
+def test_from_string_refuses_what_int_base_2_reads(text):
+    # int(text[::-1], 2) reads each of these as a number
+    int(text[::-1], 2)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BitSequence.from_string(text)
+
+
+def test_a_long_sequence_has_a_repr():
+    # a 20,000-bit word is past the default int-to-decimal digit limit
+    s = BitSequence.from_word((1 << 20_000) - 1, 20_000)
+    assert repr(s) == f"BitSequence.from_word(0x{'f' * 5000}, 20000)"
+
+
 def test_lfsr_validation():
     with pytest.raises(ValueError):
         Lfsr(0x1, 0b1)      # degree 0
