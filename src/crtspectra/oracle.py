@@ -57,12 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .gf2poly import factor_int
+from .gf2poly import factor_int, pdivmod, pmod, pmul
 from .sequences import (BitSequence, _one_period, _product_bits, bit_bytes,
                         connection_degree)
 from .spectral import Spectrum, default_field_for_period, dft
@@ -130,6 +130,22 @@ def _trace_mask(modulus: int, m: int, size: int) -> int:
         v = sum(((image & v).bit_count() & 1) << j
                 for j, image in enumerate(images))
     return mask
+
+
+def _power_of(field: FieldSpec, root_bits: int):
+    """e -> root^e, e >= 0, by square-and-multiply on the memoized squaring
+    and x -> root*x tables."""
+    square = _apply(_memo_tables(1, 2, field.modulus, field.m))
+    times_root = _apply(_memo_tables(root_bits, 1, field.modulus, field.m))
+
+    def power(e: int) -> int:
+        x = 1
+        for b in bin(e)[2:]:
+            x = square(x)
+            if b == "1":
+                x = times_root(x)
+        return x
+    return power
 
 
 def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
@@ -230,6 +246,99 @@ def _listed_dft(s: BitSequence, field: FieldSpec, root: FieldElement,
     return _sum_points(s, field, root, pw, _screen(pw, f))
 
 
+def _horner(p: int, tables) -> int:
+    """p(beta) for p in GF(2)[x], given the byte tables of x -> beta*x."""
+    t0, t1, t2, t3 = tables
+    acc = 0
+    for b in format(p, "b").encode():
+        acc = (t0[acc & 0xFF] ^ t1[acc >> 8 & 0xFF]
+               ^ t2[acc >> 16 & 0xFF] ^ t3[acc >> 24] ^ b & 1)
+    return acc
+
+
+def _inverse(a: int, modulus: int) -> int:
+    """a^-1 in GF(2)[x] / modulus, a != 0, by extended Euclid."""
+    r0, r1, s0, s1 = modulus, a, 0, 1
+    while r1 != 1:
+        q, r = pdivmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ pmul(q, s1)
+    return s1
+
+
+def _log_of(field: FieldSpec, root_bits: int, N: int, power):
+    """y -> the d in [0, N) with root^d = y, or None when y is not a power
+    of the root (of order N), by baby-step giant-step: a dict of the
+    first M = ceil(sqrt N) powers, then steps of root^(-M) from y."""
+    M = isqrt(N - 1) + 1
+    times_root = _apply(_memo_tables(root_bits, 1, field.modulus, field.m))
+    baby, x = {}, 1
+    for j in range(M):
+        baby[x] = j
+        x = times_root(x)
+    giant = _apply(_byte_tables(power(-M % N), 1, field.modulus, field.m))
+
+    def log(y: int):
+        for i in range(0, N, M):
+            j = baby.get(y)
+            if j is not None:
+                return (i + j) % N
+            y = giant(y)
+        return None
+    return log
+
+
+def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
+    """The transform of u over S's field and root, read from the first L
+    bits of u (bit t of word is u_t) and f, u's minimal polynomial, of
+    degree L; None when the doubling orbits of S's indices and of 0 hold
+    fewer than L points of u's support, or a value is not a power of the
+    root.
+
+    u_t = sum over k of U_k x_k^t, x_k = root^(-k), so with c the reverse
+    of f, c(z) = prod over the support of (1 - x_k z), the power series
+    sum_t u_t z^t is g / c with deg g < L: g = (u mod z^L) c mod z^L.
+    Partial fractions give U_k = g(beta) / (beta c'(beta)) at beta =
+    root^k, a root of c exactly when U_k != 0 (Blahut 1979; Massey and
+    Serconek 1994). c has GF(2) coefficients, so one leader per orbit
+    k -> 2k mod N decides the orbit, and U_2k = U_k^2 doubles its log.
+    c is squarefree of degree L, so orbits holding L points are all of
+    its roots and the result is the whole transform; S only proposes
+    where to look."""
+    N, F = S.N, S.field
+    L = f.bit_length() - 1
+    c = int(format(f, f"0{L + 1}b")[::-1], 2)
+    low = (1 << L) - 1
+    g = pmul(word & low, c) & low
+    # c'(z) keeps c's odd-degree terms, each lowered by one
+    dc = c >> 1 & int("01" * (L // 2 + 1), 2)
+    power = _power_of(F, S.root.bits)
+    log = None
+    points, seen = {}, set()
+    for k in (0, *S.points):
+        if k in seen:
+            continue
+        orbit, j = [k], 2 * k % N
+        while j != k:
+            orbit.append(j)
+            j = 2 * j % N
+        seen.update(orbit)
+        beta = _byte_tables(power(k), 1, F.modulus, F.m)
+        if _horner(c, beta):
+            continue
+        if log is None:
+            log = _log_of(F, S.root.bits, N, power)
+        den = _inverse(_apply(beta)(_horner(dc, beta)), F.modulus)
+        d = log(pmod(pmul(_horner(g, beta), den), F.modulus))
+        if d is None:
+            return None
+        for j in orbit:
+            points[j] = d
+            d = 2 * d % N
+    if len(points) != L:
+        return None
+    return Spectrum(N, F, S.root, points)
+
+
 def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     """True exactly when the inverse transform of S is s over one period,
     given that s has linear complexity at most lc_bound.
@@ -284,17 +393,7 @@ def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
         raise ValueError(f"lc_bound {lc_bound} is negative")
     pts = S.points
     F = S.field
-    square = _apply(_memo_tables(1, 2, F.modulus, F.m))
-    times_root = _apply(_memo_tables(S.root.bits, 1, F.modulus, F.m))
-
-    def power(e: int) -> int:
-        x = 1
-        for b in bin(e)[2:]:
-            x = square(x)
-            if b == "1":
-                x = times_root(x)
-        return x
-
+    power = _power_of(F, S.root.bits)
     if power(N) != 1 or any(power(N // p) == 1 for p in factor_int(N)):
         order = F.group_order
         for p in factor_int(order):
@@ -420,17 +519,23 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     # 2 min(B, N) bits, and the coset window reads min(N, |A| + B)
     B = prod(connection_degree(conn) for conn, _ in lfsrs)
     W = max(2 * min(B, N), min(N, len(S_crt.points) + B))
-    window = bit_bytes(_product_bits(streams, W), W)
+    word = _product_bits(streams, W)
+    window = bit_bytes(word, W)
     r = berlekamp_massey(window[:2 * min(B, N)])
     if coset_window_matches(S_crt, window, N, B):
         S_ref, mismatches = S_crt, []
     else:
-        # the forward transform at the roots of u's minimal polynomial
-        # names the indices that differ; the window certifies it, and
-        # brute_dft runs only if it does not
-        u = BitSequence.from_word(_product_bits(streams, N), N)
-        S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
-        if not coset_window_matches(S_ref, bit_bytes(u.word, N), N, B):
+        # u's transform from its window bits at the claim's orbits names
+        # the indices that differ; a claim that misses a whole orbit of
+        # the support sends the run to the forward transform at the roots
+        # of u's minimal polynomial, over one period. The window certifies
+        # either, and brute_dft runs only if it does not
+        S_ref = _residue_dft(word, r.minimal_poly, S_crt)
+        if S_ref is None:
+            u = BitSequence.from_word(_product_bits(streams, N), N)
+            S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
+        if not coset_window_matches(S_ref, window, N, B):
+            u = BitSequence.from_word(_product_bits(streams, N), N)
             S_ref = brute_dft(u, S_crt.field, S_crt.root)
         mismatches = compare_spectra(S_ref, S_crt)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity

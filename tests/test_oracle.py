@@ -440,9 +440,29 @@ def _claim_reports(run, claims):
     return reports
 
 
-def _lister_forced_to_brute_dft(monkeypatch):
-    monkeypatch.setattr(oracle, "_listed_dft",
-                        lambda s, fld, root, f: oracle.brute_dft(s, fld, root))
+def _crt_claim(run):
+    """The CRT product spectrum of run's registers, as verify_theorem1
+    builds it."""
+    streams = [oracle._one_period(conn, seed, 10 ** 5) for conn, seed in run]
+    factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
+    return product_spectrum(factors, CrtBasis([s.period for s in streams]))
+
+
+def _without_orbit(S, k):
+    """S with the doubling orbit of k taken out of its support."""
+    lost = _orbit(k, S.N)
+    return Spectrum(S.N, S.field, S.root,
+                    {j: d for j, d in S.points.items() if j not in lost})
+
+
+def _lister_forced_to_brute_dft(monkeypatch, run):
+    """The residue lister replaced by brute_dft of run's product over one
+    period."""
+    streams = [oracle._one_period(conn, seed, 10 ** 5) for conn, seed in run]
+    N = prod(s.period for s in streams)
+    u = BitSequence.from_word(oracle._product_bits(streams, N), N)
+    monkeypatch.setattr(oracle, "_residue_dft", lambda word, f, S:
+                        oracle.brute_dft(u, S.field, S.root))
 
 
 _PRODUCT_DEGREES = [(2, 3), (3, 5), (2, 3, 5), (4, 7), (5, 6)]
@@ -456,15 +476,12 @@ def test_verify_theorem1_lister_names_what_brute_dft_names(
     # full transform of the product gives, with no full transform
     rng = random.Random(300 + sum(degrees))
     run = [(default_modulus(n), rng.randrange(1, 1 << n)) for n in degrees]
-    streams = [oracle._one_period(conn, seed, 10 ** 5) for conn, seed in run]
-    factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
-    S = product_spectrum(factors, CrtBasis([s.period for s in streams]))
-    claims = _one_change_each(S, rng)
+    claims = _one_change_each(_crt_claim(run), rng)
     calls = _counting(monkeypatch, "brute_dft")
     listed = [verify_theorem1(run, tamper_index=0)] + _claim_reports(
         run, claims)
     assert calls == []
-    _lister_forced_to_brute_dft(monkeypatch)
+    _lister_forced_to_brute_dft(monkeypatch, run)
     forced = [verify_theorem1(run, tamper_index=0)] + _claim_reports(
         run, claims)
     assert len(calls) == len(forced) == 5
@@ -516,7 +533,7 @@ def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
     listed = [verify_theorem1(run, tamper_index=t) for t in tampers]
     assert [[m.index for m in rep.mismatches] for rep in listed] == [
         [t] for t in tampers]
-    _lister_forced_to_brute_dft(monkeypatch)
+    _lister_forced_to_brute_dft(monkeypatch, run)
     assert [verify_theorem1(run, tamper_index=t) for t in tampers] == listed
 
 
@@ -524,10 +541,13 @@ def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
         monkeypatch):
     run = [(0x25, 0x1), (0x43, 0x1)]
     expected = verify_theorem1(run, tamper_index=193)
-    real_screen, real_window = oracle._screen, oracle.coset_window_matches
-    # the screen loses the least index of the true support
-    monkeypatch.setattr(oracle, "_screen",
-                        lambda pw, f: real_screen(pw, f)[1:])
+    real_lister, real_window = oracle._residue_dft, oracle.coset_window_matches
+
+    def lister(word, f, S):
+        # the lister loses the orbit of the least index of the true support
+        T = real_lister(word, f, S)
+        return _without_orbit(T, min(T.points))
+    monkeypatch.setattr(oracle, "_residue_dft", lister)
     verdicts = []
 
     def window(S, bits, N, lc_bound):
@@ -536,10 +556,102 @@ def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
     monkeypatch.setattr(oracle, "coset_window_matches", window)
     calls = _counting(monkeypatch, "brute_dft")
     assert verify_theorem1(run, tamper_index=193) == expected
-    # the claim fails the window, and so does the screened spectrum
+    # the claim fails the window, and so does the listed spectrum
     assert verdicts == [False, False]
     assert len(calls) == 1
     assert [m.index for m in expected.mismatches] == [193]
+
+
+@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
+def test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback(
+        monkeypatch, degrees):
+    # a claim that leaves out a whole orbit of u's support proposes too few
+    # orbits to the residue lister, so the run lists by the power walk and
+    # gives the report of brute_dft
+    rng = random.Random(300 + sum(degrees))
+    run = [(default_modulus(n), rng.randrange(1, 1 << n)) for n in degrees]
+    S = _crt_claim(run)
+    claim = _without_orbit(S, min(S.points))
+    lists = _counting(monkeypatch, "_listed_dft")
+    brute_calls = _counting(monkeypatch, "brute_dft")
+    listed = _claim_reports(run, [claim])
+    assert len(lists) == 1 and brute_calls == []
+    _lister_forced_to_brute_dft(monkeypatch, run)
+    assert _claim_reports(run, [claim]) == listed
+    assert len(lists) == 1 and len(brute_calls) == 1
+    assert not listed[0].ok
+
+
+@pytest.mark.parametrize("run", [[(0x1d, 0x1), (0x9, 0x1)],
+                                 [(0x1d, 0x1), (0x9, 0x1), (0x6f, 0x1)]])
+def test_verify_theorem1_lists_a_claim_missing_index_0_from_the_window(
+        monkeypatch, run):
+    # registers of odd weight over their periods 7, 3 and 31, so S_0 = 1;
+    # the claim without index 0 still has 0 among the lister's candidates,
+    # so it gives brute_dft's report with no fallback
+    S = _crt_claim(run)
+    assert S.points[0] == 0
+    claim = _without_orbit(S, 0)
+    lists = _counting(monkeypatch, "_listed_dft")
+    listed = _claim_reports(run, [claim])
+    assert lists == []
+    assert [m.index for m in listed[0].mismatches] == [0]
+    _lister_forced_to_brute_dft(monkeypatch, run)
+    assert _claim_reports(run, [claim]) == listed
+
+
+@pytest.mark.parametrize("N", [7, 21, 63, 315])
+def test_residue_dft_lists_random_spectra_from_their_first_bits(
+        N, random_log_spectrum):
+    # the first L bits of idft(S) and its minimal polynomial give S back
+    # with S's own orbits as candidates, and None when one of them is left
+    # out
+    fld, root = default_field_for_period(N)
+    rng = random.Random(7200 + N)
+    for _ in range(4):
+        S = random_log_spectrum(fld, root, rng)
+        s = idft(S)
+        f = berlekamp_massey(s.bits * 2).minimal_poly
+        L = len(S.points)
+        assert f.bit_length() - 1 == L
+        word = s.word & ((1 << L) - 1)
+        assert oracle._residue_dft(word, f, S) == S
+        # 0 is always a candidate, every other orbit only when S names it
+        for k in {min(_orbit(k, N)) for k in S.points}:
+            listed = oracle._residue_dft(word, f, _without_orbit(S, k))
+            assert listed == (S if k == 0 else None)
+
+
+@pytest.mark.parametrize("run, tamper", [
+    ([(0x25, 0x1), (0x43, 0x1)], 193),
+    ([(0xb, 0x1), (0x25, 0x9), (0xc4d7, 0x315f)], 5)])
+def test_verify_theorem1_lists_a_tampered_run_from_its_window_bits(
+        monkeypatch, run, tamper):
+    # 31*63 and 7*31*151: no power walk, and u is never built over one
+    # period
+    N = verify_theorem1(run).N
+    real_product_bits = oracle._product_bits
+
+    def window_only(streams, n):
+        if n == N:
+            raise AssertionError("u built over one period")
+        return real_product_bits(streams, n)
+
+    def no_walk(*args):
+        raise AssertionError("power walk on a tampered run")
+    monkeypatch.setattr(oracle, "_product_bits", window_only)
+    monkeypatch.setattr(oracle, "_power_walk", no_walk)
+    rep = verify_theorem1(run, tamper_index=tamper)
+    assert not rep.ok and [m.index for m in rep.mismatches] == [tamper]
+
+
+def _orbit(k, N):
+    """The doubling orbit k -> 2k mod N of k."""
+    orbit, j = [k], 2 * k % N
+    while j != k:
+        orbit.append(j)
+        j = 2 * j % N
+    return orbit
 
 
 def _shifted(S, j):
@@ -661,8 +773,9 @@ def test_trace_mask_reads_the_subfield_trace():
 
 @pytest.mark.filterwarnings("ignore:zero seed")
 def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
-    # the lister tests' register sets: a pass builds no power walk, and a
-    # tampered run builds one, in the lister, and no full transform
+    # the lister tests' register sets: a pass and a tampered run build no
+    # power walk; a claim that misses an orbit of the support builds one,
+    # in the fallback lister, and no full transform
     runs = list(_SMALL_RUNS)
     for degrees in _PRODUCT_DEGREES:
         rng = random.Random(300 + sum(degrees))
@@ -671,12 +784,13 @@ def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
     walks = _counting(monkeypatch, "_power_walk")
     brute_calls = _counting(monkeypatch, "brute_dft")
     for run in runs:
-        before = len(walks)
+        assert verify_theorem1(run).ok
         assert not verify_theorem1(run, tamper_index=0).ok
+    assert walks == []
+    for run in runs[len(_SMALL_RUNS):]:
+        before = len(walks)
+        S = _crt_claim(run)
+        rep, = _claim_reports(run, [_without_orbit(S, min(S.points))])
+        assert not rep.ok
         assert len(walks) - before == 1
     assert brute_calls == []
-
-    def no_walk(*args):
-        raise AssertionError("power walk on a passing run")
-    monkeypatch.setattr(oracle, "_power_walk", no_walk)
-    assert all(verify_theorem1(run).ok for run in runs)
