@@ -5,8 +5,8 @@ Nothing here shares kernels with spectral.dft or crtconv: field
 arithmetic, transforms and CRT are the oracle's own. What it shares is
 what is not a kernel: its LFSR periods, stream products and the bytes
 it unpacks from a packed sequence come from sequences, the one stream
-layer, and its prime factors from gf2poly.factor_int. What brute_dft
-guarantees:
+layer, and its prime factors and GF(2)[x] int arithmetic (factor_int,
+pmul, pdivmod, pmod) from gf2poly. What brute_dft guarantees:
 - every spectral point S_k is a full sum over one period of the sequence;
 - its only field arithmetic is the oracle's own byte tables, whose images
   `_byte_tables` fills by shift-and-reduce, stepping its one walk over the
@@ -40,16 +40,26 @@ Its squaring and x -> root*x tables and its trace masks depend only on
 the field, the root and the coset size, so they are memoized per process.
 
 A failing claim still needs the true spectrum, to name the indices that
-differ, and its support is known in advance: s_t = sum over k of
+differ, and it is read from the same window bits. s_t = sum over k of
 S_k root^(-tk), so the minimal polynomial f of s, which Berlekamp-Massey
 (Massey, IEEE T-IT 15(1), 1969) gives from 2L bits, has exactly the roots
-root^(-k) with S_k != 0. Only this path builds u over one period and the
-power walk, once: _screen keeps the k where f(root^(-k)) = 0, evaluating
-f once per doubling orbit k -> 2k mod N at weight(f) lookups on the walk
-(f(x^2) = f(x)^2), and _listed_dft sums only those k with
-brute_dft's own per-point code. The coset window then certifies the
-result, so it is brute_dft(s) without the other N - L sums; only a
-spectrum the window rejects sends verify_theorem1 to brute_dft itself.
+root^(-k) with S_k != 0. With c the reverse of f, sum_t s_t z^t = g / c,
+g = (s mod z^L) c mod z^L, and partial fractions give the residue form
+S_k = g(beta) / (beta c'(beta)) at beta = root^k, where c(beta) = 0
+exactly on the support (Blahut 1979; Massey and Serconek, CRYPTO '94).
+_residue_dft evaluates c, c' and g by Horner on a byte table of
+x -> beta x, once per doubling orbit k -> 2k mod N of the claim's
+indices and of 0 (c(x^2) = c(x)^2), inverts by extended Euclid on the
+field modulus and takes the log by baby-step giant-step. The claim only
+proposes where to look: when the confirmed orbits hold L points, c
+(squarefree, degree L) has no other roots and the result is the whole
+transform, with nothing of length N built. A claim that misses a whole
+orbit of the support falls back to one period of s and the power walk:
+_screen keeps the k where f(root^(-k)) = 0, evaluating f once per orbit
+at weight(f) lookups on the walk, and _listed_dft sums only those k with
+brute_dft's own per-point code. The coset window then certifies either
+result, so it is brute_dft(s) without the other sums; only a spectrum
+the window rejects sends verify_theorem1 to brute_dft itself.
 """
 
 from __future__ import annotations
@@ -107,9 +117,9 @@ def _apply(tables):
                       ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24])
 
 
-# coset_window_matches' squaring and x -> root*x tables and its masks
-# depend only on the field, the root and the coset size, so each is built
-# once per process. A table entry is four tables of at most 256 ints,
+# the squaring and x -> root*x tables of coset_window_matches and of the
+# residue lister, and the window's masks, depend only on the field, the
+# root and the coset size, so each is built once per process. A table entry is four tables of at most 256 ints,
 # about 33 kB, so the table memo stays near 1 MB when full
 @lru_cache(maxsize=32)
 def _memo_tables(start: int, shift: int, modulus: int, m: int) -> tuple:
@@ -301,9 +311,9 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     root^k, a root of c exactly when U_k != 0 (Blahut 1979; Massey and
     Serconek 1994). c has GF(2) coefficients, so one leader per orbit
     k -> 2k mod N decides the orbit, and U_2k = U_k^2 doubles its log.
-    c is squarefree of degree L, so orbits holding L points are all of
-    its roots and the result is the whole transform; S only proposes
-    where to look."""
+    f divides x^N + 1, N odd, so c is squarefree of degree L: orbits
+    holding L points are all of its roots and the result is the whole
+    transform. S only proposes where to look."""
     N, F = S.N, S.field
     L = f.bit_length() - 1
     c = int(format(f, f"0{L + 1}b")[::-1], 2)
@@ -312,7 +322,7 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     # c'(z) keeps c's odd-degree terms, each lowered by one
     dc = c >> 1 & int("01" * (L // 2 + 1), 2)
     power = _power_of(F, S.root.bits)
-    log = None
+    log = _log_of(F, S.root.bits, N, power)
     points, seen = {}, set()
     for k in (0, *S.points):
         if k in seen:
@@ -325,8 +335,6 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
         beta = _byte_tables(power(k), 1, F.modulus, F.m)
         if _horner(c, beta):
             continue
-        if log is None:
-            log = _log_of(F, S.root.bits, N, power)
         den = _inverse(_apply(beta)(_horner(dc, beta)), F.modulus)
         d = log(pmod(pmul(_horner(g, beta), den), F.modulus))
         if d is None:
@@ -479,11 +487,14 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     product spectrum by CRT and checks it against the actual bitwise
     product u by coset_window_matches, on the window that B, the product
     of the connection degrees, bounds. A pass builds only those bits of u
-    and no power walk. When the check fails, u is built over one period
-    and the reference spectrum is u's transform summed only at the k that
-    the screen by u's minimal polynomial keeps, on the one power walk of
-    the run; its diff names the mismatched indices. The same window
-    certifies that spectrum; only if the window rejects it does brute_dft
+    and no power walk. When the check fails, the reference spectrum is
+    u's transform by residues, read from the same window bits and u's
+    minimal polynomial at the doubling orbits of the claim's indices and
+    of 0; its diff names the mismatched indices. Only a claim that misses
+    a whole orbit of u's support builds u over one period, and then the
+    reference is u's transform summed at the k that the screen by the
+    minimal polynomial keeps, on one power walk. The same window
+    certifies the reference; only if the window rejects it does brute_dft
     of u take its place.
     Then it audits Blahut and conjugacy on the reference spectrum. A
     single LFSR degenerates to comparing a sequence's spectrum with itself.

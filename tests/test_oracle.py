@@ -519,9 +519,13 @@ def test_listed_dft_matches_brute_dft_on_odd_periods(N, random_log_spectrum):
         assert any("outside the cyclic group" in str(o) for o in outcomes)
 
 
+# the last two have registers of odd weight over their periods 7, 3 and
+# 31, so S_0 = 1: tampered at 0, the claim leaves out index 0, which the
+# residue lister still takes as a candidate
 _SMALL_RUNS = [
     [(0x7, 0x1)], [(0x25, 0x9)], [(0x13, 0x3)], [(0xb, 0x0), (0x7, 0x1)],
-    [(0x25, 0x0)], [(0x3, 0x1), (0xb, 0x5)]]
+    [(0x25, 0x0)], [(0x3, 0x1), (0xb, 0x5)], [(0x1d, 0x1), (0x9, 0x1)],
+    [(0x1d, 0x1), (0x9, 0x1), (0x6f, 0x1)]]
 
 
 @pytest.mark.filterwarnings("ignore:zero seed")
@@ -566,38 +570,21 @@ def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
 def test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback(
         monkeypatch, degrees):
     # a claim that leaves out a whole orbit of u's support proposes too few
-    # orbits to the residue lister, so the run lists by the power walk and
+    # orbits to the residue lister, so the run lists by one power walk and
     # gives the report of brute_dft
     rng = random.Random(300 + sum(degrees))
     run = [(default_modulus(n), rng.randrange(1, 1 << n)) for n in degrees]
     S = _crt_claim(run)
     claim = _without_orbit(S, min(S.points))
     lists = _counting(monkeypatch, "_listed_dft")
+    walks = _counting(monkeypatch, "_power_walk")
     brute_calls = _counting(monkeypatch, "brute_dft")
     listed = _claim_reports(run, [claim])
-    assert len(lists) == 1 and brute_calls == []
+    assert len(lists) == len(walks) == 1 and brute_calls == []
     _lister_forced_to_brute_dft(monkeypatch, run)
     assert _claim_reports(run, [claim]) == listed
     assert len(lists) == 1 and len(brute_calls) == 1
     assert not listed[0].ok
-
-
-@pytest.mark.parametrize("run", [[(0x1d, 0x1), (0x9, 0x1)],
-                                 [(0x1d, 0x1), (0x9, 0x1), (0x6f, 0x1)]])
-def test_verify_theorem1_lists_a_claim_missing_index_0_from_the_window(
-        monkeypatch, run):
-    # registers of odd weight over their periods 7, 3 and 31, so S_0 = 1;
-    # the claim without index 0 still has 0 among the lister's candidates,
-    # so it gives brute_dft's report with no fallback
-    S = _crt_claim(run)
-    assert S.points[0] == 0
-    claim = _without_orbit(S, 0)
-    lists = _counting(monkeypatch, "_listed_dft")
-    listed = _claim_reports(run, [claim])
-    assert lists == []
-    assert [m.index for m in listed[0].mismatches] == [0]
-    _lister_forced_to_brute_dft(monkeypatch, run)
-    assert _claim_reports(run, [claim]) == listed
 
 
 @pytest.mark.parametrize("N", [7, 21, 63, 315])
@@ -774,8 +761,9 @@ def test_trace_mask_reads_the_subfield_trace():
 @pytest.mark.filterwarnings("ignore:zero seed")
 def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
     # the lister tests' register sets: a pass and a tampered run build no
-    # power walk; a claim that misses an orbit of the support builds one,
-    # in the fallback lister, and no full transform
+    # power walk and no full transform; only the fallback lister walks,
+    # once, on a claim that misses an orbit of the support (see
+    # test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback)
     runs = list(_SMALL_RUNS)
     for degrees in _PRODUCT_DEGREES:
         rng = random.Random(300 + sum(degrees))
@@ -786,11 +774,4 @@ def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
     for run in runs:
         assert verify_theorem1(run).ok
         assert not verify_theorem1(run, tamper_index=0).ok
-    assert walks == []
-    for run in runs[len(_SMALL_RUNS):]:
-        before = len(walks)
-        S = _crt_claim(run)
-        rep, = _claim_reports(run, [_without_orbit(S, min(S.points))])
-        assert not rep.ok
-        assert len(walks) - before == 1
-    assert brute_calls == []
+    assert walks == [] and brute_calls == []
