@@ -4,29 +4,27 @@ Exit codes: 0 success, 1 verification found mismatches, 2 usage errors,
 malformed input files (reported with line/column) or an output path that
 cannot be written. Each command returns its exit code and its text; `main`
 alone writes that text, to stdout or atomically to --out.
+
+Each command is a fresh process, so this module imports at top level only
+what every command runs (argparse, formats and the field, polynomial,
+sequence and spectral layers under them). A command that needs crtconv,
+bm, oracle, costs, cases, json or random imports them in its own body, so
+`dft` and `seq` start without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
-import random
 import sys
 import warnings
 from math import floor, log10
 
-from . import cases
-from .bm import berlekamp_massey
-from .costs import estimate_crt_breakdown, estimate_direct
-from .crtconv import (CrtBasis, combiner_spectrum, product_spectrum,
-                      product_spectrum_point, support_indices)
 from .field import PRIMITIVE_POLYS, build_field, element_of_order
 from .formats import (FormatError, atomic_write, parse_field, parse_sequence,
                       parse_spectrum, read_text, serialize_field,
                       serialize_sequence, serialize_spectrum)
 from .gf2poly import parse_poly, poly_str
-from .oracle import verify_theorem1
 from .sequences import (AnfCombiner, bit_bytes, combiner_stream,
                         connection_degree, Lfsr, lfsr_stream,
                         pointwise_product)
@@ -136,6 +134,7 @@ def parse_spectrum_file(path: str):
 
 
 def _cmd_bm(args) -> tuple[int, str]:
+    from .bm import berlekamp_massey
     s = parse_sequence_file(args.infile)
     # the file holds one period; BM needs 2L bits and L <= N
     r = berlekamp_massey(bit_bytes(s.word, s.period) * 2)
@@ -163,6 +162,8 @@ def _cmd_dft(args) -> tuple[int, str]:
 
 
 def _cmd_crt_conv(args) -> tuple[int, str]:
+    from .crtconv import (CrtBasis, product_spectrum, product_spectrum_point,
+                          support_indices)
     factors = [parse_spectrum_file(p) for p in args.factors]
     basis = CrtBasis([f.N for f in factors])
     if args.point is not None:
@@ -174,6 +175,7 @@ def _cmd_crt_conv(args) -> tuple[int, str]:
 
 
 def _cmd_combine_spectrum(args) -> tuple[int, str]:
+    from .crtconv import CrtBasis, combiner_spectrum
     factors = [parse_spectrum_file(p) for p in args.factors]
     basis = CrtBasis([f.N for f in factors])
     f = AnfCombiner.parse(args.anf, n_vars=len(factors))
@@ -181,6 +183,9 @@ def _cmd_combine_spectrum(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    import json
+    import random
+    from .oracle import verify_theorem1
     tamper = args.tamper_index
     if args.bound < 1:
         raise ValueError("--bound must be >= 1")
@@ -241,6 +246,9 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def _cmd_bench(args) -> tuple[int, str]:
+    import json
+    from . import cases
+    from .costs import estimate_crt_breakdown, estimate_direct
     ex = cases.pair_case(cases.LFSR_B, cases.LFSR_C)
     S = ex.spectrum
     k = 108
@@ -273,6 +281,7 @@ def _cmd_bench(args) -> tuple[int, str]:
 
 def report_tables(example: int) -> str:
     """Markdown reproduction of the worked tables; byte-stable on purpose."""
+    from . import cases
     if example == 1:
         ex = cases.example1()
         A, B = ex.factors
@@ -298,6 +307,8 @@ def report_tables(example: int) -> str:
 def _cmd_report(args) -> tuple[int, str]:
     if not args.json:
         return 0, report_tables(args.example)
+    import json
+    from . import cases
     if args.example == 1:
         S = cases.example1().spectrum
         lines = [json.dumps({"table": "product21", "k": k,

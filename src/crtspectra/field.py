@@ -11,7 +11,6 @@ on raw ints through the *_int methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2poly import (factor_int, is_irreducible, pgcd, pmod, pmul, poly_str,
@@ -233,16 +232,33 @@ class CountingField(FieldSpec):
         return counted
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element of a FieldSpec; plain data, freely copyable."""
-    field: FieldSpec
-    bits: int
+    """An element of a FieldSpec; plain data, freely copyable.
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.field.m):
-            raise ValueError(
-                f"bits {self.bits:#x} not reduced in GF(2^{self.field.m})")
+    Immutable, and equal elements hash alike, so an element can key a
+    memo (see has_order)."""
+
+    __slots__ = ("field", "bits")
+
+    def __init__(self, field: FieldSpec, bits: int):
+        if not 0 <= bits < (1 << field.m):
+            raise ValueError(f"bits {bits:#x} not reduced in GF(2^{field.m})")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.bits) == (other.field, other.bits)
+
+    def __hash__(self):
+        return hash((self.field, self.bits))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _check(self, other: "FieldElement"):
         if self.field != other.field:

@@ -13,9 +13,9 @@ positions are the same whichever reader saw the file first.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
-import tempfile
 from functools import lru_cache
 
 from .field import FieldElement, FieldSpec, build_field, discrete_log
@@ -41,30 +41,33 @@ class FormatError(Exception):
         return f"{loc}: {self.message}"
 
 
+_tmp_names = itertools.count()   # with the pid, names atomic_write's temp files
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     half-written file. The file gets the permissions open(path, "w") would
-    leave: those of the file it replaces, else 0666 less the umask."""
+    leave: those of the file it replaces, else 0666 less the umask, which
+    the kernel applies when the temp file is created."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    for n in _tmp_names:
+        tmp = os.path.join(d, f".tmp-{os.getpid()}-{n}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
+        with open(fd, "w", encoding="ascii") as fh:
+            try:
+                os.fchmod(fd, os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
             fh.write(text)
-        os.chmod(tmp, _open_mode(path))   # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
-
-
-def _open_mode(path: str) -> int:
-    try:
-        return os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)   # the umask can only be read by setting it
-        os.umask(umask)
-        return 0o666 & ~umask
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ The LFSR stepper is the one loop here that takes a Python step per bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -44,7 +43,6 @@ def _repeat(word: int, period: int, n: int) -> int:
     return word & ((1 << n) - 1)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class BitSequence:
     """One full period of a periodic binary sequence, packed into an int.
 
@@ -52,11 +50,9 @@ class BitSequence:
     or above N. Minimality is not required by the type; pointwise_product
     and combiner_stream minimize before returning. BitSequence(bits) takes
     an iterable of 0s and 1s, from_string a string of '0' and '1', s_0
-    first, and from_word a word and its period.
+    first, and from_word a word and its period. Immutable; equality and
+    hash are by (word, period).
     """
-
-    word: int
-    period: int
 
     def __init__(self, bits):
         bits = tuple(bits)
@@ -106,6 +102,20 @@ class BitSequence:
 
     def __iter__(self):
         return iter(self.bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.period) == (other.word, other.period)
+
+    def __hash__(self):
+        return hash((self.word, self.period))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def connection_degree(connection: int) -> int:

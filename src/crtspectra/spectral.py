@@ -13,7 +13,6 @@ int arithmetic, so the power table stays dft's only field work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import compress, count
 
@@ -26,28 +25,24 @@ from .sequences import BitSequence, bit_bytes
 ZERO = None  # spectral zero marker; never exponent-encoded
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """points maps each nonzero index k to the exponent d of S_k = root^d.
     The Spectrum keeps its own copy, in ascending k, and never mutates it.
 
     The root has order N, a divisor of the odd group order 2^m - 1, so N is
     odd; the conjugacy check relies on that, since for odd N the doubling
-    k -> 2k mod N permutes the indices."""
+    k -> 2k mod N permutes the indices.
 
-    N: int
-    field: FieldSpec
-    root: FieldElement
-    points: dict
-    _violation: tuple | None = dc_field(init=False, compare=False)
+    Immutable; equal when N, field, root and points are, and unhashable,
+    since points is a dict."""
 
-    def __post_init__(self):
-        N, pts = self.N, dict(sorted(self.points.items()))
-        if self.root.field != self.field:
+    def __init__(self, N: int, field: FieldSpec, root: FieldElement,
+                 points: dict):
+        pts = dict(sorted(points.items()))
+        if root.field != field:
             raise ValueError("root does not live in the stated field")
-        if not has_order(self.root, N):
-            raise ValueError(
-                f"root order {element_order(self.root)} != N = {N}")
+        if not has_order(root, N):
+            raise ValueError(f"root order {element_order(root)} != N = {N}")
         # k breaks d(2k) = 2 d(k) exactly when k is in the support and its
         # double is not right, or k = j (N+1)/2 is zero and its double j is
         # in the support; the least such k is the first of an index walk
@@ -63,8 +58,20 @@ class Spectrum:
             h = k * (N + 1) // 2 % N
             if h not in pts:
                 bad.append((h, k))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_violation", min(bad, default=None))
+        self.__dict__.update(N=N, field=field, root=root, points=pts,
+                             _violation=min(bad, default=None))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.N, self.field, self.root, self.points)
+                == (other.N, other.field, other.root, other.points))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def values(self) -> tuple:

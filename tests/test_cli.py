@@ -1,7 +1,10 @@
-"""End-to-end runs of the command-line interface, in process."""
+"""End-to-end runs of the command-line interface, in process, and the
+modules each command loads, in a fresh interpreter."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -700,3 +703,61 @@ def test_report_json_lines(capsys):
     assert len(recs) == 21
     assert {r["k"]: r["value"] for r in recs if r["value"] is not None} \
         == rv.TABLE_AB
+
+
+# ---------------------------------------------------------------------------
+# cold start: the modules a command loads, seen from a fresh interpreter
+# (in this process conftest.py has already imported every module)
+
+SRC = os.path.join(os.path.dirname(HERE), "src")
+_RUN_CLI = """
+import contextlib, io
+from crtspectra.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+if code:
+    sys.exit(f"exit {code}")
+"""
+DFT_MODULES = {"crtspectra", "crtspectra.cli", "crtspectra.field",
+               "crtspectra.formats", "crtspectra.gf2poly",
+               "crtspectra.sequences", "crtspectra.spectral"}
+
+
+def _fresh_modules(setup: str, *argv) -> set:
+    """The crtspectra modules, and dataclasses and inspect, that are loaded
+    once `setup` has run in a fresh interpreter, with argv as sys.argv[1:]."""
+    code = (f"import sys\n{setup}\nprint(*(m for m in sys.modules if"
+            " m.partition('.')[0] in ('crtspectra', 'dataclasses',"
+            " 'inspect')))")
+    p = subprocess.run([sys.executable, "-c", code, *argv],
+                       env={**os.environ, "PYTHONPATH": SRC},
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    return set(p.stdout.split())
+
+
+def test_import_crtspectra_loads_no_submodule():
+    assert _fresh_modules("import crtspectra") == {"crtspectra"}
+    # an unloaded submodule is still found by a from-import
+    assert _fresh_modules("from crtspectra import gf2poly") \
+        == {"crtspectra", "crtspectra.gf2poly"}
+
+
+@pytest.mark.parametrize("how", [(), ("--point", "3"), ("--reduce",)])
+def test_dft_loads_only_the_dft_modules(tmp_path, capsys, how):
+    paths = _write_streams(tmp_path, capsys)
+    assert _fresh_modules(_RUN_CLI, "dft", "--in", paths["b"], *how) \
+        == DFT_MODULES
+
+
+@pytest.mark.parametrize("cmd", [("crt-conv",),
+                                 ("combine-spectrum", "--anf", "1*2")])
+def test_crt_commands_add_only_crtconv(tmp_path, capsys, cmd):
+    paths = _write_streams(tmp_path, capsys)
+    specs = []
+    for name in ("a", "b"):
+        specs.append(str(tmp_path / f"{name}.spec"))
+        assert run(capsys, "dft", "--in", paths[name],
+                   "--out", specs[-1])[0] == 0
+    assert _fresh_modules(_RUN_CLI, *cmd, "--factors", *specs) \
+        == DFT_MODULES | {"crtspectra.crtconv"}

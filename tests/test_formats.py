@@ -251,7 +251,8 @@ def test_atomic_write_failure_leaves_no_residue(tmp_path):
 
 
 def test_atomic_write_leaves_the_mode_open_leaves(tmp_path):
-    # mkstemp makes its file 0600; the renamed file must not keep that
+    # as open(path, "w") leaves them: a new file gets 0666 less the umask,
+    # a replaced one keeps its own mode
     def mode(p):
         return stat.S_IMODE(os.stat(p).st_mode)
 
@@ -270,3 +271,20 @@ def test_atomic_write_leaves_the_mode_open_leaves(tmp_path):
         == 0o640
     assert mode(tmp_path / "old_written") == mode(tmp_path / "old_opened") \
         == 0o644
+
+
+def test_atomic_write_never_sets_the_umask(tmp_path, monkeypatch):
+    # reading the umask means setting it, and another thread's file made
+    # in between would get none; the kernel applies it at creation instead
+    def umask(mask):
+        raise AssertionError("atomic_write set the process umask")
+    monkeypatch.setattr(os, "umask", umask)
+    target = tmp_path / "out.txt"
+    atomic_write(str(target), "new\n")
+    atomic_write(str(target), "replaced\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(target), "not ascii \u00e9\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(tmp_path / "never.txt"), "\u00e9\n")
+    assert os.listdir(tmp_path) == ["out.txt"]     # no .tmp-* residue
+    assert target.read_text() == "replaced\n"
