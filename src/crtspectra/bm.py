@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class BmResult:
+class BmResult(FrozenRecord):
     """Shortest-LFSR answer: length L and its degree-L connection polynomial.
 
     The polynomial is oriented so that s[t+L] = parity(taps AND window),
     taps being the low L bits; the leading coefficient is always 1.
     """
 
-    linear_complexity: int
-    minimal_poly: int
+    __slots__ = ("linear_complexity", "minimal_poly")
 
     def __post_init__(self):
         if self.linear_complexity < 0:

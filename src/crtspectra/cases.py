@@ -8,11 +8,10 @@ alignment choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .costs import OpCounter, measure
 from .crtconv import CrtBasis, product_spectrum, product_spectrum_point
 from .field import CountingField
+from .records import FrozenRecord
 from .sequences import (BitSequence, _one_period, connection_degree,
                         pointwise_product)
 from .spectral import ZERO, Spectrum, default_field_for_period, dft, dft_point
@@ -33,14 +32,15 @@ def _factor_spectrum(s: BitSequence) -> Spectrum:
     return dft(s, field, root)
 
 
-@dataclass(frozen=True)
-class PairCase:
+class PairCase(FrozenRecord):
     """One bitwise product of two LFSR streams, both spectral paths."""
-    streams: tuple
-    product: BitSequence
-    factors: tuple          # factor Spectrum objects
-    basis: CrtBasis
-    spectrum: Spectrum      # CRT path, aligned product root
+    __slots__ = (
+        "streams",
+        "product",      # a BitSequence
+        "factors",      # factor Spectrum objects
+        "basis",        # a CrtBasis
+        "spectrum",     # CRT path, aligned product root
+    )
 
 
 def pair_case(spec1, spec2) -> PairCase:

@@ -10,8 +10,9 @@ is what makes the worked figures come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
+
+from .records import FrozenRecord, Record
 
 
 def eta(n: int) -> float:
@@ -25,13 +26,15 @@ def bit_len(N: int) -> int:
     return int(N).bit_length()
 
 
-@dataclass
-class OpCounter:
+class OpCounter(Record):
     """Mutable tally of field multiplications and their reductions, written
     by a CountingField(field, counter) view; one per measured run. Additions
     are XORs and go uncounted."""
-    mul_count: int = 0
-    reduction_count: int = 0
+
+    __slots__ = ("mul_count", "reduction_count")
+
+    def __init__(self, mul_count: int = 0, reduction_count: int = 0):
+        super().__init__(mul_count, reduction_count)
 
     def total(self) -> int:
         return self.mul_count + self.reduction_count
@@ -47,14 +50,15 @@ def estimate_direct(N: int, n: int) -> float:
     return (N / 2) * eta(n)
 
 
-@dataclass(frozen=True)
-class CrtCostBreakdown:
-    factor_costs: tuple      # (n_i/2) * eta(p_i) per factor
-    crt_cost: float          # len(N)^2
-    total: float
-    factor_bits: int         # sum of factor field degrees
-    len_bits: int            # len(N)
-    floored: tuple           # factor indices whose degree hit the eta floor
+class CrtCostBreakdown(FrozenRecord):
+    __slots__ = (
+        "factor_costs",  # (n_i/2) * eta(p_i) per factor
+        "crt_cost",      # len(N)^2
+        "total",
+        "factor_bits",   # sum of factor field degrees
+        "len_bits",      # len(N)
+        "floored",       # factor indices whose degree hit the eta floor
+    )
 
 
 def estimate_crt_breakdown(moduli, degrees, N: int) -> CrtCostBreakdown:

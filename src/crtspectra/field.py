@@ -12,6 +12,7 @@ on raw ints through the *_int methods.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .gf2poly import (factor_int, is_irreducible, pgcd, pmod, pmul, poly_str,
                       ppowmod)
@@ -294,7 +295,8 @@ def build_field(m: int, modulus: int | None = None) -> FieldSpec:
     """GF(2^m); the default modulus comes from the primitive table, and an
     explicit one may be any irreducible of degree m. Fields are built once
     per process and shared (a FieldSpec is immutable), keyed on
-    (m, modulus)."""
+    (m, modulus). A degree outside 1..32 is refused before the lookup."""
+    _check_degree(m)
     if modulus is None:
         modulus = default_modulus(m)
     return _field(m, modulus)
@@ -328,7 +330,9 @@ def element_of_order(field: FieldSpec, N: int) -> FieldElement:
 
 def root_power_table(root: FieldElement, N: int):
     """pw[d] = root^d as raw bits for d = 0..N-1, by N - 1 steps of
-    FieldSpec.times(root)."""
+    FieldSpec.times(root). It keeps nothing, so a warm call costs what a
+    cold one does; spectral's transform plan keeps the table it builds,
+    and a warm dft reads that plan instead of calling this."""
     times_root = root.field.times(root.bits)
     x = 1
     pw = [x]
@@ -338,19 +342,32 @@ def root_power_table(root: FieldElement, N: int):
     return pw
 
 
-def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
+def log_tables(base: FieldElement, order: int) -> tuple:
+    """The data-independent half of a log over <base>, of size order: the
+    baby-step map base^j -> j for j < step = isqrt(order) + 1, and the
+    giant stride, the map x -> base^(-step) x. Costs step power-table
+    steps, the 2m-squaring inv_int of base^step and one times table."""
+    step = isqrt(order) + 1
+    pw = root_power_table(base, step + 1)
+    fld = base.field
+    return ({bits: j for j, bits in enumerate(pw[:step])},
+            fld.times(fld.inv_int(pw[step])))
+
+
+def discrete_log(a: FieldElement, base: FieldElement, order: int,
+                 plan: tuple | None = None) -> int:
     """Least d >= 0 with base^d = a; baby-step giant-step over <base>,
-    whose size `order` the caller knows (the log computes no order)."""
+    whose size `order` the caller knows (the log computes no order).
+
+    plan is log_tables(base, order), from a caller that keeps it. Without
+    one the log is cold and builds its own tables (see log_tables); with
+    one it is warm and costs at most isqrt(order) + 2 giant steps, with no
+    inv_int."""
     if a.bits == 0:
         raise ValueError("discrete log of 0 undefined")
     a._check(base)
-    from math import isqrt
+    baby, giant = plan or log_tables(base, order)
     step = isqrt(order) + 1
-    fld = base.field
-    # baby steps base^0..base^(step-1); base^step seeds the giant stride
-    pw = root_power_table(base, step + 1)
-    baby = {bits: j for j, bits in enumerate(pw[:step])}
-    giant = fld.times(fld.inv_int(pw[step]))
     gamma = a.bits
     for i in range(step + 1):
         if gamma in baby:

@@ -64,7 +64,6 @@ the window rejects sends verify_theorem1 to brute_dft itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
@@ -73,16 +72,15 @@ from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
 from .gf2poly import factor_int, pdivmod, pmod, pmul
+from .records import FrozenRecord, Record
 from .sequences import (BitSequence, _one_period, _product_bits, bit_bytes,
                         connection_degree)
 from .spectral import Spectrum, default_field_for_period, dft
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    index: int
-    expected: object  # log-form: None or exponent
-    actual: object
+class Mismatch(FrozenRecord):
+    # index, then the log-form values (None or an exponent) that differ
+    __slots__ = ("index", "expected", "actual")
 
     def __post_init__(self):
         if self.expected == self.actual:
@@ -456,16 +454,9 @@ def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
             for k in sorted(x.keys() | y.keys()) if x.get(k) != y.get(k)]
 
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    N: int
-    moduli: tuple
-    support_size: int
-    linear_complexity: int
-    blahut_ok: bool
-    conjugacy_ok: bool
-    mismatches: list
+class VerifyReport(Record):
+    __slots__ = ("ok", "N", "moduli", "support_size", "linear_complexity",
+                 "blahut_ok", "conjugacy_ok", "mismatches")
 
     def summary(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"

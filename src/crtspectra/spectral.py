@@ -16,8 +16,9 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import compress, count
 
-from .field import (FieldElement, FieldSpec, _doubling_orbit, build_field,
-                    discrete_log, element_of_order, element_order, has_order,
+from .field import (CountingField, FieldElement, FieldSpec, _doubling_orbit,
+                    build_field, discrete_log, element_of_order,
+                    element_order, has_order, log_tables,
                     multiplicative_order_of_2, root_power_table)
 from .gf2poly import pdivmod, pgcd, pmod
 from .sequences import BitSequence, bit_bytes
@@ -124,6 +125,52 @@ def support_polynomial(s: BitSequence) -> tuple[int, int]:
     return c, pmod(s.word, c)
 
 
+def _transform_tables(root: FieldElement, N: int) -> tuple:
+    """(pw, dlog, leaders): dft's data-independent set-up for a root of
+    order N. pw is the root power table, dlog its log map pw[d] -> d, and
+    leaders yields the least index of each orbit of k -> 2k mod N,
+    ascending, walking the orbits as it goes. Costs N - 1 multiplications,
+    an N-entry dict and one walk over the orbits."""
+    pw = root_power_table(root, N)
+    return pw, {bits: d for d, bits in enumerate(pw)}, _coset_leaders(N)
+
+
+def _coset_leaders(N: int):
+    seen = bytearray(N)
+    for leader in range(N):
+        if seen[leader]:
+            continue
+        yield leader
+        j = leader
+        while not seen[j]:
+            seen[j] = 1
+            j = 2 * j % N
+
+
+# Plans: the tables above and log_tables, memoized per (field, root, N),
+# as an FFT library builds a plan once per size. A plan keeps the
+# builder's own tables, never a copy, and only N <= _PLAN_MAX_N is kept,
+# so the memos stay bounded (README gives their worst case).
+_PLAN_MAX_N = 1 << 14
+_log_plan = lru_cache(maxsize=32)(log_tables)
+
+
+@lru_cache(maxsize=16)
+def _transform_plan(root: FieldElement, N: int) -> tuple:
+    pw, dlog, leaders = _transform_tables(root, N)
+    return pw, dlog, list(leaders)
+
+
+def _planned(memo, build, root: FieldElement, N: int) -> tuple:
+    """memo's plan for (root.field, root, N). A counting view never reads
+    or fills a plan, so it tallies the whole route, and an N above
+    _PLAN_MAX_N gets build's tables for this call only, as a one-shot
+    command would."""
+    if N > _PLAN_MAX_N or isinstance(root.field, CountingField):
+        return build(root, N)
+    return memo(root, N)
+
+
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     """S_k = sum_t s_t root^(tk), k = 0..N-1, positive-exponent kernel.
 
@@ -136,29 +183,24 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     1-bits of s instead. The rest of each coset is filled by the conjugate
     square law d(2k) = 2 d(k) mod N.
 
-    Cost: O(N) set-up (power table, log table, the walk over the doubling
-    orbits), plus leaders x weight(c), plus support leaders x weight(r).
+    Cold cost: the O(N) set-up of _transform_tables, plus the support
+    polynomial, plus leaders x weight(c), plus support leaders x
+    weight(r). Warm, when the process has transformed over (field, root,
+    N) before, the set-up is read from its plan (see _planned) and only
+    the support work remains.
     """
     N = s.period
     if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
-    pw = root_power_table(root, N)
-    dlog = {bits: d for d, bits in enumerate(pw)}
+    pw, dlog, leaders = _planned(_transform_plan, _transform_tables, root, N)
     c, r = support_polynomial(s)
     if c.bit_count() + r.bit_count() < s.word.bit_count():
         screen, taps = _ones(c), _ones(r)
     else:  # the screen cannot pay: no screen, and the 1-bits of s
         screen, taps = [], _ones(s.word)
     reps = {}
-    seen = bytearray(N)
-    for leader in range(N):
-        if seen[leader]:
-            continue
-        j = leader
-        while not seen[j]:
-            seen[j] = 1
-            j = 2 * j % N
+    for leader in leaders:
         acc = 0
         for i in screen:
             acc ^= pw[i * leader % N]
@@ -202,6 +244,11 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     Horner-evaluates sum_t s_t x^t at x = root^k, walking the word's bits
     from the top, each step through FieldSpec.times(x). Field ops route
     through root.field, so handing in a counting view tallies them.
+
+    Cold cost: root^k by square-and-multiply, the N Horner steps, then a
+    cold discrete_log. Warm, when the process has logged over (field,
+    root, N) before, the log reads its plan (see _planned): the Horner
+    pass plus at most isqrt(N) + 2 giant steps, with no inv_int.
     """
     N = s.period
     if not 0 <= k < N:
@@ -217,7 +264,8 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     if acc == 0:
         return ZERO
     try:
-        return discrete_log(FieldElement(fld, acc), root, N)
+        return discrete_log(FieldElement(fld, acc), root, N,
+                            _planned(_log_plan, log_tables, root, N))
     except ValueError:
         raise _outside_root_group(k) from None
 

@@ -30,14 +30,19 @@ def random_log_spectrum():
 @pytest.fixture
 def clear_field_caches():
     """Empties the per-process field, canonical-root, root-image,
-    header-exponent and oracle table memos, so the next call does its
-    set-up work as a fresh process would."""
+    header-exponent, transform and log plan and oracle table memos, so the
+    next call does its set-up work as a fresh process would. They are
+    emptied again after the test, so no plan built under a test's patches
+    outlives it."""
     def clear():
         field._field.cache_clear()
         field.has_order.cache_clear()
         spectral.default_field_for_period.cache_clear()
+        spectral._transform_plan.cache_clear()
+        spectral._log_plan.cache_clear()
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
         oracle._memo_tables.cache_clear()
         oracle._trace_mask.cache_clear()
-    return clear
+    yield clear
+    clear()

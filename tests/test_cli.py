@@ -201,6 +201,36 @@ def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
     assert calls == {"cold": 1, "warm": 0}
 
 
+def test_dft_warm_output_equals_cold(tmp_path, capsys, clear_field_caches):
+    # the first request starts from empty memos, as a one-shot command
+    # does, and builds the plans; the second reads them. Over an
+    # m-sequence and the 3*7*31 product, whose home is GF(2^30), dft,
+    # --reduce and --point at a nonzero point write the same bytes
+    paths = _write_streams(tmp_path, capsys)
+    u = str(tmp_path / "u.txt")
+    assert run(capsys, "seq", "product", "--in", paths["a"], "--in",
+               paths["b"], "--in", paths["c"], "--out", u)[0] == 0
+    for p, N, m in ((paths["c"], 31, 5), (u, 651, 30)):
+        clear_field_caches()
+        code, reduced, _ = run(capsys, "dft", "--in", p, "--reduce")
+        head, leader = reduced.splitlines()[:2]
+        assert code == 0 and head.startswith(f"N={N} ")
+        k = leader.split()[0]
+        for how in ((), ("--reduce",), ("--point", k)):
+            clear_field_caches()
+            outs = []
+            for name in ("cold", "warm"):
+                out = str(tmp_path / f"{name}.txt")
+                assert run(capsys, "dft", "--in", p, *how,
+                           "--out", out)[0] == 0
+                outs.append(open(out, "rb").read())
+            assert outs[0] == outs[1]
+            if not how:
+                assert f" field=GF2m({m},".encode() in outs[0]
+            if how[:1] == ("--point",):
+                assert outs[0].split()[1] != b"Z"
+
+
 def test_dft_point_and_reduce(tmp_path, capsys):
     paths = _write_streams(tmp_path, capsys)
     code, out, _ = run(capsys, "dft", "--in", paths["b"], "--point", "3")
@@ -501,6 +531,16 @@ def test_unparsable_flag_value_names_the_flag(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [("--m", "0"), ("--m", "-1"), ("--m", "33"),
+                                  ("--m", "0", "--mod", "0x3")])
+def test_field_inspect_names_the_degree_range(capsys, argv):
+    # the range check runs before the default-modulus lookup, so a degree
+    # with no table entry is not reported as a missing modulus
+    m = argv[1]
+    assert run(capsys, "field", "inspect", *argv) == (
+        2, "", f"error: extension degree {m} out of range 1..32\n")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "nonexistent" / "x.md"
     code, out, err = run(capsys, "report", "--example", "1",
@@ -761,3 +801,27 @@ def test_crt_commands_add_only_crtconv(tmp_path, capsys, cmd):
                    "--out", specs[-1])[0] == 0
     assert _fresh_modules(_RUN_CLI, *cmd, "--factors", *specs) \
         == DFT_MODULES | {"crtspectra.crtconv"}
+
+
+# the referee commands: plain record classes, so no dataclasses or inspect
+REFEREE_MODULES = {
+    "bm": {"crtspectra.bm", "crtspectra.records"},
+    "verify": {"crtspectra.bm", "crtspectra.crtconv", "crtspectra.oracle",
+               "crtspectra.records"},
+    "bench": {"crtspectra.cases", "crtspectra.costs", "crtspectra.crtconv",
+              "crtspectra.records"},
+}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("bm", "--in", "b"), "bm"),
+    (("verify", "theorem1", "--lfsr", "0x25:0x1", "--lfsr", "0x43:0x1"),
+     "verify"),
+    (("bench",), "bench"),
+    (("report", "--example", "1"), "bench"),
+], ids=["bm", "verify", "bench", "report"])
+def test_referee_commands_load_no_dataclasses(tmp_path, capsys, argv, loads):
+    paths = _write_streams(tmp_path, capsys)
+    argv = [paths.get(a, a) for a in argv]
+    assert _fresh_modules(_RUN_CLI, *argv) \
+        == DFT_MODULES | REFEREE_MODULES[loads]

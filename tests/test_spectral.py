@@ -6,9 +6,10 @@ import pytest
 from crtspectra import spectral
 from crtspectra.bm import berlekamp_massey
 from crtspectra.costs import OpCounter
-from crtspectra.field import (CountingField, build_field, cyclotomic_cosets,
-                              default_modulus, element_of_order,
-                              multiplicative_order_of_2, root_power_table)
+from crtspectra.field import (CountingField, FieldSpec, build_field,
+                              cyclotomic_cosets, default_modulus,
+                              element_of_order, multiplicative_order_of_2,
+                              root_power_table)
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product)
@@ -213,7 +214,7 @@ class _CountingTable(list):
 
 
 def test_dft_reads_weight_c_per_leader_and_weight_r_per_support_leader(
-        monkeypatch):
+        monkeypatch, clear_field_caches):
     # the screen's cost: weight(c) reads at each coset leader and weight(r)
     # more at each leader of the support, not weight(s) at every leader;
     # where weight(c) + weight(r) >= weight(s) (U: 5 + 4 against 8) the
@@ -225,6 +226,7 @@ def test_dft_reads_weight_c_per_leader_and_weight_r_per_support_leader(
         return tables[-1]
 
     monkeypatch.setattr(spectral, "root_power_table", counted)
+    clear_field_caches()  # so each dft builds its table, not reads a plan
     for s in (U, _mseq_product(3, 5), _mseq_product(10)):
         fld, root = default_field_for_period(s.period)
         c, r = support_polynomial(s)
@@ -304,6 +306,57 @@ def test_dft_point_counts_multiplications():
     # period (21), then the discrete log's baby steps, the inverse of its
     # stride and its giant steps
     assert (counter.mul_count, counter.reduction_count) == (47, 47)
+
+
+def test_warm_transforms_read_their_plans(monkeypatch, clear_field_caches):
+    # the first dft builds the power table and the first dft_point inverts
+    # its log's giant stride; the second of each reads the plan kept for
+    # (field, root, N) and does neither
+    tables, inverses = [], []
+
+    def table(root, N):
+        tables.append(N)
+        return root_power_table(root, N)
+    inv_int = FieldSpec.inv_int
+
+    def inverse(self, a):
+        inverses.append(a)
+        return inv_int(self, a)
+    monkeypatch.setattr(spectral, "root_power_table", table)
+    monkeypatch.setattr(FieldSpec, "inv_int", inverse)
+    clear_field_caches()
+    fld, root = default_field_for_period(U.period)
+    calls, outs = {}, set()
+    for name in ("cold", "warm"):
+        tables.clear()
+        inverses.clear()
+        outs.add((tuple(dft(U, fld, root).points.items()),
+                  dft_point(U, root, 13)))
+        calls[name] = (len(tables), len(inverses))
+    assert calls == {"cold": (1, 1), "warm": (0, 0)}
+    assert len(outs) == 1
+
+
+def test_counting_views_bypass_warm_plans():
+    # a plain run first fills the plans for (field, root, N); a counting
+    # view of the same field compares equal to it, yet must neither read
+    # nor fill them, so it tallies what a cold run does
+    fld, root = default_field_for_period(21)
+    dft(U, fld, root)
+    dft_point(U, root, 13)
+    counter = OpCounter()
+    cf = CountingField(fld, counter)
+    dft(U, cf, cf.element(root.bits))
+    assert counter.mul_count == U.period - 1
+    counter = OpCounter()
+    cf = CountingField(fld, counter)
+    dft_point(U, cf.element(root.bits), 13)
+    assert (counter.mul_count, counter.reduction_count) == (47, 47)
+    # nor did the counting runs leave a plan behind that counts
+    counter.mul_count = 0
+    dft(U, fld, root)
+    dft_point(U, root, 13)
+    assert counter.mul_count == 0
 
 
 def test_blahut_on_reference_product():
