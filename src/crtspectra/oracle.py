@@ -48,24 +48,22 @@ g = (s mod z^L) c mod z^L, and partial fractions give the residue form
 S_k = g(beta) / (beta c'(beta)) at beta = root^k, where c(beta) = 0
 exactly on the support (Blahut 1979; Massey and Serconek, CRYPTO '94).
 _residue_dft evaluates c, c' and g by Horner on a byte table of
-x -> beta x, once per doubling orbit k -> 2k mod N of the claim's
-indices and of 0 (c(x^2) = c(x)^2), inverts by extended Euclid on the
-field modulus and takes the log by baby-step giant-step. The claim only
-proposes where to look: when the confirmed orbits hold L points, c
-(squarefree, degree L) has no other roots and the result is the whole
-transform, with nothing of length N built. A claim that misses a whole
-orbit of the support falls back to one period of s and the power walk:
-_screen keeps the k where f(root^(-k)) = 0, evaluating f once per orbit
-at weight(f) lookups on the walk, and _listed_dft sums only those k with
-brute_dft's own per-point code. The coset window then certifies either
-result, so it is brute_dft(s) without the other sums; only a spectrum
-the window rejects sends verify_theorem1 to brute_dft itself.
+x -> beta x, once per doubling orbit k -> 2k mod N (c(x^2) = c(x)^2),
+inverts by extended Euclid on the field modulus and takes the log by
+baby-step giant-step. The claim only proposes where to look: the orbits
+of its indices and of 0 come first, and while they hold fewer than L
+points the same loop goes on over the other orbits in index order. c is
+squarefree of degree L, so the loop stops at L points, and the result is
+the whole transform with nothing of length N built. The coset window
+stays the acceptance test, since on a passing claim it costs less than
+the residues; no second check follows the lister, whose L points are
+the transform of s by construction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 
 from .bm import berlekamp_massey
@@ -172,17 +170,16 @@ def _power_walk(field: FieldSpec, root: FieldElement, N: int) -> list:
     return pw
 
 
-def _sum_points(s: BitSequence, field: FieldSpec, root: FieldElement,
-                pw: list, ks) -> Spectrum:
-    """The spectrum of s from the full sums S_k at the indices ks, taken in
-    the given order; every other point is left zero."""
+def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
+    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
     N = s.period
+    pw = _power_walk(field, root, N)
     dlog = {bits: d for d, bits in enumerate(pw)}
     # root^(tk) depends on t only through t mod n, n = N / gcd(k, N): fold
     # s once per n into the residues mod n that hold an odd number of ones
     folded: dict = {}
     points = {}
-    for k in ks:
+    for k in range(N):
         n = N // gcd(k, N)
         odd = folded.get(n)
         if odd is None:
@@ -211,47 +208,6 @@ def _fold(word: int, N: int, n: int) -> int:
         word = (word & ((1 << h * n) - 1)) ^ (word >> h * n)
         m -= h
     return word
-
-
-def brute_dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
-    """S_k = sum over one period of s_t root^(tk), for k = 0..N-1."""
-    pw = _power_walk(field, root, s.period)
-    return _sum_points(s, field, root, pw, range(s.period))
-
-
-def _screen(pw: list, f: int) -> list:
-    """The k in [0, N) with f(root^(-k)) = 0, ascending, N = len(pw).
-
-    s_t = sum over k of S_k root^(-tk), so a recurrence with connection
-    polynomial f holds on s exactly when f vanishes at root^(-k) for every
-    k with S_k != 0; the roots of the minimal polynomial are the support.
-    f has GF(2) coefficients, so f(x^2) = f(x)^2 and its roots are closed
-    under squaring: f is evaluated once per orbit k -> 2k mod N, at the
-    orbit's first index, and the whole orbit is kept or dropped with it."""
-    N = len(pw)
-    taps = [i for i in range(f.bit_length()) if f >> i & 1]
-    support, seen = [], bytearray(N)
-    for k in range(N):
-        if seen[k]:
-            continue
-        acc = 0
-        for i in taps:
-            acc ^= pw[(-i * k) % N]
-        j = k
-        while not seen[j]:
-            seen[j] = 1
-            if not acc:
-                support.append(j)
-            j = 2 * j % N
-    return sorted(support)
-
-
-def _listed_dft(s: BitSequence, field: FieldSpec, root: FieldElement,
-                f: int) -> Spectrum:
-    """brute_dft(s, field, root) summed only at the roots of f, the minimal
-    polynomial of s; with any other f its support may be wrong."""
-    pw = _power_walk(field, root, s.period)
-    return _sum_points(s, field, root, pw, _screen(pw, f))
 
 
 def _horner(p: int, tables) -> int:
@@ -298,9 +254,8 @@ def _log_of(field: FieldSpec, root_bits: int, N: int, power):
 def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     """The transform of u over S's field and root, read from the first L
     bits of u (bit t of word is u_t) and f, u's minimal polynomial, of
-    degree L; None when the doubling orbits of S's indices and of 0 hold
-    fewer than L points of u's support, or a value is not a power of the
-    root.
+    degree L; None when a value is not a power of the root, or when f has
+    fewer than L roots among the powers of the root.
 
     u_t = sum over k of U_k x_k^t, x_k = root^(-k), so with c the reverse
     of f, c(z) = prod over the support of (1 - x_k z), the power series
@@ -309,9 +264,11 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     root^k, a root of c exactly when U_k != 0 (Blahut 1979; Massey and
     Serconek 1994). c has GF(2) coefficients, so one leader per orbit
     k -> 2k mod N decides the orbit, and U_2k = U_k^2 doubles its log.
-    f divides x^N + 1, N odd, so c is squarefree of degree L: orbits
-    holding L points are all of its roots and the result is the whole
-    transform. S only proposes where to look."""
+    f divides x^N + 1, N odd, so c is squarefree of degree L, and the
+    search stops once its orbits hold L points. It tries the orbits of 0
+    and of S's indices first, then the others in index order: S only
+    proposes where to look, and a right claim is listed at its own
+    orbits."""
     N, F = S.N, S.field
     L = f.bit_length() - 1
     c = int(format(f, f"0{L + 1}b")[::-1], 2)
@@ -322,7 +279,9 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     power = _power_of(F, S.root.bits)
     log = _log_of(F, S.root.bits, N, power)
     points, seen = {}, set()
-    for k in (0, *S.points):
+    for k in chain((0, *S.points), range(N)):
+        if len(points) == L:
+            break
         if k in seen:
             continue
         orbit, j = [k], 2 * k % N
@@ -480,13 +439,12 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     of the connection degrees, bounds. A pass builds only those bits of u
     and no power walk. When the check fails, the reference spectrum is
     u's transform by residues, read from the same window bits and u's
-    minimal polynomial at the doubling orbits of the claim's indices and
-    of 0; its diff names the mismatched indices. Only a claim that misses
-    a whole orbit of u's support builds u over one period, and then the
-    reference is u's transform summed at the k that the screen by the
-    minimal polynomial keeps, on one power walk. The same window
-    certifies the reference; only if the window rejects it does brute_dft
-    of u take its place.
+    minimal polynomial, first at the doubling orbits of the claim's
+    indices and of 0 and then at the other orbits in index order until
+    it holds L points; its diff names the mismatched indices. Neither path
+    builds u past its window bits or walks the powers of the root. A
+    product of log-form streams always has such a transform, so a lister
+    that finds none raises ArithmeticError.
     Then it audits Blahut and conjugacy on the reference spectrum. A
     single LFSR degenerates to comparing a sequence's spectrum with itself.
 
@@ -527,18 +485,12 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     if coset_window_matches(S_crt, window, N, B):
         S_ref, mismatches = S_crt, []
     else:
-        # u's transform from its window bits at the claim's orbits names
-        # the indices that differ; a claim that misses a whole orbit of
-        # the support sends the run to the forward transform at the roots
-        # of u's minimal polynomial, over one period. The window certifies
-        # either, and brute_dft runs only if it does not
+        # u's transform from its window bits names the indices that differ
         S_ref = _residue_dft(word, r.minimal_poly, S_crt)
         if S_ref is None:
-            u = BitSequence.from_word(_product_bits(streams, N), N)
-            S_ref = _listed_dft(u, S_crt.field, S_crt.root, r.minimal_poly)
-        if not coset_window_matches(S_ref, window, N, B):
-            u = BitSequence.from_word(_product_bits(streams, N), N)
-            S_ref = brute_dft(u, S_crt.field, S_crt.root)
+            raise ArithmeticError(
+                f"the product of period {N} has no log-form spectrum over"
+                " the claim's root")
         mismatches = compare_spectra(S_ref, S_crt)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None

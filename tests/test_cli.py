@@ -411,6 +411,20 @@ def test_verify_internal_error_exits_3(monkeypatch, capsys):
                    "BM output failed to regenerate its input\n")
 
 
+def test_verify_lister_without_a_spectrum_exits_3(monkeypatch, capsys):
+    # the residue lister is the one way a failing claim is listed; if it
+    # finds no spectrum the run is an internal fault, not a verdict
+    import crtspectra.oracle
+    monkeypatch.setattr(crtspectra.oracle, "_residue_dft",
+                        lambda word, f, S: None)
+    code, out, err = run(capsys, "verify", "theorem1", "--lfsr", "0x7:0x2",
+                         "--lfsr", "0xb:0x4", "--tamper-index", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_shared_period_factor_exits_2(capsys):
     code, out, err = run(capsys, "verify", "theorem1",
                          "--lfsr", "0x7:0x2", "--lfsr", "0x13:0x4")

@@ -324,11 +324,14 @@ def test_verify_theorem1_forced_brute_path_gives_the_same_report(
         runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
                      for n in degrees])
     normal = [verify_theorem1(run) for run in runs]
+    # a window that rejects every claim sends each run to the residue
+    # lister, whose reference is the claim itself
+    lists = _counting(monkeypatch, "_residue_dft")
     calls = _counting(monkeypatch, "brute_dft")
     monkeypatch.setattr(oracle, "coset_window_matches",
                         lambda S, bits, N, lc: False)
     forced = [verify_theorem1(run) for run in runs]
-    assert len(calls) == len(runs) >= 20
+    assert len(lists) == len(runs) >= 20 and calls == []
     assert all(rep.ok for rep in normal)
     assert forced == normal
 
@@ -489,36 +492,6 @@ def test_verify_theorem1_lister_names_what_brute_dft_names(
     assert listed == forced
 
 
-@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
-def test_screen_finds_exactly_the_support(degrees):
-    rng = random.Random(400 + sum(degrees))
-    for _ in range(2):
-        u, S = _seeded_product(degrees, rng)
-        bits = (list(u.bits) * 2)[:2 * min(prod(degrees), u.period)]
-        f = berlekamp_massey(bits).minimal_poly
-        pw = oracle._power_walk(S.field, S.root, u.period)
-        assert oracle._screen(pw, f) == sorted(
-            brute_dft(u, S.field, S.root).points)
-
-
-@pytest.mark.parametrize("N", [1, 7, 9, 21, 63, 315, 455])
-def test_listed_dft_matches_brute_dft_on_odd_periods(N, random_log_spectrum):
-    # given the minimal polynomial from 2N bits, the same spectrum or the
-    # same error, "outside the cyclic group" at the same first k included
-    fld, seqs, roots = _odd_period_cases(N, random_log_spectrum)
-    outcomes = []
-    for s in seqs:
-        f = berlekamp_massey(s.bits * 2).minimal_poly
-
-        def listed(s, fld, r):
-            return oracle._listed_dft(s, fld, r, f)
-        for r in roots:
-            outcomes.append(_outcome(brute_dft, s, fld, r))
-            assert _outcome(listed, s, fld, r) == outcomes[-1]
-    if N < fld.group_order:
-        assert any("outside the cyclic group" in str(o) for o in outcomes)
-
-
 # the last two have registers of odd weight over their periods 7, 3 and
 # 31, so S_0 = 1: tampered at 0, the claim leaves out index 0, which the
 # residue lister still takes as a candidate
@@ -543,47 +516,34 @@ def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
 
 def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
         monkeypatch):
+    # a product of log-form streams always has a residue spectrum, so a
+    # lister that finds none is an internal fault, with nothing behind it
     run = [(0x25, 0x1), (0x43, 0x1)]
-    expected = verify_theorem1(run, tamper_index=193)
-    real_lister, real_window = oracle._residue_dft, oracle.coset_window_matches
-
-    def lister(word, f, S):
-        # the lister loses the orbit of the least index of the true support
-        T = real_lister(word, f, S)
-        return _without_orbit(T, min(T.points))
-    monkeypatch.setattr(oracle, "_residue_dft", lister)
-    verdicts = []
-
-    def window(S, bits, N, lc_bound):
-        verdicts.append(real_window(S, bits, N, lc_bound))
-        return verdicts[-1]
-    monkeypatch.setattr(oracle, "coset_window_matches", window)
+    monkeypatch.setattr(oracle, "_residue_dft", lambda word, f, S: None)
     calls = _counting(monkeypatch, "brute_dft")
-    assert verify_theorem1(run, tamper_index=193) == expected
-    # the claim fails the window, and so does the listed spectrum
-    assert verdicts == [False, False]
-    assert len(calls) == 1
-    assert [m.index for m in expected.mismatches] == [193]
+    assert verify_theorem1(run).ok
+    with pytest.raises(ArithmeticError):
+        verify_theorem1(run, tamper_index=193)
+    assert calls == []
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
 def test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback(
         monkeypatch, degrees):
     # a claim that leaves out a whole orbit of u's support proposes too few
-    # orbits to the residue lister, so the run lists by one power walk and
-    # gives the report of brute_dft
+    # orbits, so the residue lister goes on over the other orbits in index
+    # order and gives the report of brute_dft, with no power walk
     rng = random.Random(300 + sum(degrees))
     run = [(default_modulus(n), rng.randrange(1, 1 << n)) for n in degrees]
     S = _crt_claim(run)
     claim = _without_orbit(S, min(S.points))
-    lists = _counting(monkeypatch, "_listed_dft")
     walks = _counting(monkeypatch, "_power_walk")
     brute_calls = _counting(monkeypatch, "brute_dft")
     listed = _claim_reports(run, [claim])
-    assert len(lists) == len(walks) == 1 and brute_calls == []
+    assert walks == [] and brute_calls == []
     _lister_forced_to_brute_dft(monkeypatch, run)
     assert _claim_reports(run, [claim]) == listed
-    assert len(lists) == 1 and len(brute_calls) == 1
+    assert len(brute_calls) == 1
     assert not listed[0].ok
 
 
@@ -591,8 +551,6 @@ def test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback(
 def test_residue_dft_lists_random_spectra_from_their_first_bits(
         N, random_log_spectrum):
     # the first L bits of idft(S) and its minimal polynomial give S back
-    # with S's own orbits as candidates, and None when one of them is left
-    # out
     fld, root = default_field_for_period(N)
     rng = random.Random(7200 + N)
     for _ in range(4):
@@ -603,15 +561,20 @@ def test_residue_dft_lists_random_spectra_from_their_first_bits(
         assert f.bit_length() - 1 == L
         word = s.word & ((1 << L) - 1)
         assert oracle._residue_dft(word, f, S) == S
-        # 0 is always a candidate, every other orbit only when S names it
-        for k in {min(_orbit(k, N)) for k in S.points}:
-            listed = oracle._residue_dft(word, f, _without_orbit(S, k))
-            assert listed == (S if k == 0 else None)
+        # the claim only proposes where to look: one that leaves out an
+        # orbit, or names no index, still gets S back
+        claims = [_without_orbit(S, k)
+                  for k in {min(_orbit(k, N)) for k in S.points}]
+        for T in claims + [Spectrum(N, fld, root, {})]:
+            assert oracle._residue_dft(word, f, T) == S
 
 
+# "orbit": the CRT claim less the orbit of its least index
 @pytest.mark.parametrize("run, tamper", [
     ([(0x25, 0x1), (0x43, 0x1)], 193),
-    ([(0xb, 0x1), (0x25, 0x9), (0xc4d7, 0x315f)], 5)])
+    ([(0xb, 0x1), (0x25, 0x9), (0xc4d7, 0x315f)], 5),
+    ([(0x25, 0x1), (0x43, 0x1)], "orbit"),
+    ([(0xb, 0x1), (0x25, 0x9), (0xc4d7, 0x315f)], "orbit")])
 def test_verify_theorem1_lists_a_tampered_run_from_its_window_bits(
         monkeypatch, run, tamper):
     # 31*63 and 7*31*151: no power walk, and u is never built over one
@@ -628,8 +591,15 @@ def test_verify_theorem1_lists_a_tampered_run_from_its_window_bits(
         raise AssertionError("power walk on a tampered run")
     monkeypatch.setattr(oracle, "_product_bits", window_only)
     monkeypatch.setattr(oracle, "_power_walk", no_walk)
-    rep = verify_theorem1(run, tamper_index=tamper)
-    assert not rep.ok and [m.index for m in rep.mismatches] == [tamper]
+    if tamper == "orbit":
+        S = _crt_claim(run)
+        lost = _orbit(min(S.points), N)
+        rep, = _claim_reports(run, [_without_orbit(S, lost[0])])
+        assert [m.index for m in rep.mismatches] == sorted(lost)
+    else:
+        rep = verify_theorem1(run, tamper_index=tamper)
+        assert [m.index for m in rep.mismatches] == [tamper]
+    assert not rep.ok
 
 
 def _orbit(k, N):
@@ -761,9 +731,7 @@ def test_trace_mask_reads_the_subfield_trace():
 @pytest.mark.filterwarnings("ignore:zero seed")
 def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
     # the lister tests' register sets: a pass and a tampered run build no
-    # power walk and no full transform; only the fallback lister walks,
-    # once, on a claim that misses an orbit of the support (see
-    # test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback)
+    # power walk and no full transform
     runs = list(_SMALL_RUNS)
     for degrees in _PRODUCT_DEGREES:
         rng = random.Random(300 + sum(degrees))
