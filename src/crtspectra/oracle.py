@@ -27,37 +27,26 @@ sequence of linear complexity at most |A| + B. A periodic sequence that
 satisfies a recurrence of order L and is zero at t = 0 .. L-1 is zero
 everywhere. So a spectrum whose inverse equals s for t < |A| + B equals
 it at every t, and for odd N (the transform is a bijection on one period)
-it is brute_dft(s). verify_theorem1 takes B = prod of the connection
-degrees, a bound on the product's linear complexity (Key, IEEE T-IT
-22(6), 1976), and decides by that window.
+it is brute_dft(s).
 
-coset_window_matches gives inverse_matches' verdict with no power walk:
-it steps one element per cyclotomic coset of the claim over the window
-and reads the coset's GF(2) share as a parity. verify_theorem1 feeds it
-the window bits of u alone, u_t = prod of s_i[t mod n_i], so a passing
-claim costs work in |A| + B and the cosets, and holds nothing of length N.
-Its squaring and x -> root*x tables and its trace masks depend only on
-the field, the root and the coset size, so they are memoized per process.
-
-A failing claim still needs the true spectrum, to name the indices that
-differ, and it is read from the same window bits. s_t = sum over k of
-S_k root^(-tk), so the minimal polynomial f of s, which Berlekamp-Massey
+verify_theorem1 decides a claim and names its mismatches by one identity,
+read from the first bits of the product u. u_t = sum over k of U_k
+root^(-tk), so the minimal polynomial f of u, which Berlekamp-Massey
 (Massey, IEEE T-IT 15(1), 1969) gives from 2L bits, has exactly the roots
-root^(-k) with S_k != 0. With c the reverse of f, sum_t s_t z^t = g / c,
-g = (s mod z^L) c mod z^L, and partial fractions give the residue form
-S_k = g(beta) / (beta c'(beta)) at beta = root^k, where c(beta) = 0
-exactly on the support (Blahut 1979; Massey and Serconek, CRYPTO '94).
-_residue_dft evaluates c, c' and g by Horner on a byte table of
-x -> beta x, once per doubling orbit k -> 2k mod N (c(x^2) = c(x)^2),
-inverts by extended Euclid on the field modulus and takes the log by
-baby-step giant-step. The claim only proposes where to look: the orbits
-of its indices and of 0 come first, and while they hold fewer than L
-points the same loop goes on over the other orbits in index order. c is
-squarefree of degree L, so the loop stops at L points, and the result is
-the whole transform with nothing of length N built. The coset window
-stays the acceptance test, since on a passing claim it costs less than
-the residues; no second check follows the lister, whose L points are
-the transform of s by construction.
+root^(-k) with U_k != 0. With c the reverse of f, sum_t u_t z^t = g / c,
+g = (u mod z^L) c mod z^L, and partial fractions give the residue form
+U_k beta c'(beta) = g(beta) at beta = root^k, where c(beta) = 0 exactly
+on the support (Blahut 1979; Massey and Serconek, CRYPTO '94). _residue_of
+evaluates c, c' and g by Horner on a byte table of x -> beta x, once per
+doubling orbit k -> 2k mod N (c(x^2) = c(x)^2). residue_matches accepts
+a claim by one multiplication per orbit: a conjugate-consistent claim of
+L points whose orbit leaders are roots of c and meet the identity is the
+transform of u. _residue_dft lists u's transform with the same evaluator,
+inverting by extended Euclid on the field modulus and taking the log by
+baby-step giant-step, and stops at L points, since c is squarefree of
+degree L. The bits come from B = prod of the connection degrees, a bound
+on the product's linear complexity (Key, IEEE T-IT 22(6), 1976): BM reads
+2 min(B, N) bits, and nothing of length N is built.
 """
 
 from __future__ import annotations
@@ -113,29 +102,14 @@ def _apply(tables):
                       ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24])
 
 
-# the squaring and x -> root*x tables of coset_window_matches and of the
-# residue lister, and the window's masks, depend only on the field, the
-# root and the coset size, so each is built once per process. A table entry is four tables of at most 256 ints,
-# about 33 kB, so the table memo stays near 1 MB when full
+# the squaring and x -> root*x tables of _power_of and _log_of depend only
+# on the field and the root, so each is built once per process. A table
+# entry is four tables of at most 256 ints, about 33 kB, so the memo stays
+# near 1 MB when full
 @lru_cache(maxsize=32)
 def _memo_tables(start: int, shift: int, modulus: int, m: int) -> tuple:
     """_byte_tables(start, shift, modulus, m) as tuples."""
     return tuple(map(tuple, _byte_tables(start, shift, modulus, m)))
-
-
-@lru_cache(maxsize=256)
-def _trace_mask(modulus: int, m: int, size: int) -> int:
-    """The mask whose parity with y is bit 0 of sum over i < size of
-    y^(2^i). The mask of y -> bit 0 of y^(2^i) is the one of i - 1
-    composed with squaring: bit j is the parity of (x^j)^2 & that mask."""
-    squares = _memo_tables(1, 2, modulus, m)
-    images = [squares[j >> 3][1 << (j & 7)] for j in range(m)]
-    mask, v = 0, 1
-    for _ in range(size):
-        mask ^= v
-        v = sum(((image & v).bit_count() & 1) << j
-                for j, image in enumerate(images))
-    return mask
 
 
 def _power_of(field: FieldSpec, root_bits: int):
@@ -251,32 +225,51 @@ def _log_of(field: FieldSpec, root_bits: int, N: int, power):
     return log
 
 
-def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
-    """The transform of u over S's field and root, read from the first L
-    bits of u (bit t of word is u_t) and f, u's minimal polynomial, of
-    degree L; None when a value is not a power of the root, or when f has
-    fewer than L roots among the powers of the root.
+def _residue_of(word: int, f: int, F: FieldSpec, power):
+    """k -> (g(beta), beta c'(beta)) at beta = power(k), or None when beta
+    is not a root of c, for the sequence u whose first L bits are the low
+    bits of word (bit t is u_t) and whose minimal polynomial is f, of
+    degree L.
 
     u_t = sum over k of U_k x_k^t, x_k = root^(-k), so with c the reverse
     of f, c(z) = prod over the support of (1 - x_k z), the power series
     sum_t u_t z^t is g / c with deg g < L: g = (u mod z^L) c mod z^L.
-    Partial fractions give U_k = g(beta) / (beta c'(beta)) at beta =
-    root^k, a root of c exactly when U_k != 0 (Blahut 1979; Massey and
-    Serconek 1994). c has GF(2) coefficients, so one leader per orbit
-    k -> 2k mod N decides the orbit, and U_2k = U_k^2 doubles its log.
-    f divides x^N + 1, N odd, so c is squarefree of degree L, and the
-    search stops once its orbits hold L points. It tries the orbits of 0
-    and of S's indices first, then the others in index order: S only
-    proposes where to look, and a right claim is listed at its own
-    orbits."""
-    N, F = S.N, S.field
+    Partial fractions give U_k beta c'(beta) = g(beta) at beta = root^k,
+    a root of c exactly when U_k != 0 (Blahut 1979; Massey and Serconek
+    1994). c, c' and g are set up once; each call builds one byte table
+    of x -> beta x and runs its Horner passes on it."""
     L = f.bit_length() - 1
     c = int(format(f, f"0{L + 1}b")[::-1], 2)
     low = (1 << L) - 1
     g = pmul(word & low, c) & low
     # c'(z) keeps c's odd-degree terms, each lowered by one
     dc = c >> 1 & int("01" * (L // 2 + 1), 2)
+
+    def residue(k: int):
+        beta = _byte_tables(power(k), 1, F.modulus, F.m)
+        if _horner(c, beta):
+            return None
+        return _horner(g, beta), _apply(beta)(_horner(dc, beta))
+    return residue
+
+
+def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
+    """The transform of u over S's field and root by _residue_of, from the
+    first L bits of u (bit t of word is u_t) and f, u's minimal
+    polynomial, of degree L; None when a value is not a power of the
+    root, or when f has fewer than L roots among the powers of the root.
+
+    U_k = g(beta) / (beta c'(beta)) at each root beta = root^k of c. c
+    has GF(2) coefficients, so one leader per orbit k -> 2k mod N decides
+    the orbit, and U_2k = U_k^2 doubles its log. f divides x^N + 1, N
+    odd, so c is squarefree of degree L, and the search stops once its
+    orbits hold L points. It tries the orbits of 0 and of S's indices
+    first, then the others in index order: S only proposes where to look,
+    and a right claim is listed at its own orbits."""
+    N, F = S.N, S.field
+    L = f.bit_length() - 1
     power = _power_of(F, S.root.bits)
+    residue = _residue_of(word, f, F, power)
     log = _log_of(F, S.root.bits, N, power)
     points, seen = {}, set()
     for k in chain((0, *S.points), range(N)):
@@ -289,11 +282,10 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
             orbit.append(j)
             j = 2 * j % N
         seen.update(orbit)
-        beta = _byte_tables(power(k), 1, F.modulus, F.m)
-        if _horner(c, beta):
+        r = residue(k)
+        if r is None:
             continue
-        den = _inverse(_apply(beta)(_horner(dc, beta)), F.modulus)
-        d = log(pmod(pmul(_horner(g, beta), den), F.modulus))
+        d = log(pmod(pmul(r[0], _inverse(r[1], F.modulus)), F.modulus))
         if d is None:
             return None
         for j in orbit:
@@ -335,27 +327,21 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
     return True
 
 
-def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
-    """inverse_matches(S, s, lc_bound) for a sequence s of period N given by
-    its first bits only, t < min(N, |S.points| + lc_bound), checked one
-    cyclotomic coset at a time with no walk over the N powers of the root.
+def residue_matches(S: Spectrum, word: int, f: int, N: int) -> bool:
+    """True exactly when S is the transform of u, the sequence of period N
+    whose minimal polynomial is f, of degree L, and whose first L bits
+    are the low bits of word (bit t of word is u_t).
 
-    A coset c of the support with leader k and exponent d adds
-    sum over i < |c| of y^(2^i), y = root^(d - tk), to the inverse at t.
-    When S is conjugate-consistent y lies in GF(2^|c|), so that sum is a
-    bit: bit 0 of a GF(2)-linear map of y, the parity of y & mask. Each
-    coset keeps one y and steps it by a byte table of y -> root^(-k) y.
-    A claim that breaks conjugacy is rejected before the window: its
-    inverse is not binary, so whenever lc_bound bounds the linear
-    complexity of s, inverse_matches rejects it too. The root's order is
-    checked against N, as the power walk checks it, by square-and-multiply
-    on the oracle's own tables. The squaring and x -> root*x tables and
-    the masks are memoized per field and root; the root-order check and
-    each coset's step table are built on every call. A negative lc_bound
-    is refused.
+    S passes when it is conjugate-consistent, holds L points, and at each
+    orbit leader k, beta = root^k is a root of c with S_k beta c'(beta) =
+    g(beta), as _residue_of evaluates them. Its L indices are then L roots
+    of c, which has degree L, so they are the whole support of u's
+    transform, and the identity and the doubling S_2k = S_k^2 give its
+    values. Each orbit costs one byte table, the Horner passes and one
+    multiplication: no inverse, no log and no walk over the powers of the
+    root. The root's order is checked against N, as the power walk checks
+    it, by square-and-multiply on the oracle's own tables.
     """
-    if lc_bound < 0:
-        raise ValueError(f"lc_bound {lc_bound} is negative")
     pts = S.points
     F = S.field
     power = _power_of(F, S.root.bits)
@@ -365,39 +351,31 @@ def coset_window_matches(S: Spectrum, bits, N: int, lc_bound: int) -> bool:
             while order % p == 0 and power(order // p) == 1:
                 order //= p
         raise ValueError(f"root order {order} != sequence period {N}")
+    if len(pts) != f.bit_length() - 1:
+        return False
     # walk each orbit k -> 2k mod N of the support: every index on it must
     # carry the doubled exponent, back to the leader's own
-    cosets, seen = [], set()
+    leaders, seen = [], set()
     for k, d in pts.items():
         if k in seen:
             continue
-        j, e, size = k, d, 0
+        j, e = k, d
         while True:
             if pts.get(j) != e:
                 return False
             seen.add(j)
-            size += 1
             j, e = 2 * j % N, 2 * e % N
             if j == k:
                 break
         if e != d:
             return False
-        cosets.append((k, d, size))
-
-    window = min(N, len(pts) + lc_bound)
-    if len(bits) < window:
-        raise ValueError(f"{len(bits)} bits given, the window needs {window}")
-    # s_t plus every coset's share is zero at each t exactly on a match
-    residue = bytearray(bits[:window])
-    for k, d, size in cosets:
-        mask = _trace_mask(F.modulus, F.m, size)
-        t0, t1, t2, t3 = _byte_tables(power(-k % N), 1, F.modulus, F.m)
-        y = power(d)
-        for t in range(window):
-            residue[t] ^= (y & mask).bit_count() & 1
-            y = (t0[y & 0xFF] ^ t1[y >> 8 & 0xFF]
-                 ^ t2[y >> 16 & 0xFF] ^ t3[y >> 24])
-    return not any(residue)
+        leaders.append((k, d))
+    residue = _residue_of(word, f, F, power)
+    for k, d in leaders:
+        r = residue(k)
+        if r is None or pmod(pmul(power(d), r[1]), F.modulus) != r[0]:
+            return False
+    return True
 
 
 def compare_spectra(X: Spectrum, Y: Spectrum) -> list[Mismatch]:
@@ -434,17 +412,17 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     """Both paths end to end on given (connection, seed) pairs.
 
     Generates the streams, takes each factor's spectrum, computes the
-    product spectrum by CRT and checks it against the actual bitwise
-    product u by coset_window_matches, on the window that B, the product
-    of the connection degrees, bounds. A pass builds only those bits of u
-    and no power walk. When the check fails, the reference spectrum is
-    u's transform by residues, read from the same window bits and u's
-    minimal polynomial, first at the doubling orbits of the claim's
-    indices and of 0 and then at the other orbits in index order until
-    it holds L points; its diff names the mismatched indices. Neither path
-    builds u past its window bits or walks the powers of the root. A
-    product of log-form streams always has such a transform, so a lister
-    that finds none raises ArithmeticError.
+    product spectrum by CRT and decides it against the actual bitwise
+    product u by one identity, read from the first 2 min(B, N) bits of u,
+    B the product of the connection degrees, and u's minimal polynomial
+    by BM: residue_matches accepts the claim when it is u's transform in
+    residue form, and otherwise _residue_dft lists that transform from
+    the same bits, first at the doubling orbits of the claim's indices
+    and of 0 and then at the other orbits in index order until it holds
+    L points; its diff names the mismatched indices. Neither builds u
+    past those bits or walks the powers of the root. A product of
+    log-form streams always has such a transform, so a lister that finds
+    none raises ArithmeticError.
     Then it audits Blahut and conjugacy on the reference spectrum. A
     single LFSR degenerates to comparing a sequence's spectrum with itself.
 
@@ -475,17 +453,16 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
 
     # the periods are pairwise coprime, so u_t = prod of s_i[t mod n_i] has
     # period N; its linear complexity L is at most B, the product of the
-    # register lengths. BM pins L and the minimal polynomial from the first
-    # 2 min(B, N) bits, and the coset window reads min(N, |A| + B)
+    # register lengths, so BM pins L and the minimal polynomial from the
+    # first 2 min(B, N) bits, which decide the claim and list it
     B = prod(connection_degree(conn) for conn, _ in lfsrs)
-    W = max(2 * min(B, N), min(N, len(S_crt.points) + B))
+    W = 2 * min(B, N)
     word = _product_bits(streams, W)
-    window = bit_bytes(word, W)
-    r = berlekamp_massey(window[:2 * min(B, N)])
-    if coset_window_matches(S_crt, window, N, B):
+    r = berlekamp_massey(bit_bytes(word, W))
+    if residue_matches(S_crt, word, r.minimal_poly, N):
         S_ref, mismatches = S_crt, []
     else:
-        # u's transform from its window bits names the indices that differ
+        # u's transform from the same bits names the indices that differ
         S_ref = _residue_dft(word, r.minimal_poly, S_crt)
         if S_ref is None:
             raise ArithmeticError(

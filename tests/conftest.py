@@ -29,11 +29,11 @@ def random_log_spectrum():
 
 @pytest.fixture
 def clear_field_caches():
-    """Empties the per-process field, canonical-root, root-image,
-    header-exponent, transform and log plan and oracle table memos, so the
-    next call does its set-up work as a fresh process would. They are
-    emptied again after the test, so no plan built under a test's patches
-    outlives it."""
+    """Empties the per-process memos: fields, root orders, default fields,
+    transform and log plans, root images, header exponents and the
+    oracle's byte tables, so the next call does its set-up work as a
+    fresh process would. They are emptied again after the test, so no
+    plan built under a test's patches outlives it."""
     def clear():
         field._field.cache_clear()
         field.has_order.cache_clear()
@@ -43,6 +43,5 @@ def clear_field_caches():
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
         oracle._memo_tables.cache_clear()
-        oracle._trace_mask.cache_clear()
     yield clear
     clear()

@@ -5,12 +5,10 @@ import pytest
 
 from crtspectra.bm import berlekamp_massey
 from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import (build_field, cyclotomic_cosets, default_modulus,
-                              discrete_log)
-from crtspectra.gf2poly import pmod, pmul
+from crtspectra.field import cyclotomic_cosets, default_modulus, discrete_log
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
-                               coset_window_matches, inverse_matches,
+                               inverse_matches, residue_matches,
                                verify_theorem1)
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product, sequence_period)
@@ -47,7 +45,7 @@ def test_brute_dft_rejects_order_mismatch():
     S = dft(pointwise_product(A, B), fld, root)
     for check in (lambda: brute_dft(B, fld, root),
                   lambda: inverse_matches(S, B, 7),
-                  lambda: coset_window_matches(S, B.bits, 7, 7)):
+                  lambda: residue_matches(S, B.word, _minimal_poly(B), 7)):
         with pytest.raises(ValueError) as e:
             check()     # root order 21, period 7
         assert str(e.value) == "root order 21 != sequence period 7"
@@ -290,7 +288,7 @@ def test_inverse_matches_refuses_a_non_binary_inverse():
     low = BitSequence(tuple((root ** (-t % 31)).bits & 1 for t in range(31)))
     assert not inverse_matches(S, low, fld.m)
     assert not inverse_matches(S, low, 31)
-    assert not coset_window_matches(S, low.bits, 31, fld.m)
+    assert not residue_matches(S, low.word, _minimal_poly(low), 31)
     assert compare_spectra(brute_dft(low, fld, root), S) != []
 
 
@@ -315,8 +313,7 @@ def test_verify_theorem1_lists_mismatches_without_a_full_transform(
     assert not rep.ok and [m.index for m in rep.mismatches] == [5]
 
 
-def test_verify_theorem1_forced_brute_path_gives_the_same_report(
-        monkeypatch):
+def test_verify_theorem1_forced_lister_gives_the_same_report(monkeypatch):
     rng = random.Random(16)
     runs = []
     # some tuples list the longer period first
@@ -324,12 +321,12 @@ def test_verify_theorem1_forced_brute_path_gives_the_same_report(
         runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
                      for n in degrees])
     normal = [verify_theorem1(run) for run in runs]
-    # a window that rejects every claim sends each run to the residue
+    # a check that rejects every claim sends each run to the residue
     # lister, whose reference is the claim itself
     lists = _counting(monkeypatch, "_residue_dft")
     calls = _counting(monkeypatch, "brute_dft")
-    monkeypatch.setattr(oracle, "coset_window_matches",
-                        lambda S, bits, N, lc: False)
+    monkeypatch.setattr(oracle, "residue_matches",
+                        lambda S, word, f, N: False)
     forced = [verify_theorem1(run) for run in runs]
     assert len(lists) == len(runs) >= 20 and calls == []
     assert all(rep.ok for rep in normal)
@@ -414,8 +411,9 @@ def test_verify_theorem1_gives_bm_only_the_bits_its_bound_needs(monkeypatch):
 ])
 def test_verify_theorem1_window_matches_the_full_period_report(
         monkeypatch, run, summary):
-    # single registers, zero seeds and a period-1 register: the window
-    # decides as the whole period does, and BM still finds the exact L
+    # single registers, zero seeds and a period-1 register: the first
+    # 2 min(B, N) bits decide as the whole period does, and BM still finds
+    # the exact L
     window = verify_theorem1(run)
     # u over the whole product period, which pointwise_product would
     # minimize
@@ -424,8 +422,8 @@ def test_verify_theorem1_window_matches_the_full_period_report(
         s = oracle._one_period(conn, seed, 10 ** 5)
         u = BitSequence(tuple(a & b for a, b in zip(u.bits * s.period,
                                                     s.bits * u.period)))
-    monkeypatch.setattr(oracle, "coset_window_matches",
-                        lambda S, bits, N, lc: inverse_matches(S, u, N))
+    monkeypatch.setattr(oracle, "residue_matches",
+                        lambda S, word, f, N: inverse_matches(S, u, N))
     full = verify_theorem1(run)
     assert window == full
     assert window.summary() == (summary + " blahut=ok conjugacy=ok"
@@ -514,7 +512,7 @@ def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
     assert [verify_theorem1(run, tamper_index=t) for t in tampers] == listed
 
 
-def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
+def test_verify_theorem1_raises_when_the_lister_finds_no_spectrum(
         monkeypatch):
     # a product of log-form streams always has a residue spectrum, so a
     # lister that finds none is an internal fault, with nothing behind it
@@ -528,7 +526,7 @@ def test_verify_theorem1_falls_back_to_brute_dft_when_the_screen_misses(
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
-def test_verify_theorem1_lists_a_claim_missing_a_true_orbit_by_the_fallback(
+def test_verify_theorem1_lists_a_claim_missing_a_true_orbit(
         monkeypatch, degrees):
     # a claim that leaves out a whole orbit of u's support proposes too few
     # orbits, so the residue lister goes on over the other orbits in index
@@ -556,7 +554,7 @@ def test_residue_dft_lists_random_spectra_from_their_first_bits(
     for _ in range(4):
         S = random_log_spectrum(fld, root, rng)
         s = idft(S)
-        f = berlekamp_massey(s.bits * 2).minimal_poly
+        f = _minimal_poly(s)
         L = len(S.points)
         assert f.bit_length() - 1 == L
         word = s.word & ((1 << L) - 1)
@@ -618,118 +616,124 @@ def _shifted(S, j):
                     {k: (d + j * k) % S.N for k, d in S.points.items()})
 
 
-def _window_verdict(T, s, lc_bound):
-    """coset_window_matches given only the bits its window reads."""
-    window = min(s.period, len(T.points) + lc_bound)
-    return coset_window_matches(T, s.bits[:window], s.period, lc_bound)
+def _minimal_poly(s):
+    """The minimal polynomial of s, by BM over two periods."""
+    return berlekamp_massey(s.bits * 2).minimal_poly
+
+
+def _residue_verdict(T, s):
+    """residue_matches given only the first L bits of s."""
+    f = _minimal_poly(s)
+    return residue_matches(T, s.word & ((1 << f.bit_length() - 1) - 1), f,
+                           s.period)
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
-def test_coset_window_matches_agrees_with_inverse_matches_on_products(
-        degrees):
-    # every single change to the claim, time-shifted claims (which reach
-    # the coset loop) and single changes to those
+def test_residue_matches_agrees_with_inverse_matches_on_products(degrees):
+    # the claim less an orbit, its reversal, every single change to the
+    # claim, time-shifted claims (conjugate-consistent, of the right size,
+    # and wrong at every orbit) and single changes to those
     rng = random.Random(500 + sum(degrees))
-    B = prod(degrees)
     for _ in range(2):
         u, S = _seeded_product(degrees, rng)
         N = u.period
         shifted = [_shifted(S, j)
                    for j in (1, 2, N - 1, rng.randrange(3, N - 1))]
-        claims = [S] + _one_change_each(S, rng) + shifted
+        # the claim of the time-reversed product: conjugate-consistent, of
+        # the right size, on orbits that are not u's
+        reversed_ = Spectrum(N, S.field, S.root,
+                             {-k % N: d for k, d in S.points.items()})
+        claims = [S, _without_orbit(S, min(S.points)), reversed_]
+        claims += _one_change_each(S, rng) + shifted
         claims += _one_change_each(shifted[0], rng)
         for T in claims:
-            for lc in (B, N):
-                assert _window_verdict(T, u, lc) == inverse_matches(T, u, lc)
-        assert _window_verdict(S, u, B)
-        assert not any(_window_verdict(T, u, B) for T in shifted)
+            assert _residue_verdict(T, u) == inverse_matches(T, u, N)
+        assert _residue_verdict(S, u)
+        assert not any(_residue_verdict(T, u) for T in shifted)
 
 
 @pytest.mark.parametrize("N", [7, 21, 63, 315])
-def test_coset_window_matches_agrees_with_inverse_matches_on_random_spectra(
+def test_residue_matches_agrees_with_inverse_matches_on_random_spectra(
         N, random_log_spectrum):
-    # conjugate-consistent claims get inverse_matches' verdict at any
-    # lc_bound, one too short for the sequence included
+    # each random log-form spectrum, and its shift by one, against the
+    # inverse of each of them
     fld, root = default_field_for_period(N)
     rng = random.Random(7100 + N)
     spectra = [random_log_spectrum(fld, root, rng) for _ in range(4)]
     seqs = [idft(S) for S in spectra]
-    for S in spectra:
+    for S in spectra + [_shifted(S, 1) for S in spectra]:
         for s in seqs:
-            for lc in (0, 1, len(S.points), N):
-                assert _window_verdict(S, s, lc) == inverse_matches(S, s, lc)
+            assert _residue_verdict(S, s) == inverse_matches(S, s, N)
+    assert all(_residue_verdict(S, s) for S, s in zip(spectra, seqs))
 
 
-def test_coset_window_matches_rejects_a_divisor_order_and_a_short_window():
-    # root^63 = 1 but root^(63/3) = 1 too; and 6 + 7 bits are needed
+def test_residue_matches_rejects_a_divisor_order():
+    # root^63 = 1 but root^(63/3) = 1 too
     fld, root = default_field_for_period(21)
     u = pointwise_product(A, B)
     S = dft(u, fld, root)
     with pytest.raises(ValueError) as e:
-        coset_window_matches(S, u.bits * 3, 63, 7)
+        residue_matches(S, u.word, _minimal_poly(u), 63)
     assert str(e.value) == "root order 21 != sequence period 63"
-    with pytest.raises(ValueError) as e:
-        coset_window_matches(S, u.bits[:12], 21, 7)
-    assert str(e.value) == "12 bits given, the window needs 13"
+
+
+@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
+def test_residue_matches_rejects_a_claim_of_the_wrong_size_unevaluated(
+        monkeypatch, degrees):
+    # with the field's tables warm, a claim whose size is not L (less an
+    # orbit, less a point, with a point added, or empty) is rejected
+    # before any beta table is built
+    rng = random.Random(600 + sum(degrees))
+    u, S = _seeded_product(degrees, rng)
+    assert _residue_verdict(S, u)
+    claims = [_without_orbit(S, min(S.points)),
+              Spectrum(S.N, S.field, S.root, {})]
+    claims += _one_change_each(S, rng)[2:]
+    tables = _counting(monkeypatch, "_byte_tables")
+    for T in claims:
+        assert len(T.points) != len(S.points)
+        assert not _residue_verdict(T, u)
+    assert tables == []
 
 
 def test_window_checks_refuse_a_negative_lc_bound():
-    # with lc_bound = -40 the empty claim's window is empty, so a check
-    # would pass the degree-5 m-sequence having compared nothing; 0 is a
-    # valid bound and still compares |A| bits
+    # with lc_bound = -40 the empty claim's window is empty, so
+    # inverse_matches would pass the degree-5 m-sequence having compared
+    # nothing; 0 is a valid bound and still compares |A| bits
     v = lfsr_stream(Lfsr(0x25, 0x1), 31)
     fld, root = default_field_for_period(31)
     none = Spectrum(31, fld, root, {})
     S = brute_dft(v, fld, root)
-    for check in (inverse_matches, _window_verdict):
-        with pytest.raises(ValueError) as e:
-            check(none, v, -40)
-        assert str(e.value) == "lc_bound -40 is negative"
-        assert check(S, v, 0)
-        assert not check(none, v, 5)
+    with pytest.raises(ValueError) as e:
+        inverse_matches(none, v, -40)
+    assert str(e.value) == "lc_bound -40 is negative"
+    assert inverse_matches(S, v, 0)
+    assert not inverse_matches(none, v, 5)
 
 
-def test_coset_window_matches_builds_its_field_tables_once(
+def test_residue_matches_builds_its_field_tables_once(
         monkeypatch, clear_field_caches):
-    # a cold call builds the squaring and x -> root*x tables and one step
-    # table per coset; a warm call on the same field and root builds only
-    # the step tables, and still checks the root's order against N
+    # a cold call builds the squaring and x -> root*x tables and one beta
+    # table per orbit; a warm call on the same field and root builds only
+    # the beta tables, and still checks the root's order against N
     u, S = _seeded_product((5, 6), random.Random(41))
     N = u.period
     cosets = [c for c in cyclotomic_cosets(N) if c[0] in S.points]
     clear_field_caches()
     tables = _counting(monkeypatch, "_byte_tables")
-    cold = _window_verdict(S, u, 30)
+    assert _residue_verdict(S, u)
     assert len(tables) == 2 + len(cosets)
     del tables[:]
-    assert _window_verdict(S, u, 30) == cold
+    assert _residue_verdict(S, u)
     assert len(tables) == len(cosets)
     with pytest.raises(ValueError) as e:
-        coset_window_matches(S, u.bits * 3, 3 * N, 30)
+        residue_matches(S, u.word, _minimal_poly(u), 3 * N)
     assert str(e.value) == f"root order {N} != sequence period {3 * N}"
 
 
-def test_trace_mask_reads_the_subfield_trace():
-    # for y in GF(2^c) inside GF(2^m), y^(2^c) = y, the parity of y & mask
-    # is bit 0 of sum over i < c of y^(2^i), that sum taken by squaring
-    for m in range(1, 13):
-        modulus = default_modulus(m)
-        for y in range(1 << m):
-            conj = [y]
-            for _ in range(m):
-                conj.append(pmod(pmul(conj[-1], conj[-1]), modulus))
-            for c in range(1, m + 1):
-                if m % c or conj[c] != y:
-                    continue
-                trace = 0
-                for x in conj[:c]:
-                    trace ^= x
-                mask = oracle._trace_mask(modulus, m, c)
-                assert (y & mask).bit_count() & 1 == trace & 1
-
-
 @pytest.mark.filterwarnings("ignore:zero seed")
-def test_verify_theorem1_walks_the_root_powers_only_to_list(monkeypatch):
+def test_verify_theorem1_builds_no_power_walk_or_full_transform(
+        monkeypatch):
     # the lister tests' register sets: a pass and a tampered run build no
     # power walk and no full transform
     runs = list(_SMALL_RUNS)
