@@ -13,7 +13,7 @@ from crtspectra import (AnfCombiner, berlekamp_massey, brute_dft,
                         combiner_spectrum, combiner_stream,
                         combiner_term_supports, compare_spectra, CrtBasis,
                         default_field_for_period, dft, Lfsr, lfsr_stream,
-                        pointwise_product, product_spectrum)
+                        product_spectrum)
 
 
 def main():

@@ -376,10 +376,14 @@ def discrete_log(a: FieldElement, base: FieldElement, order: int,
     raise ValueError("element is not in the subgroup generated by base")
 
 
-def _doubling_orbit(k: int, N: int) -> list[int]:
-    """The walk k, 2k, 4k, ... mod odd N, from k mod N up to its return."""
+def _check_odd(N: int) -> None:
     if N < 1 or N % 2 == 0:
         raise ValueError(f"need odd N >= 1, got {N}")
+
+
+def _doubling_orbit(k: int, N: int) -> list[int]:
+    """The walk k, 2k, 4k, ... mod odd N, from k mod N up to its return."""
+    _check_odd(N)
     k %= N
     orbit = [k]
     j = 2 * k % N
@@ -389,17 +393,24 @@ def _doubling_orbit(k: int, N: int) -> list[int]:
     return orbit
 
 
+def _coset_leaders(N: int):
+    """The least index of each orbit of k -> 2k mod odd N, ascending,
+    walking the orbits as it goes."""
+    _check_odd(N)
+    seen = bytearray(N)
+    for leader in range(N):
+        if seen[leader]:
+            continue
+        yield leader
+        j = leader
+        while not seen[j]:
+            seen[j] = 1
+            j = 2 * j % N
+
+
 def cyclotomic_cosets(N: int) -> list[list[int]]:
     """Partition of 0..N-1 into orbits of k -> 2k mod N, each led by its min."""
-    cosets = [_doubling_orbit(0, N)]   # checks N; 0 is alone in its orbit
-    seen = [True] + [False] * (N - 1)
-    for k in range(1, N):
-        if not seen[k]:
-            orbit = _doubling_orbit(k, N)
-            for j in orbit:
-                seen[j] = True
-            cosets.append(sorted(orbit))
-    return cosets
+    return [sorted(_doubling_orbit(k, N)) for k in _coset_leaders(N)]
 
 
 def multiplicative_order_of_2(N: int) -> int:

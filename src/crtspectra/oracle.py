@@ -5,8 +5,8 @@ Nothing here shares kernels with spectral.dft or crtconv: field
 arithmetic, transforms and CRT are the oracle's own. What it shares is
 what is not a kernel: its LFSR periods, stream products and the bytes
 it unpacks from a packed sequence come from sequences, the one stream
-layer, and its prime factors and GF(2)[x] int arithmetic (factor_int,
-pmul, pdivmod, pmod) from gf2poly. What brute_dft guarantees:
+layer, and its GF(2)[x] int arithmetic (pmul, pdivmod, pmod) from
+gf2poly. What brute_dft guarantees:
 - every spectral point S_k is a full sum over one period of the sequence;
 - its only field arithmetic is the oracle's own byte tables, whose images
   `_byte_tables` fills by shift-and-reduce, stepping its one walk over the
@@ -16,8 +16,9 @@ pmul, pdivmod, pmod) from gf2poly. What brute_dft guarantees:
 
 Two shortcuts keep it affordable without breaking those guarantees. The
 sum for S_k folds s by residue mod N / gcd(k, N), the period of
-t -> root^(tk), by the oracle's own XOR of the word's chunks; and x -> root*x is GF(2)-linear, so each step of the walk
-is one table lookup per byte of x.
+t -> root^(tk), by the oracle's own XOR of the word's chunks; and
+x -> root*x is GF(2)-linear, so each step of the walk is one table
+lookup per byte of x.
 
 inverse_matches runs the transform the other way, on the same power walk,
 and needs only a window of t. The inverse of a spectrum with support A is
@@ -38,15 +39,17 @@ g = (u mod z^L) c mod z^L, and partial fractions give the residue form
 U_k beta c'(beta) = g(beta) at beta = root^k, where c(beta) = 0 exactly
 on the support (Blahut 1979; Massey and Serconek, CRYPTO '94). _residue_of
 evaluates c, c' and g by Horner on a byte table of x -> beta x, once per
-doubling orbit k -> 2k mod N (c(x^2) = c(x)^2). residue_matches accepts
-a claim by one multiplication per orbit: a conjugate-consistent claim of
-L points whose orbit leaders are roots of c and meet the identity is the
-transform of u. _residue_dft lists u's transform with the same evaluator,
-inverting by extended Euclid on the field modulus and taking the log by
-baby-step giant-step, and stops at L points, since c is squarefree of
-degree L. The bits come from B = prod of the connection degrees, a bound
-on the product's linear complexity (Key, IEEE T-IT 22(6), 1976): BM reads
-2 min(B, N) bits, and nothing of length N is built.
+doubling orbit k -> 2k mod N (c(x^2) = c(x)^2). _residue_dft lists u's
+transform in one pass over the orbits, the claim's first, and stops at
+L points, since c is squarefree of degree L. At each root it tries the
+claim's exponent d by one multiplication, root^d beta c'(beta) =
+g(beta); only where that fails does it invert by extended Euclid on the
+field modulus and take the log by baby-step giant-step. So a right claim
+costs no inverse and no log, and the diff of the listed transform with
+the claim decides it and names its mismatches. The bits come from B =
+prod of the connection degrees, a bound on the product's linear
+complexity (Key, IEEE T-IT 22(6), 1976): BM reads 2 min(B, N) bits, and
+nothing of length N is built.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from math import gcd, isqrt, prod
 from .bm import berlekamp_massey
 from .crtconv import CrtBasis, product_spectrum
 from .field import FieldElement, FieldSpec
-from .gf2poly import factor_int, pdivmod, pmod, pmul
+from .gf2poly import pdivmod, pmod, pmul
 from .records import FrozenRecord, Record
 from .sequences import (BitSequence, _one_period, _product_bits, bit_bytes,
                         connection_degree)
@@ -263,16 +266,22 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
     has GF(2) coefficients, so one leader per orbit k -> 2k mod N decides
     the orbit, and U_2k = U_k^2 doubles its log. f divides x^N + 1, N
     odd, so c is squarefree of degree L, and the search stops once its
-    orbits hold L points. It tries the orbits of 0 and of S's indices
-    first, then the others in index order: S only proposes where to look,
-    and a right claim is listed at its own orbits."""
-    N, F = S.N, S.field
+    orbits hold L points. It tries the orbits of S's indices first, then
+    the others in index order, and takes S's exponent d at a leader as a
+    hint: if root^d beta c'(beta) = g(beta), d is the value, since the
+    root has order N. Only a leader without a right hint costs an inverse
+    by extended Euclid on the field modulus and a log by baby-step
+    giant-step, whose tables are built at the first such leader. So a
+    right claim is listed at its own orbits by one multiplication each;
+    only an orbit the claim leaves out, or whose first claimed exponent
+    is wrong, costs an inverse and a log."""
+    N, F, claim = S.N, S.field, S.points
     L = f.bit_length() - 1
     power = _power_of(F, S.root.bits)
     residue = _residue_of(word, f, F, power)
-    log = _log_of(F, S.root.bits, N, power)
+    log = None
     points, seen = {}, set()
-    for k in chain((0, *S.points), range(N)):
+    for k in chain(claim, range(N)):
         if len(points) == L:
             break
         if k in seen:
@@ -285,9 +294,13 @@ def _residue_dft(word: int, f: int, S: Spectrum) -> Spectrum | None:
         r = residue(k)
         if r is None:
             continue
-        d = log(pmod(pmul(r[0], _inverse(r[1], F.modulus)), F.modulus))
-        if d is None:
-            return None
+        g, bdc = r
+        d = claim.get(k)
+        if d is None or pmod(pmul(power(d), bdc), F.modulus) != g:
+            log = log or _log_of(F, S.root.bits, N, power)
+            d = log(pmod(pmul(g, _inverse(bdc, F.modulus)), F.modulus))
+            if d is None:
+                return None
         for j in orbit:
             points[j] = d
             d = 2 * d % N
@@ -323,57 +336,6 @@ def inverse_matches(S: Spectrum, s: BitSequence, lc_bound: int) -> bool:
         for k, d in points:
             acc ^= pw[(d - t * k) % N]
         if acc != bit:
-            return False
-    return True
-
-
-def residue_matches(S: Spectrum, word: int, f: int, N: int) -> bool:
-    """True exactly when S is the transform of u, the sequence of period N
-    whose minimal polynomial is f, of degree L, and whose first L bits
-    are the low bits of word (bit t of word is u_t).
-
-    S passes when it is conjugate-consistent, holds L points, and at each
-    orbit leader k, beta = root^k is a root of c with S_k beta c'(beta) =
-    g(beta), as _residue_of evaluates them. Its L indices are then L roots
-    of c, which has degree L, so they are the whole support of u's
-    transform, and the identity and the doubling S_2k = S_k^2 give its
-    values. Each orbit costs one byte table, the Horner passes and one
-    multiplication: no inverse, no log and no walk over the powers of the
-    root. The root's order is checked against N, as the power walk checks
-    it, by square-and-multiply on the oracle's own tables.
-    """
-    pts = S.points
-    F = S.field
-    power = _power_of(F, S.root.bits)
-    if power(N) != 1 or any(power(N // p) == 1 for p in factor_int(N)):
-        order = F.group_order
-        for p in factor_int(order):
-            while order % p == 0 and power(order // p) == 1:
-                order //= p
-        raise ValueError(f"root order {order} != sequence period {N}")
-    if len(pts) != f.bit_length() - 1:
-        return False
-    # walk each orbit k -> 2k mod N of the support: every index on it must
-    # carry the doubled exponent, back to the leader's own
-    leaders, seen = [], set()
-    for k, d in pts.items():
-        if k in seen:
-            continue
-        j, e = k, d
-        while True:
-            if pts.get(j) != e:
-                return False
-            seen.add(j)
-            j, e = 2 * j % N, 2 * e % N
-            if j == k:
-                break
-        if e != d:
-            return False
-        leaders.append((k, d))
-    residue = _residue_of(word, f, F, power)
-    for k, d in leaders:
-        r = residue(k)
-        if r is None or pmod(pmul(power(d), r[1]), F.modulus) != r[0]:
             return False
     return True
 
@@ -415,14 +377,14 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     product spectrum by CRT and decides it against the actual bitwise
     product u by one identity, read from the first 2 min(B, N) bits of u,
     B the product of the connection degrees, and u's minimal polynomial
-    by BM: residue_matches accepts the claim when it is u's transform in
-    residue form, and otherwise _residue_dft lists that transform from
-    the same bits, first at the doubling orbits of the claim's indices
-    and of 0 and then at the other orbits in index order until it holds
-    L points; its diff names the mismatched indices. Neither builds u
-    past those bits or walks the powers of the root. A product of
-    log-form streams always has such a transform, so a lister that finds
-    none raises ArithmeticError.
+    by BM: _residue_dft lists u's transform in residue form from those
+    bits, first at the doubling orbits of the claim's indices, with the
+    claim's exponents as hints, and then at the other orbits in index
+    order until it holds L points; its diff with the claim is empty
+    exactly when the claim is right, and otherwise names the mismatched
+    indices. It never builds u past those bits or walks the powers of the
+    root. A product of log-form streams always has such a transform, so a
+    lister that finds none raises ArithmeticError, on a right claim too.
     Then it audits Blahut and conjugacy on the reference spectrum. A
     single LFSR degenerates to comparing a sequence's spectrum with itself.
 
@@ -459,16 +421,14 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     W = 2 * min(B, N)
     word = _product_bits(streams, W)
     r = berlekamp_massey(bit_bytes(word, W))
-    if residue_matches(S_crt, word, r.minimal_poly, N):
-        S_ref, mismatches = S_crt, []
-    else:
-        # u's transform from the same bits names the indices that differ
-        S_ref = _residue_dft(word, r.minimal_poly, S_crt)
-        if S_ref is None:
-            raise ArithmeticError(
-                f"the product of period {N} has no log-form spectrum over"
-                " the claim's root")
-        mismatches = compare_spectra(S_ref, S_crt)
+    # u's transform from the same bits, with the claim's exponents as
+    # hints; its diff names the indices that differ
+    S_ref = _residue_dft(word, r.minimal_poly, S_crt)
+    if S_ref is None:
+        raise ArithmeticError(
+            f"the product of period {N} has no log-form spectrum over"
+            " the claim's root")
+    mismatches = compare_spectra(S_ref, S_crt)
     blahut_ok = S_ref.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None
                     and S_crt.conjugacy_violation() is None)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import compress, count
 
-from .field import (CountingField, FieldElement, FieldSpec, _doubling_orbit,
-                    build_field, discrete_log, element_of_order,
-                    element_order, has_order, log_tables,
+from .field import (CountingField, FieldElement, FieldSpec, _coset_leaders,
+                    _doubling_orbit, build_field, discrete_log,
+                    element_of_order, element_order, has_order, log_tables,
                     multiplicative_order_of_2, root_power_table)
 from .gf2poly import pdivmod, pgcd, pmod
 from .sequences import BitSequence, bit_bytes
@@ -133,18 +133,6 @@ def _transform_tables(root: FieldElement, N: int) -> tuple:
     an N-entry dict and one walk over the orbits."""
     pw = root_power_table(root, N)
     return pw, {bits: d for d, bits in enumerate(pw)}, _coset_leaders(N)
-
-
-def _coset_leaders(N: int):
-    seen = bytearray(N)
-    for leader in range(N):
-        if seen[leader]:
-            continue
-        yield leader
-        j = leader
-        while not seen[j]:
-            seen[j] = 1
-            j = 2 * j % N
 
 
 # Plans: the tables above and log_tables, memoized per (field, root, N),

@@ -16,12 +16,12 @@ from crtspectra.costs import (estimate_crt_breakdown, estimate_direct,
 from crtspectra.crtconv import (CrtBasis, combiner_spectrum,
                                 combiner_term_supports, product_spectrum,
                                 product_spectrum_point)
-from crtspectra.field import build_field, CountingField
+from crtspectra.field import CountingField
 from crtspectra.gf2poly import is_irreducible
 from crtspectra.field import is_primitive
 from crtspectra.oracle import brute_dft, compare_spectra, verify_theorem1
-from crtspectra.sequences import (AnfCombiner, BitSequence, combiner_stream,
-                                  Lfsr, lfsr_stream, pointwise_product)
+from crtspectra.sequences import (AnfCombiner, combiner_stream, Lfsr,
+                                  lfsr_stream, pointwise_product)
 from crtspectra.spectral import dft, dft_point, default_field_for_period, idft
 
 import reference_values as rv

@@ -396,6 +396,20 @@ def test_verify_golden_31x63(capsys):
     assert seeded + tampered == golden
 
 
+def test_verify_golden_7x31x151(capsys):
+    # the 7*31*151 product (N = 32767), passing and tampered at 5
+    lfsrs = ("--lfsr", "0xb:0x1", "--lfsr", "0x25:0x9",
+             "--lfsr", "0xc4d7:0x315f")
+    for extra, want, golden in [
+            ((), 0, "verify_theorem1_7x31x151.jsonl"),
+            (("--tamper-index", "5"), 1,
+             "verify_theorem1_7x31x151_tampered.jsonl")]:
+        code, out, _ = run(capsys, "verify", "theorem1", *lfsrs, *extra,
+                           "--json")
+        assert code == want
+        assert out == open(os.path.join(HERE, "golden", golden)).read()
+
+
 def test_verify_internal_error_exits_3(monkeypatch, capsys):
     import crtspectra.oracle
 
@@ -412,8 +426,8 @@ def test_verify_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_verify_lister_without_a_spectrum_exits_3(monkeypatch, capsys):
-    # the residue lister is the one way a failing claim is listed; if it
-    # finds no spectrum the run is an internal fault, not a verdict
+    # the residue lister is the one way a claim is decided and listed; if
+    # it finds no spectrum the run is an internal fault, not a verdict
     import crtspectra.oracle
     monkeypatch.setattr(crtspectra.oracle, "_residue_dft",
                         lambda word, f, S: None)

@@ -13,7 +13,7 @@ from crtspectra.formats import (FormatError, atomic_write, parse_field,
                                 parse_sequence, parse_spectrum,
                                 serialize_field, serialize_sequence,
                                 serialize_spectrum)
-from crtspectra.sequences import BitSequence, pointwise_product
+from crtspectra.sequences import BitSequence
 from crtspectra.spectral import (Spectrum, coset_expand,
                                  default_field_for_period, dft)
 

@@ -8,8 +8,7 @@ from crtspectra.crtconv import CrtBasis, product_spectrum
 from crtspectra.field import cyclotomic_cosets, default_modulus, discrete_log
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
-                               inverse_matches, residue_matches,
-                               verify_theorem1)
+                               inverse_matches, verify_theorem1)
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product, sequence_period)
 from crtspectra.spectral import Spectrum, default_field_for_period, dft, idft
@@ -44,8 +43,7 @@ def test_brute_dft_rejects_order_mismatch():
     fld, root = default_field_for_period(21)
     S = dft(pointwise_product(A, B), fld, root)
     for check in (lambda: brute_dft(B, fld, root),
-                  lambda: inverse_matches(S, B, 7),
-                  lambda: residue_matches(S, B.word, _minimal_poly(B), 7)):
+                  lambda: inverse_matches(S, B, 7)):
         with pytest.raises(ValueError) as e:
             check()     # root order 21, period 7
         assert str(e.value) == "root order 21 != sequence period 7"
@@ -288,7 +286,7 @@ def test_inverse_matches_refuses_a_non_binary_inverse():
     low = BitSequence(tuple((root ** (-t % 31)).bits & 1 for t in range(31)))
     assert not inverse_matches(S, low, fld.m)
     assert not inverse_matches(S, low, 31)
-    assert not residue_matches(S, low.word, _minimal_poly(low), 31)
+    assert not _residue_verdict(S, low)
     assert compare_spectra(brute_dft(low, fld, root), S) != []
 
 
@@ -321,14 +319,17 @@ def test_verify_theorem1_forced_lister_gives_the_same_report(monkeypatch):
         runs.append([(default_modulus(n), rng.randrange(1, 1 << n))
                      for n in degrees])
     normal = [verify_theorem1(run) for run in runs]
-    # a check that rejects every claim sends each run to the residue
-    # lister, whose reference is the claim itself
+    # a lister given an empty claim has no hint to take, so it lists
+    # every orbit by inverse and log, and its reference is still the claim
+    lister = oracle._residue_dft
+    monkeypatch.setattr(oracle, "_residue_dft", lambda word, f, S: lister(
+        word, f, Spectrum(S.N, S.field, S.root, {})))
     lists = _counting(monkeypatch, "_residue_dft")
+    inverses = _counting(monkeypatch, "_inverse")
     calls = _counting(monkeypatch, "brute_dft")
-    monkeypatch.setattr(oracle, "residue_matches",
-                        lambda S, word, f, N: False)
     forced = [verify_theorem1(run) for run in runs]
     assert len(lists) == len(runs) >= 20 and calls == []
+    assert len(inverses) >= len(runs)
     assert all(rep.ok for rep in normal)
     assert forced == normal
 
@@ -422,8 +423,8 @@ def test_verify_theorem1_window_matches_the_full_period_report(
         s = oracle._one_period(conn, seed, 10 ** 5)
         u = BitSequence(tuple(a & b for a, b in zip(u.bits * s.period,
                                                     s.bits * u.period)))
-    monkeypatch.setattr(oracle, "residue_matches",
-                        lambda S, word, f, N: inverse_matches(S, u, N))
+    monkeypatch.setattr(oracle, "_residue_dft",
+                        lambda word, f, S: brute_dft(u, S.field, S.root))
     full = verify_theorem1(run)
     assert window == full
     assert window.summary() == (summary + " blahut=ok conjugacy=ok"
@@ -515,13 +516,14 @@ def test_verify_theorem1_lister_on_single_zero_seed_and_period_1_runs(
 def test_verify_theorem1_raises_when_the_lister_finds_no_spectrum(
         monkeypatch):
     # a product of log-form streams always has a residue spectrum, so a
-    # lister that finds none is an internal fault, with nothing behind it
+    # lister that finds none is an internal fault, with nothing behind it,
+    # on a right claim as on a tampered one
     run = [(0x25, 0x1), (0x43, 0x1)]
     monkeypatch.setattr(oracle, "_residue_dft", lambda word, f, S: None)
     calls = _counting(monkeypatch, "brute_dft")
-    assert verify_theorem1(run).ok
-    with pytest.raises(ArithmeticError):
-        verify_theorem1(run, tamper_index=193)
+    for tamper in (None, 193):
+        with pytest.raises(ArithmeticError):
+            verify_theorem1(run, tamper_index=tamper)
     assert calls == []
 
 
@@ -622,10 +624,11 @@ def _minimal_poly(s):
 
 
 def _residue_verdict(T, s):
-    """residue_matches given only the first L bits of s."""
+    """Whether the residue lister, given only the first L bits of s and T
+    as its hints, lists T itself."""
     f = _minimal_poly(s)
-    return residue_matches(T, s.word & ((1 << f.bit_length() - 1) - 1), f,
-                           s.period)
+    word = s.word & ((1 << f.bit_length() - 1) - 1)
+    return compare_spectra(oracle._residue_dft(word, f, T), T) == []
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
@@ -667,35 +670,6 @@ def test_residue_matches_agrees_with_inverse_matches_on_random_spectra(
     assert all(_residue_verdict(S, s) for S, s in zip(spectra, seqs))
 
 
-def test_residue_matches_rejects_a_divisor_order():
-    # root^63 = 1 but root^(63/3) = 1 too
-    fld, root = default_field_for_period(21)
-    u = pointwise_product(A, B)
-    S = dft(u, fld, root)
-    with pytest.raises(ValueError) as e:
-        residue_matches(S, u.word, _minimal_poly(u), 63)
-    assert str(e.value) == "root order 21 != sequence period 63"
-
-
-@pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
-def test_residue_matches_rejects_a_claim_of_the_wrong_size_unevaluated(
-        monkeypatch, degrees):
-    # with the field's tables warm, a claim whose size is not L (less an
-    # orbit, less a point, with a point added, or empty) is rejected
-    # before any beta table is built
-    rng = random.Random(600 + sum(degrees))
-    u, S = _seeded_product(degrees, rng)
-    assert _residue_verdict(S, u)
-    claims = [_without_orbit(S, min(S.points)),
-              Spectrum(S.N, S.field, S.root, {})]
-    claims += _one_change_each(S, rng)[2:]
-    tables = _counting(monkeypatch, "_byte_tables")
-    for T in claims:
-        assert len(T.points) != len(S.points)
-        assert not _residue_verdict(T, u)
-    assert tables == []
-
-
 def test_window_checks_refuse_a_negative_lc_bound():
     # with lc_bound = -40 the empty claim's window is empty, so
     # inverse_matches would pass the degree-5 m-sequence having compared
@@ -713,9 +687,9 @@ def test_window_checks_refuse_a_negative_lc_bound():
 
 def test_residue_matches_builds_its_field_tables_once(
         monkeypatch, clear_field_caches):
-    # a cold call builds the squaring and x -> root*x tables and one beta
-    # table per orbit; a warm call on the same field and root builds only
-    # the beta tables, and still checks the root's order against N
+    # a cold right claim builds the squaring and x -> root*x tables and one
+    # beta table per orbit; a warm one on the same field and root builds
+    # only the beta tables; neither builds the log's giant-step table
     u, S = _seeded_product((5, 6), random.Random(41))
     N = u.period
     cosets = [c for c in cyclotomic_cosets(N) if c[0] in S.points]
@@ -726,9 +700,48 @@ def test_residue_matches_builds_its_field_tables_once(
     del tables[:]
     assert _residue_verdict(S, u)
     assert len(tables) == len(cosets)
-    with pytest.raises(ValueError) as e:
-        residue_matches(S, u.word, _minimal_poly(u), 3 * N)
-    assert str(e.value) == f"root order {N} != sequence period {3 * N}"
+
+
+@pytest.mark.parametrize("run, tamper", [
+    ([(0x25, 0x1), (0x43, 0x1)], 193),
+    ([(0xb, 0x1), (0x25, 0x9), (0xc4d7, 0x315f)], 5)])
+def test_residue_dft_takes_a_right_exponent_without_an_inverse_or_log(
+        monkeypatch, run, tamper):
+    # 31*63 and 7*31*151: a right claim, and one tampered at a point, are
+    # listed from the claim's own exponents; a claim whose exponents are
+    # wrong on one orbit costs one inverse and one set of log tables
+    logs = _counting(monkeypatch, "_log_of")
+    inverses = _counting(monkeypatch, "_inverse")
+    assert verify_theorem1(run).ok
+    rep = verify_theorem1(run, tamper_index=tamper)
+    assert [m.index for m in rep.mismatches] == [tamper]
+    assert logs == [] and inverses == []
+    S = _crt_claim(run)
+    N = S.N
+    wrong = _orbit(min(S.points.keys() - {0}), N)
+    claim = Spectrum(N, S.field, S.root, {
+        k: (d + k) % N if k in wrong else d for k, d in S.points.items()})
+    rep, = _claim_reports(run, [claim])
+    assert [m.index for m in rep.mismatches] == sorted(wrong)
+    assert len(inverses) == 1 and len(logs) == 1
+
+
+def test_residue_dft_finds_no_spectrum_when_f_has_roots_off_the_root():
+    # w of period 21 plus an m-sequence of period 31: u's minimal
+    # polynomial has the 5 roots of order 31 besides w's, and none of them
+    # is a power of the order-21 root, so the lister finds only w's
+    # points, fewer than L, and lists nothing
+    w = pointwise_product(A, B)
+    v = lfsr_stream(Lfsr(0x25, 0x1), 31)
+    u = BitSequence(tuple(w.bits[t % 21] ^ v.bits[t % 31]
+                          for t in range(651)))
+    f = _minimal_poly(u)
+    L = f.bit_length() - 1
+    fld, root = default_field_for_period(21)
+    Sw = dft(w, fld, root)
+    assert L == len(Sw.points) + 5
+    for claim in (Sw, Spectrum(21, fld, root, {})):
+        assert oracle._residue_dft(u.word & ((1 << L) - 1), f, claim) is None
 
 
 @pytest.mark.filterwarnings("ignore:zero seed")
