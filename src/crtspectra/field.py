@@ -342,32 +342,22 @@ def root_power_table(root: FieldElement, N: int):
     return pw
 
 
-def log_tables(base: FieldElement, order: int) -> tuple:
-    """The data-independent half of a log over <base>, of size order: the
-    baby-step map base^j -> j for j < step = isqrt(order) + 1, and the
-    giant stride, the map x -> base^(-step) x. Costs step power-table
-    steps, the 2m-squaring inv_int of base^step and one times table."""
-    step = isqrt(order) + 1
-    pw = root_power_table(base, step + 1)
-    fld = base.field
-    return ({bits: j for j, bits in enumerate(pw[:step])},
-            fld.times(fld.inv_int(pw[step])))
-
-
-def discrete_log(a: FieldElement, base: FieldElement, order: int,
-                 plan: tuple | None = None) -> int:
+def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
     """Least d >= 0 with base^d = a; baby-step giant-step over <base>,
     whose size `order` the caller knows (the log computes no order).
 
-    plan is log_tables(base, order), from a caller that keeps it. Without
-    one the log is cold and builds its own tables (see log_tables); with
-    one it is warm and costs at most isqrt(order) + 2 giant steps, with no
-    inv_int."""
+    Cold on every call: it builds the baby-step map base^j -> j for
+    j < step = isqrt(order) + 1, by step power-table steps, and the giant
+    stride, the map x -> base^(-step) x, by the 2m-squaring inv_int of
+    base^step and one times table; then at most step + 1 giant steps."""
     if a.bits == 0:
         raise ValueError("discrete log of 0 undefined")
     a._check(base)
-    baby, giant = plan or log_tables(base, order)
     step = isqrt(order) + 1
+    pw = root_power_table(base, step + 1)
+    fld = base.field
+    baby = {bits: j for j, bits in enumerate(pw[:step])}
+    giant = fld.times(fld.inv_int(pw[step]))
     gamma = a.bits
     for i in range(step + 1):
         if gamma in baby:

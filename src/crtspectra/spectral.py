@@ -18,7 +18,7 @@ from itertools import compress, count
 
 from .field import (CountingField, FieldElement, FieldSpec, _coset_leaders,
                     _doubling_orbit, build_field, discrete_log,
-                    element_of_order, element_order, has_order, log_tables,
+                    element_of_order, element_order, has_order,
                     multiplicative_order_of_2, root_power_table)
 from .gf2poly import pdivmod, pgcd, pmod
 from .sequences import BitSequence, bit_bytes
@@ -135,12 +135,12 @@ def _transform_tables(root: FieldElement, N: int) -> tuple:
     return pw, {bits: d for d, bits in enumerate(pw)}, _coset_leaders(N)
 
 
-# Plans: the tables above and log_tables, memoized per (field, root, N),
-# as an FFT library builds a plan once per size. A plan keeps the
-# builder's own tables, never a copy, and only N <= _PLAN_MAX_N is kept,
-# so the memos stay bounded (README gives their worst case).
+# Plans: the tables above, memoized per (field, root, N), as an FFT
+# library builds a plan once per size; dft and dft_point both read them. A
+# plan keeps the builder's own tables, never a copy, and only
+# N <= _PLAN_MAX_N is kept, so the memo stays bounded (README gives its
+# worst case).
 _PLAN_MAX_N = 1 << 14
-_log_plan = lru_cache(maxsize=32)(log_tables)
 
 
 @lru_cache(maxsize=16)
@@ -149,14 +149,14 @@ def _transform_plan(root: FieldElement, N: int) -> tuple:
     return pw, dlog, list(leaders)
 
 
-def _planned(memo, build, root: FieldElement, N: int) -> tuple:
-    """memo's plan for (root.field, root, N). A counting view never reads
-    or fills a plan, so it tallies the whole route, and an N above
-    _PLAN_MAX_N gets build's tables for this call only, as a one-shot
-    command would."""
+def _planned(root: FieldElement, N: int) -> tuple | None:
+    """The plan for (root.field, root, N), built if missing, or None where
+    no plan applies. A counting view never reads or fills a plan, so it
+    tallies the whole route, and an N above _PLAN_MAX_N gets none, so the
+    memo stays bounded."""
     if N > _PLAN_MAX_N or isinstance(root.field, CountingField):
-        return build(root, N)
-    return memo(root, N)
+        return None
+    return _transform_plan(root, N)
 
 
 def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
@@ -181,7 +181,7 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
-    pw, dlog, leaders = _planned(_transform_plan, _transform_tables, root, N)
+    pw, dlog, leaders = _planned(root, N) or _transform_tables(root, N)
     c, r = support_polynomial(s)
     if c.bit_count() + r.bit_count() < s.word.bit_count():
         screen, taps = _ones(c), _ones(r)
@@ -229,14 +229,16 @@ def idft(S: Spectrum) -> BitSequence:
 def dft_point(s: BitSequence, root: FieldElement, k: int):
     """Single spectral point in log form, no full-transform work.
 
-    Horner-evaluates sum_t s_t x^t at x = root^k, walking the word's bits
-    from the top, each step through FieldSpec.times(x). Field ops route
-    through root.field, so handing in a counting view tallies them.
+    Where a plan applies (see _planned), read or built by this call, S_k
+    is the XOR of pw[t k mod N] over the 1-bits t of s, and its exponent
+    is one read of the plan's log map: weight(s) table reads, no field
+    multiplication and no discrete_log.
 
-    Cold cost: root^k by square-and-multiply, the N Horner steps, then a
-    cold discrete_log. Warm, when the process has logged over (field,
-    root, N) before, the log reads its plan (see _planned): the Horner
-    pass plus at most isqrt(N) + 2 giant steps, with no inv_int.
+    Otherwise, for a counting view or an N above _PLAN_MAX_N, it is the
+    direct route the cost model prices: root^k by square-and-multiply, a
+    Horner pass of sum_t s_t x^t at x = root^k, one FieldSpec.times(x)
+    step per index from the top, then a cold discrete_log. Field ops
+    route through root.field, so handing in a counting view tallies them.
     """
     N = s.period
     if not 0 <= k < N:
@@ -244,6 +246,18 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     if not has_order(root, N):
         raise ValueError(
             f"root order {element_order(root)} != sequence period {N}")
+    plan = _planned(root, N)
+    if plan:
+        pw, dlog, _ = plan
+        acc = 0
+        for t in _ones(s.word):
+            acc ^= pw[t * k % N]
+        if acc == 0:
+            return ZERO
+        d = dlog.get(acc)
+        if d is None:
+            raise _outside_root_group(k)
+        return d
     fld = root.field
     times_x = fld.times(fld.pow_int(root.bits, k))
     acc = 0
@@ -252,8 +266,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     if acc == 0:
         return ZERO
     try:
-        return discrete_log(FieldElement(fld, acc), root, N,
-                            _planned(_log_plan, log_tables, root, N))
+        return discrete_log(FieldElement(fld, acc), root, N)
     except ValueError:
         raise _outside_root_group(k) from None
 

@@ -30,7 +30,7 @@ def random_log_spectrum():
 @pytest.fixture
 def clear_field_caches():
     """Empties the per-process memos: fields, root orders, default fields,
-    transform and log plans, root images, header exponents and the
+    transform plans, root images, header exponents and the
     oracle's byte tables, so the next call does its set-up work as a
     fresh process would. They are emptied again after the test, so no
     plan built under a test's patches outlives it."""
@@ -39,7 +39,6 @@ def clear_field_caches():
         field.has_order.cache_clear()
         spectral.default_field_for_period.cache_clear()
         spectral._transform_plan.cache_clear()
-        spectral._log_plan.cache_clear()
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
         oracle._memo_tables.cache_clear()

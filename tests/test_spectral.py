@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtspectra import spectral
 from crtspectra.bm import berlekamp_massey
@@ -309,9 +311,9 @@ def test_dft_point_counts_multiplications():
 
 
 def test_warm_transforms_read_their_plans(monkeypatch, clear_field_caches):
-    # the first dft builds the power table and the first dft_point inverts
-    # its log's giant stride; the second of each reads the plan kept for
-    # (field, root, N) and does neither
+    # the first dft builds the power table, and a dft_point after it reads
+    # the plan kept for (field, root, N), so it takes no log and inverts
+    # no giant stride; the second of each builds nothing
     tables, inverses = [], []
 
     def table(root, N):
@@ -333,7 +335,7 @@ def test_warm_transforms_read_their_plans(monkeypatch, clear_field_caches):
         outs.add((tuple(dft(U, fld, root).points.items()),
                   dft_point(U, root, 13)))
         calls[name] = (len(tables), len(inverses))
-    assert calls == {"cold": (1, 1), "warm": (0, 0)}
+    assert calls == {"cold": (1, 0), "warm": (0, 0)}
     assert len(outs) == 1
 
 
@@ -357,6 +359,80 @@ def test_counting_views_bypass_warm_plans():
     dft(U, fld, root)
     dft_point(U, root, 13)
     assert counter.mul_count == 0
+
+
+def test_warm_point_reads_only_its_plan(monkeypatch):
+    # after dft, the plan holds the power table and its log map, so each
+    # point is table reads and one log-map lookup: no product, no power
+    # and no discrete log
+    def refuse(*args):
+        raise AssertionError("a warm point did field work")
+    plain = [(s, *default_field_for_period(s.period))
+             for s in (U, _mseq_product(3, 5))]
+    spectra = [dft(s, fld, root) for s, fld, root in plain]
+    monkeypatch.setattr(FieldSpec, "times", refuse)
+    monkeypatch.setattr(FieldSpec, "pow_int", refuse)
+    monkeypatch.setattr(spectral, "discrete_log", refuse)
+    for (s, _, root), S in zip(plain, spectra):
+        assert tuple(dft_point(s, root, k) for k in range(s.period)) == S.values
+
+
+def _point_or_error(s, root, k):
+    try:
+        return dft_point(s, root, k)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# the odd periods <= 255 with a field of degree <= 32
+_SMALL_PERIODS = [N for N in range(1, 256, 2)
+                  if multiplicative_order_of_2(N) <= 32]
+
+
+@st.composite
+def point_cases(draw):
+    """Random bits of odd period <= 255, which below the full group mostly
+    have no log form, or a product of m-sequences at random phases."""
+    if draw(st.booleans()):
+        N = draw(st.sampled_from(_SMALL_PERIODS))
+        return BitSequence.from_word(draw(st.integers(0, (1 << N) - 1)), N)
+    u = None
+    for n in draw(st.sampled_from([(3, 4), (3, 5), (3, 7)])):
+        seed = draw(st.integers(1, (1 << n) - 1))
+        s = lfsr_stream(Lfsr(default_modulus(n), seed), (1 << n) - 1)
+        u = s if u is None else pointwise_product(u, s)
+    return u
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(point_cases())
+def test_plan_route_matches_horner_route(s):
+    # a plain root takes the plan route and a counting view of the same
+    # field the Horner route; at every k they give one exponent, or the
+    # same error
+    fld, root = default_field_for_period(s.period)
+    view = CountingField(fld, OpCounter()).element(root.bits)
+    for k in range(s.period):
+        assert _point_or_error(s, root, k) == _point_or_error(s, view, k)
+
+
+def test_point_above_plan_bound_builds_no_plan(monkeypatch,
+                                               clear_field_caches):
+    # above _PLAN_MAX_N a point is a one-shot Horner pass: it neither
+    # fills a plan nor builds a length-N power table
+    tables = []
+
+    def table(root, N):
+        tables.append(N)
+        return root_power_table(root, N)
+    monkeypatch.setattr(spectral, "root_power_table", table)
+    monkeypatch.setattr(spectral, "_PLAN_MAX_N", U.period - 1)
+    clear_field_caches()
+    fld, root = default_field_for_period(U.period)
+    values = tuple(dft_point(U, root, k) for k in range(U.period))
+    assert values == brute_dft(U, fld, root).values
+    assert spectral._transform_plan.cache_info().currsize == 0
+    assert tables == []
 
 
 def test_blahut_on_reference_product():
