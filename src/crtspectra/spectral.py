@@ -194,15 +194,25 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
             acc ^= pw[i * leader % N]
         if acc:
             continue  # c(root^leader) != 0: the whole coset stays ZERO
-        for t in taps:
-            acc ^= pw[t * leader % N]
-        if acc == 0:
-            continue
-        d = dlog.get(acc)
-        if d is None:
-            raise _outside_root_group(leader)
-        reps[leader] = d
+        d = _read_point(pw, dlog, taps, leader, N)
+        if d is not ZERO:
+            reps[leader] = d
     return coset_expand(reps, N, field, root)
+
+
+def _read_point(pw: list[int], dlog: dict, taps: list[int], k: int,
+                N: int):
+    """S_k read from a plan: the XOR of pw[t k mod N] over taps, ZERO
+    when it is 0, else its exponent from the log map dlog."""
+    acc = 0
+    for t in taps:
+        acc ^= pw[t * k % N]
+    if acc == 0:
+        return ZERO
+    d = dlog.get(acc)
+    if d is None:
+        raise _outside_root_group(k)
+    return d
 
 
 def _ones(p: int) -> list[int]:
@@ -249,15 +259,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     plan = _planned(root, N)
     if plan:
         pw, dlog, _ = plan
-        acc = 0
-        for t in _ones(s.word):
-            acc ^= pw[t * k % N]
-        if acc == 0:
-            return ZERO
-        d = dlog.get(acc)
-        if d is None:
-            raise _outside_root_group(k)
-        return d
+        return _read_point(pw, dlog, _ones(s.word), k, N)
     fld = root.field
     times_x = fld.times(fld.pow_int(root.bits, k))
     acc = 0
