@@ -10,6 +10,12 @@ what every command runs (argparse, formats and the field, polynomial,
 sequence and spectral layers under them). A command that needs crtconv,
 bm, oracle, costs, cases, json or random imports them in its own body, so
 `dft` and `seq` start without them.
+
+`main` parses a command with its leaf, the parser of that one command,
+found by the command's words at the head of argv. The tree of parsers
+runs only to word help and usage errors: with no command, a group
+without its leaf, or arguments the leaf leaves over, which the top parser
+names with the top usage line.
 """
 
 from __future__ import annotations
@@ -323,65 +329,73 @@ def _cmd_report(args) -> tuple[int, str]:
 
 # --------------------------------------------------------------------------
 
-def _leaf(group, name: str, run, **kw) -> argparse.ArgumentParser:
+def _leaf(leaves: dict, group, name: str, run,
+          **kw) -> argparse.ArgumentParser:
     """A subcommand. `main` calls its `run` and writes the text to its
-    `--out`, so every leaf is made here."""
+    `--out`, so every leaf is made here. It is recorded in leaves under its
+    command words, the words of its usage line after the program name."""
     p = group.add_parser(name, **kw)
     p.add_argument("--out")
     p.set_defaults(run=run)
+    leaves[tuple(p.prog.split()[1:])] = p
     return p
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole command tree. Its `leaves` map each command's words, such
+    as ("dft",) or ("verify", "theorem1"), to that command's own parser."""
     ap = argparse.ArgumentParser(
         prog="crtspectra",
         description="spectra of LFSR products via CRT index/exponent maps")
+    ap.leaves = leaves = {}
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("field", help="field inspection")
     fs = p.add_subparsers(dest="field_cmd", required=True)
-    p = _leaf(fs, "inspect", _cmd_field_inspect)
+    p = _leaf(leaves, fs, "inspect", _cmd_field_inspect)
     p.add_argument("--m", type=int)
     p.add_argument("--mod")
 
     p = sub.add_parser("seq", help="generate and combine sequences")
     ss = p.add_subparsers(dest="seq_cmd", required=True)
-    p = _leaf(ss, "gen", _cmd_seq_gen)
+    p = _leaf(leaves, ss, "gen", _cmd_seq_gen)
     p.add_argument("--poly", required=True)
     p.add_argument("--seed", required=True)
     p.add_argument("--bits", type=int, required=True)
-    p = _leaf(ss, "product", _cmd_seq_product)
+    p = _leaf(leaves, ss, "product", _cmd_seq_product)
     p.add_argument("--in", dest="inputs", action="append", required=True)
-    p = _leaf(ss, "combine", _cmd_seq_combine)
+    p = _leaf(leaves, ss, "combine", _cmd_seq_combine)
     p.add_argument("--anf", required=True)
     p.add_argument("--in", dest="inputs", action="append", required=True)
 
-    p = _leaf(sub, "bm", _cmd_bm, help="linear complexity of a sequence file")
+    p = _leaf(leaves, sub, "bm", _cmd_bm,
+              help="linear complexity of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = _leaf(sub, "dft", _cmd_dft, help="spectrum of a sequence file")
+    p = _leaf(leaves, sub, "dft", _cmd_dft,
+              help="spectrum of a sequence file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--field")
     what = p.add_mutually_exclusive_group()
     what.add_argument("--point", type=int)
     what.add_argument("--reduce", action="store_true")
 
-    p = _leaf(sub, "crt-conv", _cmd_crt_conv,
+    p = _leaf(leaves, sub, "crt-conv", _cmd_crt_conv,
               help="product spectrum from factor spectra")
     p.add_argument("--factors", nargs="+", required=True)
     what = p.add_mutually_exclusive_group()
     what.add_argument("--point", type=int)
     what.add_argument("--support-only", action="store_true")
 
-    p = _leaf(sub, "combine-spectrum", _cmd_combine_spectrum,
+    p = _leaf(leaves, sub, "combine-spectrum", _cmd_combine_spectrum,
               help="combiner spectrum from factor spectra")
     p.add_argument("--anf", required=True)
     p.add_argument("--factors", nargs="+", required=True)
 
     p = sub.add_parser("verify", help="oracle-backed end-to-end checks")
     vs = p.add_subparsers(dest="verify_cmd", required=True)
-    p = _leaf(vs, "theorem1", _cmd_verify)
+    p = _leaf(leaves, vs, "theorem1", _cmd_verify)
     p.add_argument("--lfsr", action="append", required=True,
                    metavar="POLY:SEED")
     p.add_argument("--bound", type=int, default=100_000)
@@ -394,18 +408,31 @@ def _build_parser() -> argparse.ArgumentParser:
                         "must then FAIL (exercises the mismatch path)")
     p.add_argument("--json", action="store_true")
 
-    p = _leaf(sub, "bench", _cmd_bench, help="cost comparison tables")
+    p = _leaf(leaves, sub, "bench", _cmd_bench,
+              help="cost comparison tables")
     p.add_argument("--case", default="bc108", choices=("bc108",))
     p.add_argument("--json", action="store_true")
 
-    p = _leaf(sub, "report", _cmd_report, help="reproduce the worked tables")
+    p = _leaf(leaves, sub, "report", _cmd_report,
+              help="reproduce the worked tables")
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
     p.add_argument("--json", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _build_parser()
+    # the leaf gets the words after the command's, as the tree hands them
+    # on; the tree parses only argv that no leaf takes whole (see above)
+    for n in (1, 2):
+        leaf = ap.leaves.get(tuple(argv[:n]))
+        if leaf:
+            args, rest = leaf.parse_known_args(argv[n:])
+            if not rest:
+                break
+    else:
+        args = ap.parse_args(argv)
     try:
         with warnings.catch_warnings():   # one stderr line per warning
             warnings.showwarning = lambda message, *_: print(

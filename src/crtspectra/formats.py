@@ -1,4 +1,5 @@
-"""Flat-file formats: field specs, sequences, spectra. Atomic writes.
+"""Flat-file formats: field specs, sequences, spectra. Atomic writes: the
+CLI's --out text is encoded to ASCII once and written as those bytes.
 
 Every parser reports failures as FormatError carrying path, line, and
 column, which the CLI turns into exit status 2.
@@ -48,7 +49,10 @@ def atomic_write(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     half-written file. The file gets the permissions open(path, "w") would
     leave: those of the file it replaces, else 0666 less the umask, which
-    the kernel applies when the temp file is created."""
+    the kernel applies when the temp file is created. The text is ASCII,
+    encoded before the temp file exists, so a text that is not leaves no
+    file behind, and it goes out by unbuffered writes of those bytes."""
+    data = memoryview(text.encode("ascii"))
     d = os.path.dirname(os.path.abspath(path))
     for n in _tmp_names:
         tmp = os.path.join(d, f".tmp-{os.getpid()}-{n}")
@@ -58,12 +62,13 @@ def atomic_write(path: str, text: str) -> None:
         except FileExistsError:
             pass
     try:
-        with open(fd, "w", encoding="ascii") as fh:
+        with open(fd, "wb", buffering=0) as fh:
             try:
                 os.fchmod(fd, os.stat(path).st_mode & 0o777)
             except FileNotFoundError:
                 pass
-            fh.write(text)
+            while data:   # a write may take only part of what it is given
+                data = data[fh.write(data):]
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -122,14 +127,18 @@ def parse_sequence(text: str, path: str = "<input>") -> BitSequence:
     if len(bits) != N:
         raise FormatError(
             f"expected {N} bits, got {len(bits)}", path, 2, len(bits) + 1)
-    if bits.strip("01"):  # some character is neither 0 nor 1: find it
+    try:
+        s = BitSequence.from_string(bits)
+    except ValueError:  # some character is neither 0 nor 1: find it
         for j, ch in enumerate(bits):
             if ch not in "01":
-                raise FormatError(f"bad bit character {ch!r}", path, 2, j + 1)
+                raise FormatError(
+                    f"bad bit character {ch!r}", path, 2, j + 1) from None
+        raise
     for extra, l in enumerate(lines[2:], start=3):
         if l.strip():
             raise FormatError("trailing content after bits line", path, extra, 1)
-    return BitSequence.from_string(bits)
+    return s
 
 
 # --------------------------------------------------------------------------

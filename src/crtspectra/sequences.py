@@ -79,7 +79,7 @@ class BitSequence:
         """int(., 2) alone would also read '_' separators, surrounding
         whitespace and non-ASCII digits, so any character but '0' and '1'
         is refused first."""
-        if text.strip("01"):
+        if text.count("0") + text.count("1") != len(text):
             raise ValueError("bits must be 0 or 1")
         return cls.from_word(int(text[::-1] or "0", 2), len(text))
 

@@ -202,11 +202,17 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
 
 def _read_point(pw: list[int], dlog: dict, taps: list[int], k: int,
                 N: int):
-    """S_k read from a plan: the XOR of pw[t k mod N] over taps, ZERO
-    when it is 0, else its exponent from the log map dlog."""
+    """S_k read from a plan: the XOR of pw[t k mod N] over taps, in log
+    form (see _plan_log)."""
     acc = 0
     for t in taps:
         acc ^= pw[t * k % N]
+    return _plan_log(dlog, acc, k)
+
+
+def _plan_log(dlog: dict, acc: int, k: int):
+    """The point S_k = acc in log form: ZERO when acc is 0, else its
+    exponent from the plan's log map dlog."""
     if acc == 0:
         return ZERO
     d = dlog.get(acc)
@@ -240,9 +246,10 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     """Single spectral point in log form, no full-transform work.
 
     Where a plan applies (see _planned), read or built by this call, S_k
-    is the XOR of pw[t k mod N] over the 1-bits t of s, and its exponent
-    is one read of the plan's log map: weight(s) table reads, no field
-    multiplication and no discrete_log.
+    is the XOR of pw[t k mod N] over the 1-bits t of s, found by one walk
+    over the bits of s that yields each t k, and its exponent is one read
+    of the plan's log map: weight(s) table reads, no field multiplication
+    and no discrete_log.
 
     Otherwise, for a counting view or an N above _PLAN_MAX_N, it is the
     direct route the cost model prices: root^k by square-and-multiply, a
@@ -259,7 +266,12 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     plan = _planned(root, N)
     if plan:
         pw, dlog, _ = plan
-        return _read_point(pw, dlog, _ones(s.word), k, N)
+        # a range step of 0 raises; for k = 0 each t N is 0 mod N as well
+        step = k or N
+        acc = 0
+        for i in compress(range(0, N * step, step), bit_bytes(s.word, N)):
+            acc ^= pw[i % N]
+        return _plan_log(dlog, acc, k)
     fld = root.field
     times_x = fld.times(fld.pow_int(root.bits, k))
     acc = 0

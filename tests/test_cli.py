@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from crtspectra import formats, spectral
-from crtspectra.cli import main
+from crtspectra.cli import _build_parser, main
 
 import reference_values as rv
 
@@ -676,6 +676,42 @@ def test_conflicting_output_flags_exit_2(tmp_path, capsys):
         out = capsys.readouterr()
         assert e.value.code == 2 and out.out == ""
         assert flags in out.err
+
+
+def _outcome(capsys, call):
+    """What call does: its return value or its SystemExit code, then the
+    stdout and stderr it wrote."""
+    try:
+        result = call()
+    except SystemExit as e:
+        result = f"exit {e.code}"
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["dft", "-h"], ["verify", "theorem1", "-h"],
+    ["frobnicate"], ["field"],
+    ["dft"], ["dft", "--in", "x", "--bogus"],
+    ["dft", "--in", "x", "--point", "abc"],
+    ["dft", "--in", "x", "--point", "3", "--reduce"],
+    ["bench", "--case", "nope"], ["report", "--example", "3"],
+    ["dft", "--in", "x", "--poi", "3"],
+    ["dft", "--in", "x", "--"],
+], ids=" ".join)
+def test_leaf_parse_words_help_and_usage_as_the_tree_does(
+        tmp_path, capsys, monkeypatch, argv):
+    # main parses a command with its leaf's parser alone; with no leaves
+    # it parses every argv with the whole tree, _build_parser().parse_args
+    # (argv), and its exit code, stdout and stderr must be the same. No
+    # file x exists, so a parsed command exits 2 on reading it
+    monkeypatch.chdir(tmp_path)
+    leaf = _outcome(capsys, lambda: main(argv))
+    monkeypatch.setattr(sys, "argv", ["crtspectra", *argv])
+    assert _outcome(capsys, main) == leaf      # main(None) reads sys.argv
+    monkeypatch.setattr(_build_parser(), "leaves", {})
+    assert _outcome(capsys, lambda: main(argv)) == leaf
+    assert leaf[0] in ("exit 0", "exit 2", 2)
 
 
 def test_zero_seed_warns_on_one_line(capsys):

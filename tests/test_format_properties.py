@@ -93,6 +93,47 @@ def test_damaged_sequence_raises_only_format_error(data):
         pass
 
 
+# The bits check as str.strip made it: a text is refused exactly when
+# stripping every 0 and 1 from its ends leaves something, and the file
+# error names the first character that is neither. int(., 2) alone would
+# accept '_' between digits, surrounding whitespace and the digit U+0667
+_BIT_TEXT = (st.text(alphabet="01", max_size=40)
+             | st.text(alphabet="012_\u0667 \t", max_size=40))
+
+
+def _strip_checked(bits, path):
+    """The FormatError the strip-based check raised for a bits line, or
+    None where it passed."""
+    if bits.strip("01"):
+        for j, ch in enumerate(bits):
+            if ch not in "01":
+                return FormatError(f"bad bit character {ch!r}", path, 2, j + 1)
+    return None
+
+
+@settings(PROPERTY, max_examples=200)
+@given(line=_BIT_TEXT)
+def test_bits_are_checked_as_the_strip_check_did(line):
+    try:
+        s = BitSequence.from_string(line)
+    except ValueError:
+        s = None
+    assert (s is not None) == (line != "" and not line.strip("01"))
+    if s is not None:
+        assert str(s) == line
+    bits = line.strip()
+    if not bits:
+        return   # the period and length checks come first
+    want = _strip_checked(bits, "x")
+    try:
+        got = parse_sequence(f"period={len(bits)}\n{line}\n", "x")
+    except FormatError as e:
+        assert want is not None
+        assert (str(e), e.line, e.col) == (str(want), want.line, want.col)
+    else:
+        assert want is None and str(got) == bits
+
+
 # The spectrum reader as a walk over every line, with the conjugacy check as
 # a loop over every index: the reference parse_spectrum must agree with on
 # every text, in its value or in its error's message, line and column.

@@ -656,7 +656,7 @@ def test_residue_matches_agrees_with_inverse_matches_on_products(degrees):
 
 
 @pytest.mark.parametrize("N", [7, 21, 63, 315])
-def test_residue_matches_agrees_with_inverse_matches_on_random_spectra(
+def test_residue_dft_agrees_with_inverse_matches_on_random_spectra(
         N, random_log_spectrum):
     # each random log-form spectrum, and its shift by one, against the
     # inverse of each of them
@@ -685,7 +685,7 @@ def test_window_checks_refuse_a_negative_lc_bound():
     assert not inverse_matches(none, v, 5)
 
 
-def test_residue_matches_builds_its_field_tables_once(
+def test_residue_dft_builds_its_field_tables_once(
         monkeypatch, clear_field_caches):
     # a cold right claim builds the squaring and x -> root*x tables and one
     # beta table per orbit; a warm one on the same field and root builds
