@@ -388,8 +388,9 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     indices. It never builds u past those bits or walks the powers of the
     root. A product of log-form streams always has such a transform, so a
     lister that finds none raises ArithmeticError, on a right claim too.
-    Then it audits Blahut and conjugacy on the reference spectrum. A
-    single LFSR degenerates to comparing a sequence's spectrum with itself.
+    Then it audits Blahut on the claim, whose size must be L (the
+    reference always holds L points), and conjugacy on both. A single
+    LFSR degenerates to comparing a sequence's spectrum with itself.
 
     tamper_index flips the CRT value at that index (zero <-> g^0) before
     the comparison, so the report must come back failing; it proves the
@@ -432,7 +433,7 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
             f"the product of period {N} has no log-form spectrum over"
             " the claim's root")
     mismatches = [] if S_ref is S_crt else compare_spectra(S_ref, S_crt)
-    blahut_ok = S_ref.nonzero_count() == r.linear_complexity
+    blahut_ok = S_crt.nonzero_count() == r.linear_complexity
     conjugacy_ok = (S_ref.conjugacy_violation() is None
                     and S_crt.conjugacy_violation() is None)
     return VerifyReport(

@@ -9,6 +9,11 @@ dft finds the support before it sums anything: S_k != 0 exactly at the
 roots root^k of the support polynomial c = (x^N + 1) / gcd(x^N + 1, s(x)),
 of degree L, the linear complexity (Blahut 1979). c comes from GF(2)[x]
 int arithmetic, so the power table stays dft's only field work.
+dft_point screens its index by the same c, found by Euclid under a
+budget so that dense input, where it cannot pay, costs little; past the
+plan bound a point on the support comes from the residue form
+S_k beta c'(beta) = g(beta) (Massey and Serconek 1994), which reads only
+c, c' and the first L bits of s.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .field import (CountingField, FieldElement, FieldSpec, _coset_leaders,
                     _doubling_orbit, build_field, discrete_log,
                     element_of_order, element_order, has_order,
                     multiplicative_order_of_2, root_power_table)
-from .gf2poly import pdivmod, pgcd, pmod
+from .gf2poly import pdivmod, pmod, pmul
 from .sequences import BitSequence, bit_bytes
 
 ZERO = None  # spectral zero marker; never exponent-encoded
@@ -120,9 +125,42 @@ def support_polynomial(s: BitSequence) -> tuple[int, int]:
     deg c is the linear complexity L of s (Blahut 1979), and c reversed is
     its minimal polynomial: s(x) / (x^N + 1) in lowest terms has
     denominator c."""
-    xn1 = 1 << s.period | 1
-    c, _ = pdivmod(xn1, pgcd(xn1, s.word))
+    c = _support_divisor(s)
     return c, pmod(s.word, c)
+
+
+def _support_divisor(s: BitSequence, budget: int | None = None):
+    """c = (x^N + 1) / gcd(x^N + 1, s(x)), as in support_polynomial, or
+    None once Euclid has shown that deg c, the linear complexity L of s,
+    exceeds budget.
+
+    The gcd divides each remainder b, so L >= N - deg b, and each
+    division lowers deg b. So Euclid finds c of low L in at most L + 1
+    divisions, and on dense input, L near N, it stops after about budget
+    of them (see _euclid_budget)."""
+    N = s.period
+    xn1 = 1 << N | 1
+    a, b = xn1, s.word
+    while b:
+        if budget is not None and N - b.bit_length() >= budget:
+            return None
+        a, b = b, pmod(a, b)
+    return pdivmod(xn1, a)[0]
+
+
+def _euclid_budget(fallback: int, N: int) -> int:
+    """The largest L that _support_divisor looks for, for a point whose
+    direct route costs `fallback` steps at period N: on the plan route
+    weight(s) table reads plus a walk over the N bits of s, each bit about
+    a quarter of a read; above the plan bound, N Horner steps.
+
+    On dense input each unit of the budget costs Euclid about
+    1.8 + N / 1800 of those steps, one division on N-bit ints or less
+    (timeit, CPython 3.11 on x86-64, N = 511 .. 65,535). The budget is a
+    quarter of the direct route in that coin: a dense point that runs it
+    out and then takes the direct route measured 1.3 times the direct
+    route alone at N = 1023 and 4095."""
+    return fallback * 450 // (3200 + N)
 
 
 def _transform_tables(root: FieldElement, N: int) -> tuple:
@@ -204,10 +242,16 @@ def _read_point(pw: list[int], dlog: dict, taps: list[int], k: int,
                 N: int):
     """S_k read from a plan: the XOR of pw[t k mod N] over taps, in log
     form (see _plan_log)."""
+    return _plan_log(dlog, _plan_sum(pw, taps, k, N), k)
+
+
+def _plan_sum(pw: list[int], taps: list[int], k: int, N: int) -> int:
+    """The XOR of pw[t k mod N] over taps: p(root^k) for the polynomial p
+    whose 1-bits are taps."""
     acc = 0
     for t in taps:
         acc ^= pw[t * k % N]
-    return _plan_log(dlog, acc, k)
+    return acc
 
 
 def _plan_log(dlog: dict, acc: int, k: int):
@@ -245,17 +289,30 @@ def idft(S: Spectrum) -> BitSequence:
 def dft_point(s: BitSequence, root: FieldElement, k: int):
     """Single spectral point in log form, no full-transform work.
 
-    Where a plan applies (see _planned), read or built by this call, S_k
-    is the XOR of pw[t k mod N] over the 1-bits t of s, found by one walk
-    over the bits of s that yields each t k, and its exponent is one read
-    of the plan's log map: weight(s) table reads, no field multiplication
-    and no discrete_log.
+    The support polynomial c of s (see support_polynomial) screens k
+    first: S_k is ZERO unless c(root^k) = 0. c comes from Euclid under a
+    budget a fraction of the direct route's cost (see _euclid_budget), so
+    c is found for s of low linear complexity L, and on dense input, L
+    near N, the budget runs out and the point takes the direct route.
 
-    Otherwise, for a counting view or an N above _PLAN_MAX_N, it is the
-    direct route the cost model prices: root^k by square-and-multiply, a
-    Horner pass of sum_t s_t x^t at x = root^k, one FieldSpec.times(x)
-    step per index from the top, then a cold discrete_log. Field ops
-    route through root.field, so handing in a counting view tallies them.
+    Where a plan applies (see _planned), read or built by this call, the
+    screen is the XOR of pw[i k mod N] over the 1-bits i of c: weight(c)
+    table reads. A point on the support, or past the budget, is the XOR
+    of pw[t k mod N] over the 1-bits t of s, found by one walk over the
+    bits of s that yields each t k, and its exponent is one read of the
+    plan's log map: table reads, no field multiplication and no
+    discrete_log.
+
+    Above _PLAN_MAX_N, the screen is a Horner pass of c at beta = root^k,
+    deg c steps of FieldSpec.times(beta). On the support, S_k comes from
+    the residue form S_k beta c'(beta) = g(beta), g = (c (s mod x^L)) mod
+    x^L (Massey and Serconek 1994): Horner passes of g and c', one
+    inverse, two products and one discrete_log. Past the budget, and for
+    a counting view always, it is the direct route the cost model prices:
+    root^k by square-and-multiply, a Horner pass of sum_t s_t x^t at
+    x = root^k, one FieldSpec.times(x) step per index from the top, then
+    a cold discrete_log. Field ops route through root.field, so handing
+    in a counting view tallies them.
     """
     N = s.period
     if not 0 <= k < N:
@@ -266,6 +323,10 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     plan = _planned(root, N)
     if plan:
         pw, dlog, _ = plan
+        c = _support_divisor(
+            s, _euclid_budget(s.word.bit_count() + N // 4, N))
+        if c is not None and _plan_sum(pw, _ones(c), k, N):
+            return ZERO
         # a range step of 0 raises; for k = 0 each t N is 0 mod N as well
         step = k or N
         acc = 0
@@ -273,16 +334,36 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
             acc ^= pw[i % N]
         return _plan_log(dlog, acc, k)
     fld = root.field
+    c = (None if isinstance(fld, CountingField)
+         else _support_divisor(s, _euclid_budget(N, N)))
     times_x = fld.times(fld.pow_int(root.bits, k))
-    acc = 0
-    for b in bit_bytes(s.word, N)[::-1]:
-        acc = times_x(acc) ^ b
+    if c is None:
+        acc = _horner(s.word, N, times_x)
+    else:
+        L = c.bit_length() - 1
+        if _horner(c, L + 1, times_x):
+            return ZERO
+        low = (1 << L) - 1
+        g = pmul(s.word & low, c) & low
+        # c' keeps c's odd-degree terms, each lowered by one
+        dc = c >> 1 & ((1 << 2 * (L // 2 + 1)) - 1) // 3
+        beta_dc = times_x(_horner(dc, L, times_x))
+        acc = fld.mul_int(_horner(g, L, times_x), fld.inv_int(beta_dc))
     if acc == 0:
         return ZERO
     try:
         return discrete_log(FieldElement(fld, acc), root, N)
     except ValueError:
         raise _outside_root_group(k) from None
+
+
+def _horner(p: int, n: int, times_x) -> int:
+    """p(x) for p in GF(2)[x] of degree below n, by n Horner steps of
+    times_x, the map y -> x y, from the top."""
+    acc = 0
+    for b in bit_bytes(p, n)[::-1]:
+        acc = times_x(acc) ^ b
+    return acc
 
 
 def _outside_root_group(k: int) -> ValueError:

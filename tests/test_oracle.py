@@ -82,6 +82,19 @@ def test_verify_theorem1_worked_pairs():
     assert rep2.linear_complexity == 15
 
 
+def test_verify_theorem1_blahut_audits_the_claims_own_size():
+    # the reference always holds L points, so the audit reads the claim:
+    # tampered at a zero index it holds L + 1, at a nonzero one L - 1
+    run = [rv.LFSR_A, rv.LFSR_B]
+    assert verify_theorem1(run).blahut_ok
+    support = set(_crt_claim(run).points)
+    zero = min(set(range(21)) - support)
+    for k in (zero, min(support)):
+        rep = verify_theorem1(run, tamper_index=k)
+        assert not rep.blahut_ok
+        assert "blahut=VIOLATED" in rep.summary()
+
+
 def test_verify_theorem1_single_lfsr_vacuous():
     rep = verify_theorem1([rv.LFSR_B])
     assert rep.ok and rep.N == 7
@@ -410,7 +423,7 @@ def test_verify_theorem1_gives_bm_only_the_bits_its_bound_needs(monkeypatch):
     ([(0x25, 0x0)], "PASS N=1 moduli=[1] points=0/0 L=0"),
     ([(0x3, 0x1), (0xb, 0x5)], "PASS N=7 moduli=[1, 7] points=3/3 L=3"),
 ])
-def test_verify_theorem1_window_matches_the_full_period_report(
+def test_verify_theorem1_first_bits_match_the_full_period_report(
         monkeypatch, run, summary):
     # single registers, zero seeds and a period-1 register: the first
     # 2 min(B, N) bits decide as the whole period does, and BM still finds
@@ -632,7 +645,7 @@ def _residue_verdict(T, s):
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)
-def test_residue_matches_agrees_with_inverse_matches_on_products(degrees):
+def test_residue_dft_agrees_with_inverse_matches_on_products(degrees):
     # the claim less an orbit, its reversal, every single change to the
     # claim, time-shifted claims (conjugate-consistent, of the right size,
     # and wrong at every orbit) and single changes to those

@@ -1,21 +1,22 @@
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtspectra import spectral
+from crtspectra import gf2poly, spectral
 from crtspectra.bm import berlekamp_massey
 from crtspectra.costs import OpCounter
 from crtspectra.field import (CountingField, FieldSpec, build_field,
                               cyclotomic_cosets, default_modulus,
-                              element_of_order, multiplicative_order_of_2,
-                              root_power_table)
+                              element_of_order, minimal_polynomial_of,
+                              multiplicative_order_of_2, root_power_table)
 from crtspectra.oracle import brute_dft
 from crtspectra.sequences import (BitSequence, Lfsr, lfsr_stream,
                                   pointwise_product)
-from crtspectra.spectral import (Spectrum, blahut_check, coset_expand,
+from crtspectra.spectral import (ZERO, Spectrum, blahut_check, coset_expand,
                                  coset_reduce, default_field_for_period, dft,
                                  dft_point, idft, support_polynomial)
 
@@ -171,7 +172,7 @@ def test_dft_edge_sequences():
         assert dft(BitSequence.from_string(text), fld, root).points == {0: 0}
 
 
-def test_dft_of_a_degree_17_m_sequence():
+def test_dft_of_a_degree_17_m_sequence(monkeypatch):
     # N = 131,071: the support is one coset of 17 points, found by the
     # screen at one weight-3 evaluation per leader, not a sum over the
     # 65,536 1-bits of s at each of the 7711 leaders
@@ -182,7 +183,32 @@ def test_dft_of_a_degree_17_m_sequence():
     reps = coset_reduce(S)
     assert len(reps) == 1
     (leader, d), = reps.items()
+    # N is above the plan bound, so a point is screened by deg c + 1
+    # Horner steps at root^k, and one on the support adds the residue
+    # form's passes of g and c', deg c steps each, and one product before
+    # its discrete_log: no pass over the N bits of s
+    steps, logs = [], []
+    times, log = FieldSpec.times, spectral.discrete_log
+
+    def counted_times(self, c):
+        mul = times(self, c)
+
+        def step(x):
+            steps.append(x)
+            return mul(x)
+        return step
+
+    def counted_log(a, base, order):
+        logs.append(len(steps))
+        return log(a, base, order)
+    monkeypatch.setattr(FieldSpec, "times", counted_times)
+    monkeypatch.setattr(spectral, "discrete_log", counted_log)
+    off = min(set(range(s.period)) - set(S.points))
+    assert dft_point(s, root, off) is ZERO
+    assert (len(steps), logs) == (18, [])
+    steps.clear()
     assert dft_point(s, root, leader) == d
+    assert logs == [18 + 2 * 17 + 1]
 
 
 def test_dft_without_log_form_raises():
@@ -389,13 +415,36 @@ _SMALL_PERIODS = [N for N in range(1, 256, 2)
                   if multiplicative_order_of_2(N) <= 32]
 
 
+def _orbit_sequence(N, j, state):
+    """The period-N sequence from the low bits of state, run through the
+    recurrence whose characteristic polynomial is the minimal polynomial f
+    of root^-j, root the canonical order-N root: its spectrum lives on the
+    doubling orbit of j, so its L is deg f, and below the full group its
+    values mostly lie outside the root's group."""
+    _, root = default_field_for_period(N)
+    f = minimal_polynomial_of(root ** (N - j))
+    L = f.bit_length() - 1
+    bits = [state >> i & 1 for i in range(L)]
+    taps = [i for i in range(L) if f >> i & 1]
+    while len(bits) < N:
+        bits.append(sum(bits[-L + i] for i in taps) & 1)
+    return BitSequence(tuple(bits))
+
+
 @st.composite
 def point_cases(draw):
     """Random bits of odd period <= 255, which below the full group mostly
-    have no log form, or a product of m-sequences at random phases."""
-    if draw(st.booleans()):
+    have no log form; a sequence of low L on one doubling orbit, which
+    mostly has none either; or a product of m-sequences at random
+    phases."""
+    kind = draw(st.sampled_from(("bits", "orbit", "product")))
+    if kind == "bits":
         N = draw(st.sampled_from(_SMALL_PERIODS))
         return BitSequence.from_word(draw(st.integers(0, (1 << N) - 1)), N)
+    if kind == "orbit":
+        N = draw(st.sampled_from([N for N in _SMALL_PERIODS if N >= 63]))
+        return _orbit_sequence(N, draw(st.integers(1, N - 1)),
+                               draw(st.integers(1, (1 << 32) - 1)))
     u = None
     for n in draw(st.sampled_from([(3, 4), (3, 5), (3, 7)])):
         seed = draw(st.integers(1, (1 << n) - 1))
@@ -407,13 +456,18 @@ def point_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(point_cases())
 def test_plan_route_matches_horner_route(s):
-    # a plain root takes the plan route and a counting view of the same
-    # field the Horner route; at every k they give one exponent, or the
+    # a plain root takes the plan route, and with the plan bound at 0 the
+    # route above it (screen by c, then the residue form, or a Horner pass
+    # once Euclid's budget runs out); a counting view of the same field
+    # takes the Horner route. At every k they give one exponent, or the
     # same error
     fld, root = default_field_for_period(s.period)
     view = CountingField(fld, OpCounter()).element(root.bits)
-    for k in range(s.period):
-        assert _point_or_error(s, root, k) == _point_or_error(s, view, k)
+    horner = [_point_or_error(s, view, k) for k in range(s.period)]
+    assert [_point_or_error(s, root, k) for k in range(s.period)] == horner
+    with mock.patch.object(spectral, "_PLAN_MAX_N", 0):
+        assert [_point_or_error(s, root, k)
+                for k in range(s.period)] == horner
 
 
 def test_point_above_plan_bound_builds_no_plan(monkeypatch,
@@ -433,6 +487,68 @@ def test_point_above_plan_bound_builds_no_plan(monkeypatch,
     assert values == brute_dft(U, fld, root).values
     assert spectral._transform_plan.cache_info().currsize == 0
     assert tables == []
+
+
+def test_warm_point_off_the_support_reads_weight_c(monkeypatch,
+                                                   clear_field_caches):
+    # the degree-10 m-sequence: L = 10, so Euclid finds c within the
+    # budget; a point off the support reads weight(c) table entries, and
+    # one on it weight(s) more, where the direct route reads weight(s)
+    tables = []
+
+    def counted(root, N):
+        tables.append(_CountingTable(root_power_table(root, N)))
+        return tables[-1]
+
+    monkeypatch.setattr(spectral, "root_power_table", counted)
+    clear_field_caches()
+    s = _mseq_product(10)
+    c, _ = support_polynomial(s)
+    w = s.word.bit_count()
+    N = s.period
+    assert c.bit_length() - 1 <= spectral._euclid_budget(w + N // 4, N)
+    fld, root = default_field_for_period(N)
+    S = dft(s, fld, root)
+    on, off = min(S.points), min(set(range(N)) - set(S.points))
+    for k, reads in ((off, c.bit_count()), (on, c.bit_count() + w)):
+        tables[-1].reads = 0
+        dft_point(s, root, k)
+        assert tables[-1].reads == reads
+
+
+def test_dense_point_stops_euclid_within_its_budget(monkeypatch,
+                                                    clear_field_caches):
+    # random bits at N = 1023 have L near N: Euclid gives up after at most
+    # budget + 1 divisions, and the point reads weight(s) entries, as the
+    # direct route does
+    N = 1023
+    s = BitSequence.from_word(random.Random(N).getrandbits(N), N)
+    c, _ = support_polynomial(s)
+    w = s.word.bit_count()
+    budget = spectral._euclid_budget(w + N // 4, N)
+    assert c.bit_length() - 1 > 10 * budget
+    tables, divisions = [], []
+
+    def counted(root, N):
+        tables.append(_CountingTable(root_power_table(root, N)))
+        return tables[-1]
+
+    def pmod(a, f):
+        divisions.append(f)
+        return gf2poly.pmod(a, f)
+
+    monkeypatch.setattr(spectral, "root_power_table", counted)
+    monkeypatch.setattr(spectral, "pmod", pmod)
+    clear_field_caches()
+    fld, root = default_field_for_period(N)
+    view = CountingField(fld, OpCounter()).element(root.bits)
+    dft_point(s, root, 0)  # builds the plan
+    for k in (1, 5, 341):
+        tables[-1].reads = 0
+        divisions.clear()
+        assert dft_point(s, root, k) == _point_or_error(s, view, k)
+        assert len(divisions) <= budget + 1
+        assert tables[-1].reads == w
 
 
 def test_blahut_on_reference_product():
