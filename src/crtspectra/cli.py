@@ -11,11 +11,15 @@ sequence and spectral layers under them). A command that needs crtconv,
 bm, oracle, costs, cases, json or random imports them in its own body, so
 `dft` and `seq` start without them.
 
-`main` parses a command with its leaf, the parser of that one command,
-found by the command's words at the head of argv. The tree of parsers
-runs only to word help and usage errors: with no command, a group
-without its leaf, or arguments the leaf leaves over, which the top parser
-names with the top usage line.
+`main` finds a command's leaf, the parser of that one command, by the
+command's words at the head of argv, and reads plain argv after them
+with the leaf's option table: exact option strings, each followed by its
+values as separate words (see `_plain`). The table is derived once from
+the leaf's own actions, so every option is declared once, in argparse,
+and the Namespace is the one argparse would give. Any other argv, and
+help, goes to the whole tree of parsers, which words help and every usage
+error: with no command, a group without its leaf, an unknown or
+abbreviated option, an `--opt=value` word, or a value argparse refuses.
 """
 
 from __future__ import annotations
@@ -342,6 +346,80 @@ def _leaf(leaves: dict, group, name: str, run,
 
 
 @functools.cache
+def _option_table(leaf: argparse.ArgumentParser):
+    """What plain argv may hold for leaf, read once from its own actions:
+    (options, defaults, required, groups).
+
+    options maps each exact option string to its action and whether the
+    option may repeat (append). An action that takes one word, no word or
+    nargs="+" words is there; help, which stores nothing, and an action of
+    any other kind are not, so argv that names them is not plain.
+    defaults is the Namespace argparse starts from: each dest's first
+    default, then the leaf's set_defaults. No leaf has a positional, a
+    required group or a string default with a type, which argparse reads
+    otherwise; tests/test_cli.py's table-versus-tree property fails if one
+    is declared."""
+    options, defaults = {}, {}
+    for a in leaf._actions:
+        if a.default is argparse.SUPPRESS:   # help: it stores nothing
+            continue
+        defaults.setdefault(a.dest, a.default)
+        if a.nargs in (None, 0, "+"):
+            repeats = isinstance(a, argparse._AppendAction)
+            options.update(dict.fromkeys(a.option_strings, (a, repeats)))
+    for dest, value in leaf._defaults.items():
+        defaults.setdefault(dest, value)
+    return (options, defaults, {a for a in leaf._actions if a.required},
+            [set(g._group_actions) for g in leaf._mutually_exclusive_groups])
+
+
+def _plain(leaf: argparse.ArgumentParser, words: list[str]):
+    """leaf.parse_args(words), read with leaf's option table, when words are
+    plain: each option an exact option string of the leaf, followed by its
+    values as separate words, none empty or starting with "-" (nargs="+"
+    takes the words up to the next "-" word); each value passing the
+    option's type and choices; an append option repeated, any other at
+    most once; every required option there, and at most one of each
+    mutually exclusive group. None for any other words."""
+    options, defaults, required, groups = _option_table(leaf)
+    args = argparse.Namespace(**defaults)
+    seen = set()
+    i, n = 0, len(words)
+    while i < n:
+        option = words[i]
+        action, repeats = options.get(option, (None, False))
+        if action is None or (action in seen and not repeats):
+            return None
+        seen.add(action)
+        i += 1
+        j = i if action.nargs == 0 else i + 1
+        if action.nargs == "+":
+            while j < n and not words[j].startswith("-"):
+                j += 1
+        if j > n:
+            return None
+        values = []
+        for word in words[i:j]:
+            if not word or word[0] == "-":
+                return None
+            value = word
+            if action.type is not None:
+                try:
+                    value = action.type(word)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values.append(value)
+        action(leaf, args, values[0] if action.nargs is None else values,
+               option)
+        i = j
+    if not required <= seen or any(len(g & seen) > 1 for g in groups):
+        return None
+    return args
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The whole command tree. Its `leaves` map each command's words, such
     as ("dft",) or ("verify", "theorem1"), to that command's own parser."""
@@ -423,15 +501,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser()
-    # the leaf gets the words after the command's, as the tree hands them
-    # on; the tree parses only argv that no leaf takes whole (see above)
+    # the command's words find its leaf; plain argv after them is read with
+    # the leaf's option table, and the tree reads any other (see above)
+    args = None
     for n in (1, 2):
         leaf = ap.leaves.get(tuple(argv[:n]))
         if leaf:
-            args, rest = leaf.parse_known_args(argv[n:])
-            if not rest:
-                break
-    else:
+            args = _plain(leaf, argv[n:])
+            break
+    if args is None:
         args = ap.parse_args(argv)
     try:
         with warnings.catch_warnings():   # one stderr line per warning

@@ -18,6 +18,7 @@ import itertools
 import os
 import re
 from functools import lru_cache
+from stat import S_ISREG
 
 from .field import FieldElement, FieldSpec, build_field, discrete_log
 from .sequences import BitSequence
@@ -51,7 +52,8 @@ def atomic_write(path: str, text: str) -> None:
     leave: those of the file it replaces, else 0666 less the umask, which
     the kernel applies when the temp file is created. The text is ASCII,
     encoded before the temp file exists, so a text that is not leaves no
-    file behind, and it goes out by unbuffered writes of those bytes."""
+    file behind, and its bytes go out by os.write on the temp file's own
+    descriptor, closed before the rename."""
     data = memoryview(text.encode("ascii"))
     d = os.path.dirname(os.path.abspath(path))
     for n in _tmp_names:
@@ -62,13 +64,15 @@ def atomic_write(path: str, text: str) -> None:
         except FileExistsError:
             pass
     try:
-        with open(fd, "wb", buffering=0) as fh:
+        try:
             try:
                 os.fchmod(fd, os.stat(path).st_mode & 0o777)
             except FileNotFoundError:
                 pass
             while data:   # a write may take only part of what it is given
-                data = data[fh.write(data):]
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -316,10 +320,27 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
 
 
 def read_text(path: str) -> str:
+    """The file's text, as open(path, encoding="ascii").read() gives it:
+    read in one os.read sized by fstat, decoded once, and with CRLF and a
+    lone CR read as LF, as universal newlines read them. A file whose
+    length fstat does not give, such as a pipe, is read on to its end."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
+            data = os.read(fd, st.st_size + 1)
+            if len(data) != st.st_size or not S_ISREG(st.st_mode):
+                parts = [data]
+                while parts[-1]:
+                    parts.append(os.read(fd, 1 << 16))
+                data = b"".join(parts)
+        finally:
+            os.close(fd)
+        text = data.decode("ascii")
     except OSError as e:
         raise FormatError(f"cannot read: {e.strerror}", path) from None
     except UnicodeDecodeError:
         raise FormatError("file is not ASCII text", path) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text

@@ -1,15 +1,18 @@
 """End-to-end runs of the command-line interface, in process, and the
 modules each command loads, in a fresh interpreter."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtspectra import formats, spectral
-from crtspectra.cli import _build_parser, main
+from crtspectra.cli import _build_parser, _plain, main
 
 import reference_values as rv
 
@@ -698,6 +701,12 @@ def _outcome(capsys, call):
     ["bench", "--case", "nope"], ["report", "--example", "3"],
     ["dft", "--in", "x", "--poi", "3"],
     ["dft", "--in", "x", "--"],
+    ["dft", "--in=x"], ["dft", "--in", "x", "--in", "y"],
+    ["dft", "--in", "x", "--point", "-3"], ["dft", "--in", ""],
+    ["crt-conv", "--factors", "a", "-", "b"],
+    ["crt-conv", "--factors", "a", "--point", "3", "--support-only"],
+    ["verify", "theorem1", "--lfsr", "0x7:0x1", "--bound=0"],
+    ["field", "inspect", "--m", "x"],
 ], ids=" ".join)
 def test_leaf_parse_words_help_and_usage_as_the_tree_does(
         tmp_path, capsys, monkeypatch, argv):
@@ -712,6 +721,102 @@ def test_leaf_parse_words_help_and_usage_as_the_tree_does(
     monkeypatch.setattr(_build_parser(), "leaves", {})
     assert _outcome(capsys, lambda: main(argv)) == leaf
     assert leaf[0] in ("exit 0", "exit 2", 2)
+
+
+# words a drawn option may take instead of a value it accepts: the empty
+# word, "-" words, a path, and misses of --case's and --example's choices
+_MISSES = st.sampled_from(("", "-", "-3", "--", "x", "nope", "3", "0x7:0x1"))
+
+
+def _value(action):
+    """A word action accepts: one of its choices, an int, or a path."""
+    if action.choices is not None:
+        return st.sampled_from([str(c) for c in action.choices])
+    if action.type is int:
+        return st.integers(0, 99).map(str)
+    return st.sampled_from(("a.seq", "b.spec", "0xb:0x1", "1*2"))
+
+
+@st.composite
+def _leaf_argv(draw, leaf):
+    """argv after a command's words: the leaf's required options and some
+    others, in a drawn order, each with the values its nargs takes, mostly
+    ones it accepts. Now and then help, a repeat or a second option of a
+    group is added, a value is a word the option refuses, or an option is
+    cut short or joined to its first value by "="."""
+    actions = [a for a in leaf._actions if a.default is not argparse.SUPPRESS
+               and (a.required or draw(st.booleans()))]
+    if not draw(st.integers(0, 3)):   # help, a repeat or a second of a group
+        actions.append(draw(st.sampled_from(leaf._actions)))
+    argv = []
+    for action in draw(st.permutations(actions)):
+        option = draw(st.sampled_from(action.option_strings))
+        n = {0: 0, None: 1}.get(action.nargs, draw(st.integers(1, 3)))
+        values = [draw(_value(action) if draw(st.integers(0, 19))
+                       else _MISSES) for _ in range(n)]
+        form = draw(st.integers(0, 29))
+        if form == 0:
+            option = option[:draw(st.integers(2, max(2, len(option) - 1)))]
+        elif form == 1 and values:
+            option = f"{option}={values.pop(0)}"
+        argv += [option, *values]
+    return argv
+
+
+@pytest.mark.parametrize("words", sorted(_build_parser().leaves),
+                         ids=" ".join)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_option_table_reads_plain_argv_as_the_tree_does(words, data):
+    # whenever the leaf's option table reads argv, its Namespace is the
+    # tree's on every dest of the leaf and on run
+    ap = _build_parser()
+    leaf = ap.leaves[words]
+    argv = data.draw(_leaf_argv(leaf))
+    args = _plain(leaf, argv)
+    if args is not None:
+        tree = vars(ap.parse_args([*words, *argv]))
+        dests = {a.dest for a in leaf._actions
+                 if a.default is not argparse.SUPPRESS} | {"run"}
+        assert vars(args) == {dest: tree[dest] for dest in dests}
+
+
+def test_plain_requests_take_no_argparse_parse(tmp_path, capsys, monkeypatch):
+    # a plain request of every leaf runs on its option table alone
+    paths = _write_streams(tmp_path, capsys)
+    specs = [str(tmp_path / f"{name}.spec") for name in ("a", "b")]
+    for name, spec in zip("ab", specs):
+        assert run(capsys, "dft", "--in", paths[name], "--out", spec)[0] == 0
+    requests = [
+        ["field", "inspect", "--m", "5"],
+        ["seq", "gen", "--poly", "0xb", "--seed", "0x1", "--bits", "7"],
+        ["seq", "product", "--in", paths["a"], "--in", paths["b"]],
+        ["seq", "combine", "--anf", "1*2", "--in", paths["a"],
+         "--in", paths["b"], "--out", str(tmp_path / "w.seq")],
+        ["bm", "--in", paths["c"]],
+        ["dft", "--in", paths["c"], "--point", "3"],
+        ["crt-conv", "--factors", *specs, "--support-only"],
+        ["combine-spectrum", "--anf", "1+2+1*2", "--factors", *specs],
+        ["verify", "theorem1", "--lfsr", "0x7:0x1", "--lfsr", "0xb:0x1",
+         "--json"],
+        ["bench", "--json"],
+        ["report", "--example", "1"],
+    ]
+    leaves = _build_parser().leaves
+    assert sorted(leaves) == sorted(
+        next(w for w in leaves if tuple(argv[:len(w)]) == w)
+        for argv in requests)
+    with monkeypatch.context() as m:   # each as the tree reads it
+        m.setattr(_build_parser(), "leaves", {})
+        expected = [_outcome(capsys, lambda: main(argv)) for argv in requests]
+
+    def refuse(*_):
+        raise AssertionError("argparse parsed a plain request")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv, outcome in zip(requests, expected):
+        assert _outcome(capsys, lambda: main(argv)) == outcome
+        assert outcome[0] == 0
 
 
 def test_zero_seed_warns_on_one_line(capsys):

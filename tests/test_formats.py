@@ -1,6 +1,7 @@
 import os
 import random
 import stat
+import threading
 import tracemalloc
 from math import gcd
 
@@ -10,7 +11,7 @@ from crtspectra.crtconv import CrtBasis, product_spectrum
 from crtspectra.field import (FieldSpec, _doubling_orbit, build_field,
                               discrete_log, element_of_order)
 from crtspectra.formats import (FormatError, atomic_write, parse_field,
-                                parse_sequence, parse_spectrum,
+                                parse_sequence, parse_spectrum, read_text,
                                 serialize_field, serialize_sequence,
                                 serialize_spectrum)
 from crtspectra.sequences import BitSequence
@@ -234,6 +235,55 @@ def test_spectrum_short_text_rejected_before_allocating():
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("data", [
+    b"", b"period=3\n011\n", b"period=3\r\n011\r\n", b"period=3\r011\r",
+    b"period=3\r\n011\n\r\r\n\n\r", b"no newline", b"\r", b"\r\n",
+], ids=["empty", "lf", "crlf", "cr", "mixed", "no-newline", "lone-cr",
+        "lone-crlf"])
+def test_read_text_reads_as_text_mode_does(tmp_path, data):
+    # universal newlines: CRLF and a lone CR each read as LF
+    p = tmp_path / "f"
+    p.write_bytes(data)
+    with open(p, encoding="ascii") as fh:
+        text_mode = fh.read()
+    assert read_text(str(p)) == text_mode \
+        == data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def test_read_text_errors_name_the_path_and_the_cause(tmp_path):
+    p = tmp_path / "f"
+    p.write_bytes(b"period=3\n0\xe91\n")
+    with pytest.raises(FormatError) as e:
+        read_text(str(p))
+    assert str(e.value) == f"{p}: file is not ASCII text"
+    for path in (tmp_path / "missing", tmp_path):
+        # the strerror text mode's open and read give for the same path
+        with pytest.raises(OSError) as text_mode:
+            with open(path, encoding="ascii") as fh:
+                fh.read()
+        with pytest.raises(FormatError) as e:
+            read_text(str(path))
+        assert str(e.value) == \
+            f"{path}: cannot read: {text_mode.value.strerror}"
+
+
+def test_read_text_reads_a_pipe_to_its_end(tmp_path):
+    # a pipe's size is not its length (`--in /dev/stdin`): the text is
+    # longer than one pipe buffer, so it takes several reads
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    data = b"period=3\r\n" + b"01\r" * 70000 + b"\n"
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    try:
+        text = read_text(str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert text == "period=3\n" + "01\n" * 70000
+
+
 def test_atomic_write(tmp_path):
     p = tmp_path / "out.txt"
     atomic_write(str(p), "hello\n")
@@ -271,6 +321,32 @@ def test_atomic_write_leaves_the_mode_open_leaves(tmp_path):
         == 0o640
     assert mode(tmp_path / "old_written") == mode(tmp_path / "old_opened") \
         == 0o644
+
+
+def test_atomic_write_closes_its_temp_file(tmp_path, monkeypatch):
+    # on success and on failure the temp file's descriptor is closed, and
+    # a failed write leaves the old file and no temp file
+    fds = []
+    os_open = os.open
+
+    def recording_open(*args, **kwargs):
+        fds.append(os_open(*args, **kwargs))
+        return fds[-1]
+    monkeypatch.setattr(os, "open", recording_open)
+    target = tmp_path / "out.txt"
+    atomic_write(str(target), "old\n")
+
+    def fchmod(fd, mode):
+        raise PermissionError(1, "Operation not permitted")
+    monkeypatch.setattr(os, "fchmod", fchmod)
+    with pytest.raises(PermissionError):
+        atomic_write(str(target), "new\n")
+    assert len(fds) == 2
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert target.read_text() == "old\n"
 
 
 def test_atomic_write_never_sets_the_umask(tmp_path, monkeypatch):
