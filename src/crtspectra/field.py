@@ -12,10 +12,12 @@ on raw ints through the *_int methods.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 from math import isqrt
 
 from .gf2poly import (factor_int, is_irreducible, pgcd, pmod, pmul, poly_str,
                       ppowmod)
+from .sequences import bit_bytes
 
 # Lexicographically smallest primitive polynomial per degree. Verified by
 # re-derivation in the test suite (Rabin irreducibility + order check via
@@ -342,6 +344,21 @@ def root_power_table(root: FieldElement, N: int):
     return pw
 
 
+def power_sum(pw: list[int], taps: list[int], k: int, N: int) -> int:
+    """The XOR of pw[t k mod N] over taps: p(root^k) for the GF(2)[x]
+    polynomial p whose 1-bits are taps, read from pw, the power table of
+    a root of order N. Table reads only, no field multiplication."""
+    acc = 0
+    for t in taps:
+        acc ^= pw[t * k % N]
+    return acc
+
+
+def _ones(p: int) -> list[int]:
+    """The exponents of the nonzero terms of a GF(2)[x] polynomial."""
+    return list(compress(count(), bit_bytes(p, p.bit_length())))
+
+
 def discrete_log(a: FieldElement, base: FieldElement, order: int) -> int:
     """Least d >= 0 with base^d = a; baby-step giant-step over <base>,
     whose size `order` the caller knows (the log computes no order).
@@ -441,21 +458,14 @@ def find_root_in_subgroup(poly: int, order: int, field: FieldSpec) -> FieldEleme
 
     The roots of a GF(2)[x] polynomial are closed under squaring, h^j ->
     h^(2j), so the first root met has the least j of its orbit under
-    j -> 2j mod order; only those j are evaluated."""
-    times_h = field.times(element_of_order(field, order).bits)
-    x = 1
-    for j in range(order):
-        if (min(_doubling_orbit(j, order)) == j
-                and _eval_poly_int(poly, x, field) == 0):
-            return FieldElement(field, x)
-        x = times_h(x)
+    j -> 2j mod order; only those j, the coset leaders, are tested. One
+    power table of h, order entries by order - 1 multiplications, serves
+    every test: poly(h^j) is power_sum over the 1-bits of poly, table
+    reads only."""
+    pw = root_power_table(element_of_order(field, order), order)
+    taps = _ones(poly)
+    for j in _coset_leaders(order):
+        if power_sum(pw, taps, j, order) == 0:
+            return FieldElement(field, pw[j])
     raise ValueError(
         f"{poly_str(poly)} has no root in the order-{order} subgroup")
-
-
-def _eval_poly_int(poly: int, x: int, field) -> int:
-    """Horner evaluation of a GF(2)[x] polynomial at a field point."""
-    acc = 0
-    for t in range(poly.bit_length() - 1, -1, -1):
-        acc = field.mul_int(acc, x) ^ ((poly >> t) & 1)
-    return acc

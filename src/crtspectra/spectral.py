@@ -19,12 +19,12 @@ c, c' and the first L bits of s.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import compress
 
 from .field import (CountingField, FieldElement, FieldSpec, _coset_leaders,
-                    _doubling_orbit, build_field, discrete_log,
+                    _doubling_orbit, _ones, build_field, discrete_log,
                     element_of_order, element_order, has_order,
-                    multiplicative_order_of_2, root_power_table)
+                    multiplicative_order_of_2, power_sum, root_power_table)
 from .gf2poly import pdivmod, pmod, pmul
 from .sequences import BitSequence, bit_bytes
 
@@ -166,11 +166,12 @@ def _euclid_budget(fallback: int, N: int) -> int:
 def _transform_tables(root: FieldElement, N: int) -> tuple:
     """(pw, dlog, leaders): dft's data-independent set-up for a root of
     order N. pw is the root power table, dlog its log map pw[d] -> d, and
-    leaders yields the least index of each orbit of k -> 2k mod N,
-    ascending, walking the orbits as it goes. Costs N - 1 multiplications,
-    an N-entry dict and one walk over the orbits."""
+    leaders the list of the least index of each orbit of k -> 2k mod N,
+    ascending. Costs N - 1 multiplications, an N-entry dict and one walk
+    over the orbits. _transform_plan is this builder memoized."""
     pw = root_power_table(root, N)
-    return pw, {bits: d for d, bits in enumerate(pw)}, _coset_leaders(N)
+    dlog = {bits: d for d, bits in enumerate(pw)}
+    return pw, dlog, list(_coset_leaders(N))
 
 
 # Plans: the tables above, memoized per (field, root, N), as an FFT
@@ -179,12 +180,7 @@ def _transform_tables(root: FieldElement, N: int) -> tuple:
 # N <= _PLAN_MAX_N is kept, so the memo stays bounded (README gives its
 # worst case).
 _PLAN_MAX_N = 1 << 14
-
-
-@lru_cache(maxsize=16)
-def _transform_plan(root: FieldElement, N: int) -> tuple:
-    pw, dlog, leaders = _transform_tables(root, N)
-    return pw, dlog, list(leaders)
+_transform_plan = lru_cache(maxsize=16)(_transform_tables)
 
 
 def _planned(root: FieldElement, N: int) -> tuple | None:
@@ -204,10 +200,11 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
     (N - 1 steps of FieldSpec.times(root)). The support polynomial c of s
     (see support_polynomial) screens each cyclotomic coset leader k: the
     coset is ZERO unless c(root^k) = 0, and then S_k = r(root^k). Both are
-    XORs of pw[i k mod N] over the 1-bits i of c or r. Where weight(c) +
-    weight(r) >= weight(s) the screen cannot pay, and each leader sums the
-    1-bits of s instead. The rest of each coset is filled by the conjugate
-    square law d(2k) = 2 d(k) mod N.
+    the XOR of pw[i k mod N] over the 1-bits i of c or r: field.power_sum,
+    written out in the loop for the screen. Where weight(c) + weight(r) >=
+    weight(s) the screen cannot pay, and each leader reads the 1-bits of s
+    instead. The rest of each coset is filled by the
+    conjugate square law d(2k) = 2 d(k) mod N.
 
     Cold cost: the O(N) set-up of _transform_tables, plus the support
     polynomial, plus leaders x weight(c), plus support leaders x
@@ -227,31 +224,17 @@ def dft(s: BitSequence, field: FieldSpec, root: FieldElement) -> Spectrum:
         screen, taps = [], _ones(s.word)
     reps = {}
     for leader in leaders:
+        # power_sum written out: a call per leader made a warm dft about
+        # 3% slower
         acc = 0
         for i in screen:
             acc ^= pw[i * leader % N]
         if acc:
             continue  # c(root^leader) != 0: the whole coset stays ZERO
-        d = _read_point(pw, dlog, taps, leader, N)
+        d = _plan_log(dlog, power_sum(pw, taps, leader, N), leader)
         if d is not ZERO:
             reps[leader] = d
     return coset_expand(reps, N, field, root)
-
-
-def _read_point(pw: list[int], dlog: dict, taps: list[int], k: int,
-                N: int):
-    """S_k read from a plan: the XOR of pw[t k mod N] over taps, in log
-    form (see _plan_log)."""
-    return _plan_log(dlog, _plan_sum(pw, taps, k, N), k)
-
-
-def _plan_sum(pw: list[int], taps: list[int], k: int, N: int) -> int:
-    """The XOR of pw[t k mod N] over taps: p(root^k) for the polynomial p
-    whose 1-bits are taps."""
-    acc = 0
-    for t in taps:
-        acc ^= pw[t * k % N]
-    return acc
 
 
 def _plan_log(dlog: dict, acc: int, k: int):
@@ -263,11 +246,6 @@ def _plan_log(dlog: dict, acc: int, k: int):
     if d is None:
         raise _outside_root_group(k)
     return d
-
-
-def _ones(p: int) -> list[int]:
-    """The exponents of the nonzero terms of a GF(2)[x] polynomial."""
-    return list(compress(count(), bit_bytes(p, p.bit_length())))
 
 
 def idft(S: Spectrum) -> BitSequence:
@@ -296,11 +274,11 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
     near N, the budget runs out and the point takes the direct route.
 
     Where a plan applies (see _planned), read or built by this call, the
-    screen is the XOR of pw[i k mod N] over the 1-bits i of c: weight(c)
-    table reads. A point on the support, or past the budget, is the XOR
-    of pw[t k mod N] over the 1-bits t of s, found by one walk over the
-    bits of s that yields each t k, and its exponent is one read of the
-    plan's log map: table reads, no field multiplication and no
+    screen is power_sum, the XOR of pw[i k mod N] over the 1-bits i of c:
+    weight(c) table reads. A point on the support, or past the budget, is
+    the XOR of pw[t k mod N] over the 1-bits t of s, found by one walk
+    over the bits of s that yields each t k, and its exponent is one read
+    of the plan's log map: table reads, no field multiplication and no
     discrete_log.
 
     Above _PLAN_MAX_N, the screen is a Horner pass of c at beta = root^k,
@@ -325,7 +303,7 @@ def dft_point(s: BitSequence, root: FieldElement, k: int):
         pw, dlog, _ = plan
         c = _support_divisor(
             s, _euclid_budget(s.word.bit_count() + N // 4, N))
-        if c is not None and _plan_sum(pw, _ones(c), k, N):
+        if c is not None and power_sum(pw, _ones(c), k, N):
             return ZERO
         # a range step of 0 raises; for k = 0 each t N is 0 mod N as well
         step = k or N

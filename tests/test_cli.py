@@ -19,6 +19,12 @@ import reference_values as rv
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
+def _read(path, mode="r"):
+    """The whole file at path, read and closed."""
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -44,7 +50,7 @@ def test_seq_gen_product_bm(tmp_path, capsys):
     code, _, _ = run(capsys, "seq", "product", "--in", paths["a"],
                      "--in", paths["b"], "--out", u)
     assert code == 0
-    assert open(u).read() == f"period=21\n{rv.PRODUCT_AB}\n"
+    assert _read(u) == f"period=21\n{rv.PRODUCT_AB}\n"
 
     code, out, _ = run(capsys, "bm", "--in", u)
     assert code == 0
@@ -76,7 +82,7 @@ def test_seq_combine(tmp_path, capsys):
                      "--in", paths["a"], "--in", paths["b"],
                      "--in", paths["c"], "--out", w)
     assert code == 0
-    body = open(w).read().splitlines()
+    body = _read(w).splitlines()
     assert body[0] == "period=651"
     assert body[1].startswith(rv.COMBINER_PREFIX)
 
@@ -104,7 +110,7 @@ def test_dft_and_crt_conv(tmp_path, capsys):
     code, _, _ = run(capsys, "crt-conv", "--factors", specs["a"],
                      specs["b"], "--out", merged)
     assert code == 0
-    lines = open(merged).read().splitlines()
+    lines = _read(merged).splitlines()
     assert lines[0].startswith("N=21 field=GF2m(6,0x43) root=g^")
     got = {}
     for ln in lines[1:]:
@@ -157,7 +163,7 @@ def test_crt_conv_golden_3x2047(tmp_path, capsys):
     # the embedded root's header, root=g^..., is pinned by the golden
     specs = _factors_3x2047(tmp_path, capsys)
     code, out, _ = run(capsys, "crt-conv", "--factors", *specs)
-    assert code == 0 and out == open(GOLDEN_3X2047).read()
+    assert code == 0 and out == _read(GOLDEN_3X2047)
 
 
 def test_default_fields_ignore_crtspectra_poly_table(tmp_path, capsys,
@@ -169,7 +175,7 @@ def test_default_fields_ignore_crtspectra_poly_table(tmp_path, capsys,
     from crtspectra.field import build_field
     table = tmp_path / "table.txt"
     table.write_text("22 0x400039\n")
-    golden = open(GOLDEN_3X2047).read()
+    golden = _read(GOLDEN_3X2047)
     for path in (table, tmp_path / "missing.txt"):
         monkeypatch.setenv("CRTSPECTRA_POLY_TABLE", str(path))
         clear_field_caches()
@@ -186,7 +192,7 @@ def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
     # so it takes no discrete log
     specs = _factors_3x2047(tmp_path, capsys)
     clear_field_caches()
-    golden = open(GOLDEN_3X2047).read()
+    golden = _read(GOLDEN_3X2047)
     discrete_log, logs = formats.discrete_log, []
 
     def counted(*args):
@@ -199,7 +205,7 @@ def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
         out = str(tmp_path / f"{name}.spec")
         assert run(capsys, "crt-conv", "--factors", *specs,
                    "--out", out)[0] == 0
-        assert open(out).read() == golden
+        assert _read(out) == golden
         calls[name] = len(logs)
     assert calls == {"cold": 1, "warm": 0}
 
@@ -226,7 +232,7 @@ def test_dft_warm_output_equals_cold(tmp_path, capsys, clear_field_caches):
                 out = str(tmp_path / f"{name}.txt")
                 assert run(capsys, "dft", "--in", p, *how,
                            "--out", out)[0] == 0
-                outs.append(open(out, "rb").read())
+                outs.append(_read(out, "rb"))
             assert outs[0] == outs[1]
             if not how:
                 assert f" field=GF2m({m},".encode() in outs[0]
@@ -296,7 +302,7 @@ def test_combine_spectrum_roundtrip(tmp_path, capsys):
     code, _, _ = run(capsys, "combine-spectrum", "--anf", rv.COMBINER_ANF,
                      "--factors", *specs, "--out", w)
     assert code == 0
-    nonzero = [ln for ln in open(w).read().splitlines()[1:]
+    nonzero = [ln for ln in _read(w).splitlines()[1:]
                if not ln.endswith(" Z")]
     assert len(nonzero) == 31
 
@@ -394,8 +400,8 @@ def test_verify_golden_31x63(capsys):
     code, tampered, _ = run(capsys, "verify", "theorem1", *lfsrs,
                             "--tamper-index", "193", "--json")
     assert code == 1
-    golden = open(os.path.join(HERE, "golden",
-                               "verify_theorem1_31x63.jsonl")).read()
+    golden = _read(os.path.join(HERE, "golden",
+                                "verify_theorem1_31x63.jsonl"))
     assert seeded + tampered == golden
 
 
@@ -410,7 +416,7 @@ def test_verify_golden_7x31x151(capsys):
         code, out, _ = run(capsys, "verify", "theorem1", *lfsrs, *extra,
                            "--json")
         assert code == want
-        assert out == open(os.path.join(HERE, "golden", golden)).read()
+        assert out == _read(os.path.join(HERE, "golden", golden))
 
 
 def test_verify_internal_error_exits_3(monkeypatch, capsys):
@@ -615,6 +621,31 @@ def test_period_header_takes_only_decimal_digits(tmp_path, capsys, period):
     assert err == f"error: {bad}:1:8: bad period {period!r}\n"
 
 
+# input errors that no other test reaches: one register's own period past
+# --bound (the product's period is checked after it), and the header of an
+# empty spectrum file, of one whose first line is blank, and of a period-0
+# sequence file; IN names the input file, written with the given text
+@pytest.mark.parametrize("argv, text, err", [
+    (("verify", "theorem1", "--lfsr", "0x25:0x1", "--bound", "5"), None,
+     "error: stream period exceeds bound 5\n"),
+    (("crt-conv", "--factors", "IN", "IN"), "",
+     "error: IN:1:1: missing spectrum header\n"),
+    (("crt-conv", "--factors", "IN", "IN"),
+     "\nN=3 field=GF2m(2,0x7) root=g^1\n0 Z\n1 0\n2 0\n",
+     "error: IN:1:1: missing spectrum header\n"),
+    (("dft", "--in", "IN"), "period=0\n\n",
+     "error: IN:1:8: period must be >= 1, got 0\n"),
+], ids=["own-period", "empty-spectrum", "blank-header", "period-0"])
+def test_input_errors_exit_2_naming_their_position(tmp_path, capsys, argv,
+                                                   text, err):
+    path = str(tmp_path / "in.txt")
+    if text is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    argv = [path if a == "IN" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", err.replace("IN", path))
+
+
 def test_dft_field_without_an_element_of_the_period_exits_2(tmp_path,
                                                             capsys):
     seq = tmp_path / "b.txt"
@@ -707,6 +738,7 @@ def _outcome(capsys, call):
     ["crt-conv", "--factors", "a", "--point", "3", "--support-only"],
     ["verify", "theorem1", "--lfsr", "0x7:0x1", "--bound=0"],
     ["field", "inspect", "--m", "x"],
+    ["dft", "--in"], ["crt-conv", "--factors"],
 ], ids=" ".join)
 def test_leaf_parse_words_help_and_usage_as_the_tree_does(
         tmp_path, capsys, monkeypatch, argv):
@@ -868,7 +900,7 @@ def test_bench_table(capsys):
 def test_golden_output(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out == open(os.path.join(HERE, "golden", golden)).read()
+    assert out == _read(os.path.join(HERE, "golden", golden))
 
 
 @pytest.mark.parametrize("cmd, golden", [
@@ -887,21 +919,21 @@ def test_seq_golden_7x31x151(tmp_path, capsys, cmd, golden):
     out = tmp_path / "out.seq"
     code, _, err = run(capsys, "seq", *cmd, *regs, "--out", str(out))
     assert (code, err) == (0, "")
-    assert out.read_bytes() == open(os.path.join(HERE, "golden", golden),
-                                    "rb").read()
+    assert out.read_bytes() == _read(os.path.join(HERE, "golden", golden),
+                                     "rb")
 
 
 def test_report_golden_example1(capsys):
     code, out, _ = run(capsys, "report", "--example", "1")
     assert code == 0
-    golden = open(os.path.join(HERE, "golden", "report_example1.md")).read()
+    golden = _read(os.path.join(HERE, "golden", "report_example1.md"))
     assert out == golden
 
 
 def test_report_golden_example2(capsys):
     code, out, _ = run(capsys, "report", "--example", "2")
     assert code == 0
-    golden = open(os.path.join(HERE, "golden", "report_example2.md")).read()
+    golden = _read(os.path.join(HERE, "golden", "report_example2.md"))
     assert out == golden
 
 

@@ -4,11 +4,12 @@ from math import gcd, isqrt
 import pytest
 
 from crtspectra.field import (PRIMITIVE_POLYS, CountingField, FieldElement,
-                              FieldSpec, build_field, cyclotomic_cosets,
+                              FieldSpec, _ones, build_field, cyclotomic_cosets,
                               default_modulus, discrete_log, element_of_order, element_order,
                               factor_int, find_root_in_subgroup, has_order,
                               is_primitive, minimal_polynomial_of,
-                              multiplicative_order_of_2)
+                              multiplicative_order_of_2, power_sum,
+                              root_power_table)
 from crtspectra.gf2poly import is_irreducible
 
 
@@ -235,6 +236,26 @@ def test_root_scan_matches_plain_ascending_scan(n, m):
     for poly in sorted(polys):
         assert find_root_in_subgroup(poly, n, fld).bits == \
             _first_root_plain(poly, powers, fld)
+
+
+def test_root_scan_without_a_root_names_the_subgroup():
+    # the roots of x^3 + x + 1 have order 7, and 7 does not divide 9
+    with pytest.raises(ValueError, match=r"^x\^3\+x\+1 has no root in the"
+                       r" order-9 subgroup$"):
+        find_root_in_subgroup(0xB, 9, F6)
+
+
+def test_power_sum_is_the_polynomial_at_a_root_power():
+    pw = root_power_table(F6.generator, 63)
+    assert _ones(0) == [] and _ones(0b1011) == [0, 1, 3]
+    # empty taps are the zero polynomial: 0 at every power
+    assert [power_sum(pw, [], k, 63) for k in range(63)] == [0] * 63
+    # at k = 0 every tap reads root^0 = 1, so the sum is the weight mod 2
+    assert power_sum(pw, [0, 1, 3], 0, 63) == 1
+    assert power_sum(pw, [0, 1, 3, 4], 0, 63) == 0
+    for k in range(63):
+        assert power_sum(pw, _ones(0b1011), k, 63) == \
+            pw[3 * k % 63] ^ pw[k] ^ 1
 
 
 def test_counting_field_tallies():
