@@ -23,9 +23,9 @@ def main():
         fld, root = default_field_for_period(s.period)
         factors.append(dft(s, fld, root))
 
-    basis = CrtBasis([3, 7])
-    S = product_spectrum(factors, basis)
+    S = product_spectrum(factors)
     print("CRT path: index k <- (k mod 3, k mod 7), exponent the same way")
+    basis = CrtBasis([3, 7])
     for k in S.support():
         pair = (k % 3, k % 7)
         back = crt_combine([pair[0], pair[1]], basis)

@@ -11,7 +11,7 @@ and Berlekamp-Massey confirms the predicted linear complexity 31.
 
 from crtspectra import (AnfCombiner, berlekamp_massey, brute_dft,
                         combiner_spectrum, combiner_stream,
-                        combiner_term_supports, compare_spectra, CrtBasis,
+                        combiner_term_supports, compare_spectra,
                         default_field_for_period, dft, Lfsr, lfsr_stream,
                         product_spectrum)
 
@@ -29,9 +29,8 @@ def main():
     for s in (a, b, c):
         fld, root = default_field_for_period(s.period)
         factors.append(dft(s, fld, root))
-    basis = CrtBasis([3, 7, 31])
 
-    lifts = combiner_term_supports(f, factors, basis)
+    lifts = combiner_term_supports(f, factors)
     total, sizes = set(), []
     for mono, idx in sorted(lifts.items(), key=lambda kv: sorted(kv[0])):
         name = "x" + " x".join(str(v) for v in sorted(mono))
@@ -41,7 +40,7 @@ def main():
         total |= set(idx)
         sizes.append(len(idx))
 
-    S = combiner_spectrum(f, factors, basis)
+    S = combiner_spectrum(f, factors)
     print(f"combined support: {S.nonzero_count()} points "
           f"(= {' + '.join(map(str, sizes))}, disjoint)")
 
@@ -55,7 +54,7 @@ def main():
 
     # the combiner is NOT the plain triple product: same index space,
     # different supports entirely
-    abc = product_spectrum(factors, basis)
+    abc = product_spectrum(factors)
     diffs = compare_spectra(abc, S)
     print(f"against the plain product a.b.c: {len(diffs)} differing indices "
           f"({abc.nonzero_count()} + {S.nonzero_count()}, no overlap)")

@@ -9,7 +9,7 @@ alignment choices.
 from __future__ import annotations
 
 from .costs import OpCounter, measure
-from .crtconv import CrtBasis, product_spectrum, product_spectrum_point
+from .crtconv import product_spectrum, product_spectrum_point
 from .field import CountingField
 from .records import FrozenRecord
 from .sequences import (BitSequence, _one_period, connection_degree,
@@ -38,7 +38,6 @@ class PairCase(FrozenRecord):
         "streams",
         "product",      # a BitSequence
         "factors",      # factor Spectrum objects
-        "basis",        # a CrtBasis
         "spectrum",     # CRT path, aligned product root
     )
 
@@ -47,9 +46,8 @@ def pair_case(spec1, spec2) -> PairCase:
     s1, s2 = _stream(spec1), _stream(spec2)
     u = pointwise_product(s1, s2)
     F1, F2 = _factor_spectrum(s1), _factor_spectrum(s2)
-    basis = CrtBasis([s1.period, s2.period])
-    S = product_spectrum([F1, F2], basis)
-    return PairCase((s1, s2), u, (F1, F2), basis, S)
+    S = product_spectrum([F1, F2])
+    return PairCase((s1, s2), u, (F1, F2), S)
 
 
 def priced_point(ex: PairCase, k: int) -> tuple[OpCounter, OpCounter]:
@@ -71,7 +69,7 @@ def priced_point(ex: PairCase, k: int) -> tuple[OpCounter, OpCounter]:
             cf = CountingField(F.field, counter)
             ds.append(dft_point(s, cf.element(F.root.bits), k % s.period))
         if ZERO not in ds:
-            product_spectrum_point(ex.factors, ex.basis, k)
+            product_spectrum_point(ex.factors, k)
 
     return measure(run_direct), measure(run_crt)
 
@@ -86,8 +84,5 @@ def example2() -> dict[str, Spectrum]:
     order."""
     A, B, C = (_factor_spectrum(_stream(spec))
                for spec in (LFSR_A, LFSR_B, LFSR_C))
-
-    def product(*factors):
-        return product_spectrum(factors, CrtBasis([f.N for f in factors]))
-
-    return {"bc": product(B, C), "ac": product(A, C), "abc": product(A, B, C)}
+    return {"bc": product_spectrum([B, C]), "ac": product_spectrum([A, C]),
+            "abc": product_spectrum([A, B, C])}

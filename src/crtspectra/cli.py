@@ -5,11 +5,11 @@ malformed input files (reported with line/column) or an output path that
 cannot be written. Each command returns its exit code and its text; `main`
 alone writes that text, to stdout or atomically to --out.
 
-Each command is a fresh process, so this module imports at top level only
-what every command runs (argparse, formats and the field, polynomial,
-sequence and spectral layers under them). A command that needs crtconv,
-bm, oracle, costs, cases, json or random imports them in its own body, so
-`dft` and `seq` start without them.
+This module imports at top level only what every command runs (argparse,
+formats and the field, polynomial, sequence and spectral layers under
+them); a command imports crtconv, bm, oracle, costs, cases, json or random
+in its own body, so a one-shot `dft` or `seq` process starts without them.
+The per-process memos serve in-process callers: tests, demos, perfbench.
 
 `main` finds a command's leaf, the parser of that one command, by the
 command's words at the head of argv, and reads plain argv after them
@@ -172,24 +172,22 @@ def _cmd_dft(args) -> tuple[int, str]:
 
 
 def _cmd_crt_conv(args) -> tuple[int, str]:
-    from .crtconv import (CrtBasis, product_spectrum, product_spectrum_point,
+    from .crtconv import (product_spectrum, product_spectrum_point,
                           support_indices)
     factors = [parse_spectrum_file(p) for p in args.factors]
-    basis = CrtBasis([f.N for f in factors])
     if args.point is not None:
-        d = product_spectrum_point(factors, basis, args.point)
+        d = product_spectrum_point(factors, args.point)
         return 0, f"{args.point} {'Z' if d is None else d}"
     if args.support_only:
-        return 0, "\n".join(map(str, support_indices(factors, basis)))
-    return 0, serialize_spectrum(product_spectrum(factors, basis))
+        return 0, "\n".join(map(str, support_indices(factors)))
+    return 0, serialize_spectrum(product_spectrum(factors))
 
 
 def _cmd_combine_spectrum(args) -> tuple[int, str]:
-    from .crtconv import CrtBasis, combiner_spectrum
+    from .crtconv import combiner_spectrum
     factors = [parse_spectrum_file(p) for p in args.factors]
-    basis = CrtBasis([f.N for f in factors])
     f = AnfCombiner.parse(args.anf, n_vars=len(factors))
-    return 0, serialize_spectrum(combiner_spectrum(f, factors, basis))
+    return 0, serialize_spectrum(combiner_spectrum(f, factors))
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -264,8 +262,8 @@ def _cmd_bench(args) -> tuple[int, str]:
     k = 108
     n_direct = S.field.m
     est_direct = estimate_direct(S.N, n_direct)
-    bk = estimate_crt_breakdown(
-        ex.basis.moduli, [f.field.m for f in ex.factors], S.N)
+    bk = estimate_crt_breakdown([f.N for f in ex.factors],
+                                [f.field.m for f in ex.factors], S.N)
     m_direct, m_crt = cases.priced_point(ex, k)
 
     rows = [

@@ -7,13 +7,14 @@ form both the index and the exponent of each nonzero point are Chinese-
 Remainder combinations of per-factor data, and no N-point transform is
 ever run.
 
-The one CRT map: with the basis idempotents e_i = 1 mod n_i, 0 mod every
-other modulus, a tuple of nonzero factor points (j_i, d_i) lands at index
-sum j_i e_i mod N with exponent sum d_i e_i mod N. Every route here (one
-point, the full product, its support, each combiner term) walks those
-tuples, so the work is one step per nonzero point, not per index. A
-variable outside a combiner monomial contributes residue 0, which is the
-lift of that term into the full index space.
+The one CRT map: each entry point takes the factor spectra alone, and the
+basis is their periods, pairwise coprime. With its idempotents e_i = 1
+mod n_i, 0 mod every other period, a tuple of nonzero factor points
+(j_i, d_i) lands at index sum j_i e_i mod N with exponent sum d_i e_i mod
+N. Every route here (one point, the full product, its support, each
+combiner term) walks those tuples, so the work is one step per nonzero
+point, not per index. A variable outside a combiner monomial contributes
+residue 0, which is the lift of that term into the full index space.
 
 Exponents only mean something relative to a root. The convention here:
 each factor's exponents are relative to that factor's own root, and the
@@ -76,23 +77,19 @@ def crt_combine(residues, basis: CrtBasis) -> int:
     return sum(r * e for r, e in zip(residues, basis.idempotents)) % basis.N
 
 
-def _check_factors(factors, basis: CrtBasis) -> list[Spectrum]:
-    """Factor spectra, one per basis modulus with matching lengths."""
+def _check_factors(factors) -> tuple[list[Spectrum], CrtBasis]:
+    """Factor spectra and the CrtBasis of their periods."""
     factors = list(factors)
     for f in factors:
         if not isinstance(f, Spectrum):
             raise TypeError(f"expected Spectrum, got {type(f)!r}")
-    if len(factors) != len(basis.moduli):
-        raise ValueError(
-            f"{len(factors)} factors for {len(basis.moduli)} moduli")
-    for f, n in zip(factors, basis.moduli):
-        if f.N != n:
-            raise ValueError(f"factor modulus {f.N} != basis modulus {n}")
+    basis = CrtBasis([f.N for f in factors])
+    for f in factors:
         if f.points.get(0, 0) != 0:
             raise ValueError(
-                f"factor of period {n} has exponent {f.points[0]} at index"
+                f"factor of period {f.N} has exponent {f.points[0]} at index"
                 " 0; a binary sequence's spectrum there is 0 or 1")
-    return factors
+    return factors, basis
 
 
 def _crt_points(factors, basis: CrtBasis, variables) -> list[tuple]:
@@ -110,17 +107,18 @@ def _crt_points(factors, basis: CrtBasis, variables) -> list[tuple]:
     return points
 
 
-def product_spectrum_point(factors, basis: CrtBasis, k: int):
+def product_spectrum_point(factors, k: int):
     """Log-form value of the product sequence's spectrum at one index.
 
     ZERO as soon as any factor is ZERO at (k mod n_i); otherwise the CRT
     combination of the factor exponents. Index 0 falls out of the same
     rule, no special casing.
     """
+    factors, basis = _check_factors(factors)
     if not 0 <= k < basis.N:
         raise ValueError(f"index {k} outside [0, {basis.N})")
     residues = []
-    for f in _check_factors(factors, basis):
+    for f in factors:
         d = f.points.get(k % f.N)
         if d is ZERO:
             return ZERO
@@ -173,7 +171,7 @@ def _assemble(factors, basis: CrtBasis, monomials) -> Spectrum:
     return Spectrum(N, field, root, points)
 
 
-def product_spectrum(factors, basis: CrtBasis) -> Spectrum:
+def product_spectrum(factors) -> Spectrum:
     """Full length-N spectrum of the bitwise product, straight from the
     factor spectra; cost is modular arithmetic per nonzero point, not
     field work.
@@ -181,36 +179,36 @@ def product_spectrum(factors, basis: CrtBasis) -> Spectrum:
     The output root is the product of the factors' embedded roots, which
     makes the result equal dft(product stream) value for value.
     """
-    factors = _check_factors(factors, basis)
+    factors, basis = _check_factors(factors)
     return _assemble(factors, basis, [range(len(factors))])
 
 
-def support_indices(factors, basis: CrtBasis) -> list[int]:
+def support_indices(factors) -> list[int]:
     """Sorted nonzero indices of the product spectrum: CRT images of every
     tuple of per-factor nonzero indices."""
-    factors = _check_factors(factors, basis)
+    factors, basis = _check_factors(factors)
     return sorted(k for k, _ in _crt_points(factors, basis,
                                             range(len(factors))))
 
 
-def _check_combiner(f: AnfCombiner, factors, basis: CrtBasis) -> list[Spectrum]:
+def _check_combiner(f: AnfCombiner, factors):
     if len(factors) != f.n_vars:
         raise ValueError(f"{len(factors)} factors for {f.n_vars} variables")
-    return _check_factors(factors, basis)
+    return _check_factors(factors)
 
 
-def combiner_term_supports(f: AnfCombiner, factors, basis: CrtBasis) -> dict:
+def combiner_term_supports(f: AnfCombiner, factors) -> dict:
     """Length-N support of each ANF monomial under the combiner's shared
-    root: k = 0 mod every modulus outside the term, k mod N_T ranging over
-    the term's own product support.
+    root: k = 0 mod every factor period outside the term, k mod N_T
+    ranging over the term's own product support.
     """
-    factors = _check_combiner(f, factors, basis)
+    factors, basis = _check_combiner(f, factors)
     return {mono: sorted(k for k, _ in _crt_points(
                 factors, basis, [v - 1 for v in mono]))
             for mono in f.monomials}
 
 
-def combiner_spectrum(f: AnfCombiner, factors, basis: CrtBasis) -> Spectrum:
+def combiner_spectrum(f: AnfCombiner, factors) -> Spectrum:
     """Spectrum of f(inputs) assembled term by term, no length-N transform.
 
     Each ANF monomial is a bitwise product of its variables; under the
@@ -220,6 +218,6 @@ def combiner_spectrum(f: AnfCombiner, factors, basis: CrtBasis) -> Spectrum:
     0, and there equal terms cancel in pairs; otherwise the sum is a plain
     union.
     """
-    factors = _check_combiner(f, factors, basis)
+    factors, basis = _check_combiner(f, factors)
     return _assemble(factors, basis,
                      [[v - 1 for v in mono] for mono in f.monomials])

@@ -400,8 +400,7 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
         raise ValueError("need at least one (connection, seed) pair")
     streams = [_one_period(conn, seed, bound) for conn, seed in lfsrs]
     periods = [s.period for s in streams]
-    basis = CrtBasis(periods)
-    N = basis.N
+    N = CrtBasis(periods).N   # shared periods raise before the bound does
     if N > bound:
         raise ValueError(f"product period {N} exceeds bound {bound}")
     if tamper_index is not None and not 0 <= tamper_index < N:
@@ -411,7 +410,7 @@ def verify_theorem1(lfsrs, bound: int = 100_000,
     for s in streams:
         fld, rt = default_field_for_period(s.period)
         factors.append(dft(s, fld, rt))
-    S_crt = product_spectrum(factors, basis)
+    S_crt = product_spectrum(factors)
     if tamper_index is not None:
         pts = S_crt.points
         S_crt = Spectrum(N, S_crt.field, S_crt.root, {

@@ -357,13 +357,19 @@ def blahut_check(S: Spectrum, L: int) -> bool:
 
 def coset_reduce(S: Spectrum) -> dict:
     """Map each nonzero coset leader, ascending, to its exponent; the rest is
-    recoverable by squaring. Rejects spectra that break the doubling law."""
+    recoverable by squaring. Rejects spectra that break the doubling law.
+    S.points is ascending and holds whole orbits, so the first index met
+    of each orbit is its leader, and each orbit is walked once."""
     bad = S.conjugacy_violation()
     if bad is not None:
         raise ValueError(
             f"conjugacy violated between indices {bad[0]} and {bad[1]}")
-    return {k: d for k, d in S.points.items()
-            if min(_doubling_orbit(k, S.N)) == k}
+    reps, seen = {}, set()
+    for k, d in S.points.items():
+        if k not in seen:
+            reps[k] = d
+            seen.update(_doubling_orbit(k, S.N))
+    return reps
 
 
 def coset_expand(reps: dict, N: int, field: FieldSpec,

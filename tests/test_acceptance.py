@@ -13,9 +13,8 @@ from crtspectra.bm import berlekamp_massey, regenerate
 from crtspectra.cli import main as cli_main
 from crtspectra.costs import (estimate_crt_breakdown, estimate_direct,
                               measure, OpCounter)
-from crtspectra.crtconv import (CrtBasis, combiner_spectrum,
-                                combiner_term_supports, product_spectrum,
-                                product_spectrum_point)
+from crtspectra.crtconv import (combiner_spectrum, combiner_term_supports,
+                                product_spectrum, product_spectrum_point)
 from crtspectra.field import CountingField
 from crtspectra.gf2poly import is_irreducible
 from crtspectra.field import is_primitive
@@ -67,7 +66,7 @@ def test_criterion_1_pair_product_bit_exact(announce):
     checks.append(("factor_spectra", list(A.values) == rv.SPECTRUM_A
                    and list(B.values) == rv.SPECTRUM_B))
 
-    S_crt = product_spectrum([A, B], CrtBasis([3, 7]))
+    S_crt = product_spectrum([A, B])
     S_brute = brute_dft(u, S_crt.field, S_crt.root)
     mms = compare_spectra(S_brute, S_crt)
     checks.append(("table", _table(S_crt) == rv.TABLE_AB))
@@ -106,13 +105,13 @@ def test_criterion_2_pairwise_217_93(announce):
     checks.append(("variant_rejected",
                    _regen_raw(variant, bits_ac, 93) != bits_ac))
 
-    S_bc = product_spectrum([_factor(b), _factor(c)], CrtBasis([7, 31]))
+    S_bc = product_spectrum([_factor(b), _factor(c)])
     checks.append(("table2", _table(S_bc) == rv.TABLE_BC))
     checks.append(("brute217",
                    compare_spectra(brute_dft(bc, S_bc.field, S_bc.root),
                                    S_bc) == []))
 
-    S_ac = product_spectrum([_factor(a), _factor(c)], CrtBasis([3, 31]))
+    S_ac = product_spectrum([_factor(a), _factor(c)])
     checks.append(("table3", _table(S_ac) == rv.TABLE_AC))
     checks.append(("brute93",
                    compare_spectra(brute_dft(ac, S_ac.field, S_ac.root),
@@ -143,8 +142,7 @@ def test_criterion_3_triple_product_651(announce):
     t0 = time.time()
     a, b, c = _stream(rv.LFSR_A), _stream(rv.LFSR_B), _stream(rv.LFSR_C)
     abc = pointwise_product(pointwise_product(a, b), c)
-    S = product_spectrum([_factor(a), _factor(b), _factor(c)],
-                         CrtBasis([3, 7, 31]))
+    S = product_spectrum([_factor(a), _factor(b), _factor(c)])
     got = _table(S)
     checks = [
         ("thirty_points", S.nonzero_count() == 30),
@@ -170,16 +168,15 @@ def test_criterion_4_combiner_ground_truth(announce):
     w = combiner_stream(f, [a, b, c])
     r = berlekamp_massey([w.bit(t) for t in range(1302)])
     factors = [_factor(a), _factor(b), _factor(c)]
-    basis = CrtBasis([3, 7, 31])
-    S = combiner_spectrum(f, factors, basis)
+    S = combiner_spectrum(f, factors)
     S_brute = brute_dft(w, S.field, S.root)
 
-    lifts = combiner_term_supports(f, factors, basis)
+    lifts = combiner_term_supports(f, factors)
     lift_sets = [set(v) for v in lifts.values()]
     union = set().union(*lift_sets)
     disjoint = sum(len(x) for x in lift_sets) == len(union)
 
-    S_abc = product_spectrum(factors, basis)
+    S_abc = product_spectrum(factors)
     divergence = compare_spectra(S_abc, S)
 
     checks = [
@@ -248,7 +245,7 @@ def test_criterion_6_complexity_reproduction(announce):
     b, c = _stream(rv.LFSR_B), _stream(rv.LFSR_C)
     bc = pointwise_product(b, c)
     SB, SC = _factor(b), _factor(c)
-    S = product_spectrum([SB, SC], CrtBasis([7, 31]))
+    S = product_spectrum([SB, SC])
 
     def run_direct(counter: OpCounter):
         cf = CountingField(S.field, counter)
@@ -260,7 +257,7 @@ def test_criterion_6_complexity_reproduction(announce):
         d1 = dft_point(b, f1.element(SB.root.bits), 108 % 7)
         d2 = dft_point(c, f2.element(SC.root.bits), 108 % 31)
         if d1 is not None and d2 is not None:
-            product_spectrum_point([SB, SC], CrtBasis([7, 31]), 108)
+            product_spectrum_point([SB, SC], 108)
 
     mul_direct = measure(run_direct).mul_count
     mul_crt = measure(run_crt).mul_count
@@ -310,7 +307,8 @@ def test_criterion_7_roundtrip_and_goldens(announce, capsys, tmp_path):
     for ex, name in ((1, "report_example1.md"), (2, "report_example2.md")):
         code = cli_main(["report", "--example", str(ex)])
         out = capsys.readouterr().out
-        golden = open(os.path.join(here, "golden", name)).read()
+        with open(os.path.join(here, "golden", name)) as fh:
+            golden = fh.read()
         stable = stable and code == 0 and out == golden
 
     dt = time.time() - t0

@@ -562,7 +562,11 @@ def test_every_command_writes_its_stdout_to_out(tmp_path, capsys, argv):
      "bad --mod '0xzz'; expected a polynomial like 0xb or x^3+x+1"),
     (("verify", "theorem1", "--lfsr", "0xzz:1"),
      "bad --lfsr '0xzz:1'; expected <poly>:<seed> like 0xb:0x1"),
-], ids=["poly", "seed", "mod", "lfsr"])
+    (("seq", "gen", "--poly", "x^3+y", "--seed", "0x1", "--bits", "7"),
+     "bad --poly 'x^3+y'; expected a polynomial like 0xb or x^3+x+1"),
+    (("seq", "gen", "--poly", "x^-1+1", "--seed", "0x1", "--bits", "7"),
+     "bad --poly 'x^-1+1'; expected a polynomial like 0xb or x^3+x+1"),
+], ids=["poly", "seed", "mod", "lfsr", "poly-term", "poly-exponent"])
 def test_unparsable_flag_value_names_the_flag(capsys, argv, message):
     # not int()'s "invalid literal ..." with no flag in it
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -624,7 +628,9 @@ def test_period_header_takes_only_decimal_digits(tmp_path, capsys, period):
 # input errors that no other test reaches: one register's own period past
 # --bound (the product's period is checked after it), and the header of an
 # empty spectrum file, of one whose first line is blank, and of a period-0
-# sequence file; IN names the input file, written with the given text
+# sequence file; a product of one stream; and a modulus whose factors all
+# have degree 1, the one input that reaches the field's fallback factor
+# scan. IN names the input file, written with the given text
 @pytest.mark.parametrize("argv, text, err", [
     (("verify", "theorem1", "--lfsr", "0x25:0x1", "--bound", "5"), None,
      "error: stream period exceeds bound 5\n"),
@@ -635,7 +641,12 @@ def test_period_header_takes_only_decimal_digits(tmp_path, capsys, period):
      "error: IN:1:1: missing spectrum header\n"),
     (("dft", "--in", "IN"), "period=0\n\n",
      "error: IN:1:8: period must be >= 1, got 0\n"),
-], ids=["own-period", "empty-spectrum", "blank-header", "period-0"])
+    (("seq", "product", "--in", "IN"), "period=3\n011\n",
+     "error: seq product needs at least two --in files\n"),
+    (("field", "inspect", "--mod", "0x6"), None,
+     "error: modulus x^2+x is reducible (divisible by x)\n"),
+], ids=["own-period", "empty-spectrum", "blank-header", "period-0",
+        "one-stream-product", "linear-factors"])
 def test_input_errors_exit_2_naming_their_position(tmp_path, capsys, argv,
                                                    text, err):
     path = str(tmp_path / "in.txt")
@@ -644,6 +655,22 @@ def test_input_errors_exit_2_naming_their_position(tmp_path, capsys, argv,
             fh.write(text)
     argv = [path if a == "IN" else a for a in argv]
     assert run(capsys, *argv) == (2, "", err.replace("IN", path))
+
+
+@pytest.mark.parametrize("anf, message", [
+    ("1*x", "bad monomial '1*x' in ANF '1*x'"),
+    ("1++2", "empty term in ANF '1++2'"),
+    ("1*3", "monomial variable 3 not in 1..2"),
+], ids=["bad-monomial", "empty-term", "variable-range"])
+def test_combine_spectrum_bad_anf_exits_2(tmp_path, capsys, anf, message):
+    paths = _write_streams(tmp_path, capsys)
+    specs = []
+    for name in ("a", "b"):
+        specs.append(str(tmp_path / f"{name}.spec"))
+        assert run(capsys, "dft", "--in", paths[name],
+                   "--out", specs[-1])[0] == 0
+    assert run(capsys, "combine-spectrum", "--anf", anf,
+               "--factors", *specs) == (2, "", f"error: {message}\n")
 
 
 def test_dft_field_without_an_element_of_the_period_exits_2(tmp_path,

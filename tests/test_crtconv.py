@@ -87,27 +87,24 @@ def test_crt_combine_rejections():
 
 
 def test_product_spectrum_reference_21():
-    basis = CrtBasis([3, 7])
-    S = product_spectrum([_spec(A), _spec(B)], basis)
+    S = product_spectrum([_spec(A), _spec(B)])
     assert {k: S.values[k] for k in S.support()} == rv.TABLE_AB
     assert S.N == 21 and S.field.m == 6
 
 
 def test_product_spectrum_point_zero_propagation():
-    basis = CrtBasis([3, 7])
     factors = [_spec(A), _spec(B)]
-    assert product_spectrum_point(factors, basis, 0) is None   # A part zero
-    assert product_spectrum_point(factors, basis, 5) == 9
+    assert product_spectrum_point(factors, 0) is None   # A part zero
+    assert product_spectrum_point(factors, 5) == 9
     with pytest.raises(ValueError):
-        product_spectrum_point(factors, basis, 21)
+        product_spectrum_point(factors, 21)
 
 
 def test_support_indices():
-    basis = CrtBasis([3, 7])
-    assert support_indices([_spec(A), _spec(B)], basis) == sorted(rv.TABLE_AB)
+    assert support_indices([_spec(A), _spec(B)]) == sorted(rv.TABLE_AB)
     SA = _spec(A)
     empty = Spectrum(3, SA.field, SA.root, {})
-    assert support_indices([empty, _spec(B)], basis) == []
+    assert support_indices([empty, _spec(B)]) == []
 
 
 def test_support_indices_four_factors():
@@ -119,7 +116,7 @@ def test_support_indices_four_factors():
     expected = [k for k in range(basis.N)
                 if all(f.values[k % f.N] is not None for f in factors)]
     assert len(expected) == 2 * 3 * 5 * 7
-    assert support_indices(factors, basis) == expected
+    assert support_indices(factors) == expected
 
 
 def test_product_spectrum_work_follows_the_support():
@@ -129,26 +126,25 @@ def test_product_spectrum_work_follows_the_support():
     moduli = (7, 31, 151, 331)
     factors = [coset_expand({1: 0}, n, *default_field_for_period(n))
                for n in moduli]
-    basis = CrtBasis(moduli)
     tracemalloc.start()
     try:
-        S = product_spectrum(factors, basis)
+        S = product_spectrum(factors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (S.N, S.nonzero_count()) == (10_845_877, 6750)
     assert peak < 8_000_000
-    assert S.support() == support_indices(factors, basis)
+    assert S.support() == support_indices(factors)
     rng = random.Random(14)
     sample = rng.sample(S.support(), 50) + [0, 1, S.N - 1] + [
         rng.randrange(S.N) for _ in range(50)]
     for k in sample:
-        assert S.points.get(k) == product_spectrum_point(factors, basis, k)
+        assert S.points.get(k) == product_spectrum_point(factors, k)
 
 
 def test_factors_must_be_spectra():
     with pytest.raises(TypeError):
-        support_indices([_spec(A).values, _spec(B)], CrtBasis([3, 7]))
+        support_indices([_spec(A).values, _spec(B)])
 
 
 def test_factor_exponent_at_index_0_must_be_0():
@@ -156,29 +152,27 @@ def test_factor_exponent_at_index_0_must_be_0():
     s = _spec(_complement(C))
     assert s.points[0] == 0     # odd weight: S_0 = 1 = root^0
     bad = Spectrum(s.N, s.field, s.root, {**s.points, 0: 1})
-    factors, basis = [_spec(B), bad], CrtBasis([7, 31])
+    factors = [_spec(B), bad]
     with pytest.raises(ValueError, match="exponent 1 at index 0"):
-        product_spectrum(factors, basis)
+        product_spectrum(factors)
     with pytest.raises(ValueError, match="exponent 1 at index 0"):
-        combiner_spectrum(AnfCombiner.parse("1+1*2"), factors, basis)
+        combiner_spectrum(AnfCombiner.parse("1+1*2"), factors)
 
 
 def test_reference_217_and_93():
-    S_bc = product_spectrum([_spec(B), _spec(C)], CrtBasis([7, 31]))
+    S_bc = product_spectrum([_spec(B), _spec(C)])
     assert {k: S_bc.values[k] for k in S_bc.support()} == rv.TABLE_BC
-    S_ac = product_spectrum([_spec(A), _spec(C)], CrtBasis([3, 31]))
+    S_ac = product_spectrum([_spec(A), _spec(C)])
     assert {k: S_ac.values[k] for k in S_ac.support()} == rv.TABLE_AC
 
 
 def test_reference_651_triple():
-    basis = CrtBasis([3, 7, 31])
-    S = product_spectrum([_spec(A), _spec(B), _spec(C)], basis)
+    S = product_spectrum([_spec(A), _spec(B), _spec(C)])
     assert {k: S.values[k] for k in S.support()} == rv.TABLE_ABC
 
 
 def test_product_spectrum_inverts_to_product_sequence():
-    basis = CrtBasis([3, 7])
-    S = product_spectrum([_spec(A), _spec(B)], basis)
+    S = product_spectrum([_spec(A), _spec(B)])
     assert str(idft(S)) == rv.PRODUCT_AB
 
 
@@ -237,8 +231,7 @@ def test_aligned_product_root_is_product_of_embeds():
 
 def test_combiner_term_supports_reference():
     f = AnfCombiner.parse(rv.COMBINER_ANF)
-    basis = CrtBasis([3, 7, 31])
-    lifts = combiner_term_supports(f, [_spec(A), _spec(B), _spec(C)], basis)
+    lifts = combiner_term_supports(f, [_spec(A), _spec(B), _spec(C)])
     ab = frozenset((1, 2))
     assert lifts[ab] == rv.LIFT_AB_651
     sets = [set(v) for v in lifts.values()]
@@ -248,8 +241,7 @@ def test_combiner_term_supports_reference():
 def test_combiner_spectrum_reference():
     f = AnfCombiner.parse(rv.COMBINER_ANF)
     factors = [_spec(A), _spec(B), _spec(C)]
-    basis = CrtBasis([3, 7, 31])
-    S = combiner_spectrum(f, factors, basis)
+    S = combiner_spectrum(f, factors)
     assert S.nonzero_count() == 31
     # spectrum inverts to the combiner keystream itself
     w = combiner_stream(f, [A, B, C])
@@ -258,32 +250,29 @@ def test_combiner_spectrum_reference():
 
 def test_combiner_cancellation_gives_zero_spectrum():
     f = AnfCombiner.parse("1*2+1*2", n_vars=2)
-    S = combiner_spectrum(f, [_spec(A), _spec(B)], CrtBasis([3, 7]))
+    S = combiner_spectrum(f, [_spec(A), _spec(B)])
     assert S.nonzero_count() == 0
 
 
 def test_single_monomial_combiner_reduces_to_product():
     # f(x1,x2) = x1x2 over exactly its own variables: identical data
     f = AnfCombiner.parse("1*2")
-    basis = CrtBasis([7, 31])
     factors = [_spec(B), _spec(C)]
-    S1 = combiner_spectrum(f, factors, basis)
-    assert S1 == product_spectrum(factors, basis)
+    S1 = combiner_spectrum(f, factors)
+    assert S1 == product_spectrum(factors)
 
 
 def test_combiner_arity_and_moduli_checks():
     f = AnfCombiner.parse(rv.COMBINER_ANF)
     with pytest.raises(ValueError):
-        combiner_spectrum(f, [_spec(A), _spec(B)], CrtBasis([3, 7]))
-    with pytest.raises(ValueError):
-        combiner_spectrum(f, [_spec(A), _spec(B), _spec(C)],
-                          CrtBasis([3, 7, 11]))
+        combiner_spectrum(f, [_spec(A), _spec(B)])
+    with pytest.raises(ValueError, match="share factor"):
+        combiner_spectrum(f, [_spec(A), _spec(B), _spec(A)])
 
 
 def _combiner_or_error(f, seqs):
     try:
-        return combiner_spectrum(f, [_spec(s) for s in seqs],
-                                 CrtBasis([s.period for s in seqs]))
+        return combiner_spectrum(f, [_spec(s) for s in seqs])
     except ValueError as e:
         return e
 
@@ -322,8 +311,7 @@ def test_complemented_input_overlaps_term_supports():
     # mod 31, where their equal terms cancel
     seqs = (B, _complement(C))
     f = AnfCombiner.parse("1+1*2")
-    lifts = combiner_term_supports(f, [_spec(s) for s in seqs],
-                                   CrtBasis([7, 31]))
+    lifts = combiner_term_supports(f, [_spec(s) for s in seqs])
     x1, x1x2 = lifts[frozenset((1,))], lifts[frozenset((1, 2))]
     assert set(x1) & set(x1x2)
     S = _combiner_or_error(f, seqs)
@@ -335,7 +323,6 @@ def test_combiner_costs_what_a_product_costs(monkeypatch, clear_field_caches):
     # the combiner's only field work is the shared root, as the product's;
     # both calls start from empty field and root-image caches
     factors = [_spec(C), _spec(E)]
-    basis = CrtBasis([31, 63])
     f = AnfCombiner.parse("1+2+1*2")
     calls = [0]
     mul_int = FieldSpec.mul_int
@@ -345,10 +332,10 @@ def test_combiner_costs_what_a_product_costs(monkeypatch, clear_field_caches):
         return mul_int(self, a, b)
     monkeypatch.setattr(FieldSpec, "mul_int", counted)
     clear_field_caches()
-    product_spectrum(factors, basis)
+    product_spectrum(factors)
     product_calls, calls[0] = calls[0], 0
     clear_field_caches()
-    S = combiner_spectrum(f, factors, basis)
+    S = combiner_spectrum(f, factors)
     assert calls[0] == product_calls > 0
     assert S.nonzero_count() == 5 + 6 + 5 * 6   # disjoint term supports
 

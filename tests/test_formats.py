@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from crtspectra.crtconv import CrtBasis, product_spectrum
+from crtspectra.crtconv import product_spectrum
 from crtspectra.field import (FieldSpec, _doubling_orbit, build_field,
                               discrete_log, element_of_order)
 from crtspectra.formats import (FormatError, atomic_write, parse_field,
@@ -28,7 +28,7 @@ def _product_spectrum_21():
     for s in (a, b):
         fld, root = default_field_for_period(s.period)
         specs.append(dft(s, fld, root))
-    return product_spectrum(specs, CrtBasis([3, 7]))
+    return product_spectrum(specs)
 
 
 def test_field_roundtrip():

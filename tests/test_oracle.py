@@ -4,8 +4,9 @@ from math import gcd, prod
 import pytest
 
 from crtspectra.bm import berlekamp_massey
-from crtspectra.crtconv import CrtBasis, product_spectrum
-from crtspectra.field import cyclotomic_cosets, default_modulus, discrete_log
+from crtspectra.crtconv import product_spectrum
+from crtspectra.field import (build_field, cyclotomic_cosets, default_modulus,
+                              discrete_log, element_of_order)
 import crtspectra.oracle as oracle
 from crtspectra.oracle import (Mismatch, brute_dft, compare_spectra,
                                inverse_matches, verify_theorem1)
@@ -69,6 +70,16 @@ def test_compare_spectra_rejects_different_conventions():
     SB = dft(B, fld7, root7)
     with pytest.raises(ValueError):
         compare_spectra(S, SB)
+
+
+def test_compare_spectra_names_the_convention_that_differs():
+    fld, root = default_field_for_period(7)
+    S = dft(B, fld, root)
+    F6 = build_field(6)
+    with pytest.raises(ValueError, match=r"^incomparable: different fields$"):
+        compare_spectra(S, dft(B, F6, element_of_order(F6, 7)))
+    with pytest.raises(ValueError, match=r"^incomparable: different roots$"):
+        compare_spectra(S, dft(B, fld, root ** 3))
 
 
 def test_verify_theorem1_worked_pairs():
@@ -229,7 +240,7 @@ def _seeded_product(degrees, rng):
     streams = [lfsr_stream(Lfsr(default_modulus(n), rng.randrange(1, 1 << n)),
                            (1 << n) - 1) for n in degrees]
     factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
-    S = product_spectrum(factors, CrtBasis([s.period for s in streams]))
+    S = product_spectrum(factors)
     u = streams[0]
     for s in streams[1:]:
         u = pointwise_product(u, s)
@@ -450,7 +461,7 @@ def _claim_reports(run, claims):
     reports = []
     for T in claims:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "product_spectrum", lambda factors, basis: T)
+            mp.setattr(oracle, "product_spectrum", lambda factors: T)
             reports.append(verify_theorem1(run))
     return reports
 
@@ -460,7 +471,7 @@ def _crt_claim(run):
     builds it."""
     streams = [oracle._one_period(conn, seed, 10 ** 5) for conn, seed in run]
     factors = [dft(s, *default_field_for_period(s.period)) for s in streams]
-    return product_spectrum(factors, CrtBasis([s.period for s in streams]))
+    return product_spectrum(factors)
 
 
 def _without_orbit(S, k):
@@ -642,6 +653,24 @@ def _residue_verdict(T, s):
     f = _minimal_poly(s)
     word = s.word & ((1 << f.bit_length() - 1) - 1)
     return compare_spectra(oracle._residue_dft(word, f, T), T) == []
+
+
+def test_residue_dft_of_a_sequence_with_no_log_form_is_none():
+    # 00011 has period 5, and its transform at k = 1 lies outside the
+    # order-5 subgroup of GF(2^4): dft raises, and the lister's log of
+    # that value finds no exponent, so it lists nothing
+    s = BitSequence.from_string("00011")
+    fld, root = default_field_for_period(5)
+    with pytest.raises(ValueError, match="outside the cyclic group"):
+        dft(s, fld, root)
+    r = berlekamp_massey(s.bits * 2)
+    assert r.linear_complexity == 4
+    word = s.word & 0b1111
+    assert oracle._residue_dft(word, r.minimal_poly,
+                               Spectrum(5, fld, root, {})) is None
+    log = oracle._log_of(fld, root.bits, 5, oracle._power_of(fld, root.bits))
+    assert log((root ** 3).bits) == 3
+    assert log(fld.generator.bits) is None     # order 15, not a root power
 
 
 @pytest.mark.parametrize("degrees", _PRODUCT_DEGREES)

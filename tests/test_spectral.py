@@ -580,6 +580,24 @@ def test_coset_reduce_rejects_conjugacy_violation():
     assert str(k) in str(e.value) and str(k2) in str(e.value)
 
 
+def test_coset_reduce_keeps_the_least_index_of_each_orbit(
+        random_log_spectrum):
+    # one walk per orbit against the definition: a support index is kept,
+    # with its exponent, when it is the least of its doubling orbit
+    rng = random.Random(20)
+    for N in (1, 3, 7, 21, 63, 93, 217, 255):
+        fld, root = default_field_for_period(N)
+        leaders = {c[0] for c in cyclotomic_cosets(N)}
+        units = [u for u in range(1, N + 1) if gcd(u, N) == 1]
+        for u in rng.sample(units, min(4, len(units))):
+            for _ in range(5):
+                S = random_log_spectrum(fld, root ** u, rng)
+                reps = coset_reduce(S)
+                assert reps == {k: d for k, d in S.points.items()
+                                if k in leaders}
+                assert list(reps) == sorted(reps)
+
+
 def test_spectrum_checks_match_index_walks():
     # the one pass over the points against a walk over every index, on
     # values that hold ZERO, exponents in range and a few outside it on
