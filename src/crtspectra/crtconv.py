@@ -159,16 +159,30 @@ def _assemble(factors, basis: CrtBasis, monomials) -> Spectrum:
     Two monomials reach the same index only where every factor in just one
     of them sits at its index 0, whose exponent is 0; so all terms at an
     index carry the same exponent and their field sum is that exponent or
-    ZERO by the parity of the count."""
+    ZERO by the parity of the count.
+
+    The map proves what Spectrum(...) would check. The root has order N,
+    a product of roots of pairwise coprime orders n_i. Doubling commutes
+    with it: 2 sum j_i e_i = sum (2 j_i) e_i mod N, and so for exponents,
+    so conjugate factors give conjugate monomial spectra, each of whose
+    supports doubling permutes, and the same count of terms at k as at 2k.
+    The output is built without the scan unless a factor itself breaks
+    the doubling law."""
     N = basis.N
     field = build_field(multiplicative_order_of_2(N))
     root = aligned_product_root([f.root for f in factors], field)
-    points = {}
-    for mono in monomials:
-        for k, d in _crt_points(factors, basis, mono):
-            if points.pop(k, ZERO) is ZERO:
-                points[k] = d
-    return Spectrum(N, field, root, points)
+    if len(monomials) == 1:  # one term: the map is one-to-one, none cancel
+        pairs = _crt_points(factors, basis, monomials[0])
+    else:
+        points = {}
+        for mono in monomials:
+            for k, d in _crt_points(factors, basis, mono):
+                if points.pop(k, ZERO) is ZERO:
+                    points[k] = d
+        pairs = points.items()
+    if any(f.conjugacy_violation() is not None for f in factors):
+        return Spectrum(N, field, root, dict(pairs))
+    return Spectrum._proven(N, field, root, pairs)
 
 
 def product_spectrum(factors) -> Spectrum:
@@ -192,9 +206,10 @@ def support_indices(factors) -> list[int]:
 
 
 def _check_combiner(f: AnfCombiner, factors):
+    factors, basis = _check_factors(factors)
     if len(factors) != f.n_vars:
         raise ValueError(f"{len(factors)} factors for {f.n_vars} variables")
-    return _check_factors(factors)
+    return factors, basis
 
 
 def combiner_term_supports(f: AnfCombiner, factors) -> dict:

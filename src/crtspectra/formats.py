@@ -9,7 +9,10 @@ built from a memoized all-zero body with the support lines spliced in. A
 file byte-identical to that layout is read by comparison: its support lines
 are read, the file is written again from them and compared whole. Any other
 file is read by a walk over its lines, which alone words an error, so error
-positions are the same whichever reader saw the file first.
+positions are the same whichever reader saw the file first. A spectrum
+read is memoized by the exact text of its file, so a process that reads
+that text again pays a hash of it and a comparison with the copy held, not
+a second check (see parse_spectrum).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from stat import S_ISREG
 
 from .field import FieldElement, FieldSpec, build_field, discrete_log
 from .sequences import BitSequence
-from .spectral import Spectrum
+from .spectral import _PLAN_MAX_N, Spectrum
 
 
 class FormatError(Exception):
@@ -151,6 +154,8 @@ def parse_sequence(text: str, path: str = "<input>") -> BitSequence:
 _SPEC_HEAD_RE = re.compile(rf"^N=({_DIGITS}) field=GF2m\(({_DIGITS}),"
                            rf"0x([0-9A-Fa-f]+)\) root=g\^({_DIGITS})$")
 _SPEC_LINE_RE = re.compile(rf"^({_DIGITS}) (Z|{_DIGITS})$")
+# the header's N, read ahead of the header match to choose the memo or not
+_N_PREFIX_RE = re.compile(rf"N=({_DIGITS}) ")
 
 
 def serialize_spectrum(S: Spectrum) -> str:
@@ -251,8 +256,27 @@ def _read_canonical(text: str, head: str, N: int, field: FieldSpec,
 
 def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
     """Read a spectrum file: by comparison (_read_canonical) when it is in
-    serialize_spectrum's exact layout, else by the line walk below, which
-    alone words an error."""
+    serialize_spectrum's exact layout, else by _read_spectrum's line walk,
+    which alone words an error.
+
+    A text read before in this process, with N <= _PLAN_MAX_N, is answered
+    from a memo keyed by the text alone, never by path or mtime, at the
+    cost of one hash of it and one comparison with the copy held, both
+    linear in its length: a Spectrum is immutable, so a text gives the
+    same one every time. A text that fails is never held, and its error
+    names the path it was read under. A larger N, or a text that does not
+    begin `N=<int> `, is neither hashed nor held."""
+    mo = _N_PREFIX_RE.match(text)
+    if mo is None or int(mo.group(1)) > _PLAN_MAX_N:
+        return _read_spectrum(text, path)
+    try:
+        return _read_spectrum_memo(text)
+    except FormatError as err:   # worded under the memo's default path
+        raise FormatError(err.message, path, err.line, err.col) from None
+
+
+def _read_spectrum(text: str, path: str = "<input>") -> Spectrum:
+    """parse_spectrum's reader, with no memo."""
     # the first of text.splitlines(), without splitting the whole text
     first = text.partition("\n")[0].splitlines()
     if not first or not first[0].strip():
@@ -317,6 +341,11 @@ def parse_spectrum(text: str, path: str = "<input>") -> Spectrum:
             f"conjugacy violated between indices {bad[0]} and {bad[1]}:"
             " not the spectrum of a binary sequence", path, line_of[bad[0]], 1)
     return S
+
+
+# Spectra read, memoized per process by the exact text of their file; only
+# N <= _PLAN_MAX_N comes here (see parse_spectrum)
+_read_spectrum_memo = lru_cache(maxsize=32)(_read_spectrum)
 
 
 def read_text(path: str) -> str:

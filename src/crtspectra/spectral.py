@@ -67,6 +67,20 @@ class Spectrum:
         self.__dict__.update(N=N, field=field, root=root, points=pts,
                              _violation=min(bad, default=None))
 
+    @classmethod
+    def _proven(cls, N: int, field: FieldSpec, root: FieldElement,
+                pairs) -> Spectrum:
+        """A kernel's output from its (k, d) pairs, k distinct, with the
+        public constructor's ascending points and none of its checks: the
+        kernel proves that root, in field, has order N, that every index
+        and exponent lies in [0, N), and that d(2k) = 2 d(k) mod N holds,
+        so the scan is not run and the spectrum has no conjugacy
+        violation. Outside data go through Spectrum(...)."""
+        S = object.__new__(cls)
+        S.__dict__.update(N=N, field=field, root=root,
+                          points=dict(sorted(pairs)), _violation=None)
+        return S
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

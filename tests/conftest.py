@@ -30,7 +30,7 @@ def random_log_spectrum():
 @pytest.fixture
 def clear_field_caches():
     """Empties the per-process memos: fields, root orders, default fields,
-    transform plans, root images, header exponents and the
+    transform plans, root images, header exponents, spectra read and the
     oracle's byte tables, so the next call does its set-up work as a
     fresh process would. They are emptied again after the test, so no
     plan built under a test's patches outlives it."""
@@ -41,6 +41,7 @@ def clear_field_caches():
         spectral._transform_plan.cache_clear()
         crtconv._image_bits.cache_clear()
         formats._root_exponent.cache_clear()
+        formats._read_spectrum_memo.cache_clear()
         oracle._memo_tables.cache_clear()
     yield clear
     clear()

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from crtspectra import formats, spectral
 from crtspectra.cli import _build_parser, _plain, main
+from crtspectra.crtconv import product_spectrum
+from crtspectra.sequences import Lfsr, lfsr_stream
+from crtspectra.spectral import default_field_for_period, dft
 
 import reference_values as rv
 
@@ -208,6 +211,26 @@ def test_crt_conv_warm_output_equals_cold(tmp_path, capsys, monkeypatch,
         assert _read(out) == golden
         calls[name] = len(logs)
     assert calls == {"cold": 1, "warm": 0}
+
+
+def test_crt_conv_reads_a_factor_rewritten_in_place(tmp_path, capsys):
+    # parsed spectra are memoized by their text alone: a factor file given
+    # new text under the same path and mtime gives the new product
+    specs = _factors_3x2047(tmp_path, capsys)
+    out = str(tmp_path / "ab.spec")
+    assert run(capsys, "crt-conv", "--factors", *specs, "--out", out)[0] == 0
+    assert _read(out) == _read(GOLDEN_3X2047)
+    before = os.stat(specs[1])
+    factors = [dft(lfsr_stream(Lfsr(0x7, 0x1), 3),
+                   *default_field_for_period(3)),
+               dft(lfsr_stream(Lfsr(0x805, 0x2), 2047),
+                   *default_field_for_period(2047))]
+    with open(specs[1], "w", encoding="ascii") as fh:
+        fh.write(formats.serialize_spectrum(factors[1]))
+    os.utime(specs[1], ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert run(capsys, "crt-conv", "--factors", *specs, "--out", out)[0] == 0
+    assert _read(out) == formats.serialize_spectrum(product_spectrum(factors))
+    assert _read(out) != _read(GOLDEN_3X2047)
 
 
 def test_dft_warm_output_equals_cold(tmp_path, capsys, clear_field_caches):

@@ -159,6 +159,23 @@ def test_factor_exponent_at_index_0_must_be_0():
         combiner_spectrum(AnfCombiner.parse("1+1*2"), factors)
 
 
+def test_factor_that_breaks_the_doubling_law_gets_a_checked_product():
+    # the map proves a product conjugate only from conjugate factors; a
+    # factor built with a violation sends the output through the full
+    # check, which records the product's own violation
+    s = _spec(C)
+    k = min(s.points)
+    bad = Spectrum(s.N, s.field, s.root,
+                   {**s.points, k: (s.points[k] + 1) % s.N})
+    assert bad.conjugacy_violation() is not None
+    factors = [_spec(B), bad]
+    for S in (product_spectrum(factors),
+              combiner_spectrum(AnfCombiner.parse("1+1*2"), factors)):
+        checked = Spectrum(S.N, S.field, S.root, S.points)
+        assert S.conjugacy_violation() == checked.conjugacy_violation()
+        assert S.conjugacy_violation() is not None
+
+
 def test_reference_217_and_93():
     S_bc = product_spectrum([_spec(B), _spec(C)])
     assert {k: S_bc.values[k] for k in S_bc.support()} == rv.TABLE_BC
@@ -268,6 +285,17 @@ def test_combiner_arity_and_moduli_checks():
         combiner_spectrum(f, [_spec(A), _spec(B)])
     with pytest.raises(ValueError, match="share factor"):
         combiner_spectrum(f, [_spec(A), _spec(B), _spec(A)])
+
+
+def test_combiner_takes_its_factors_from_any_iterable():
+    # the arity is checked on the listed factors, so a generator, which
+    # has no len(), reads as its list does
+    f = AnfCombiner.parse(rv.COMBINER_ANF)
+    factors = [_spec(A), _spec(B), _spec(C)]
+    for route in (combiner_spectrum, combiner_term_supports):
+        assert route(f, (g for g in factors)) == route(f, factors)
+    with pytest.raises(ValueError, match="2 factors for 3 variables"):
+        combiner_spectrum(f, (g for g in factors[:2]))
 
 
 def _combiner_or_error(f, seqs):

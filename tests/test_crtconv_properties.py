@@ -1,13 +1,20 @@
-"""Property test of the term-by-term combiner spectrum against the
-length-N oracle, on random ANFs over m-sequences whose inputs are
-complemented at random so that term supports can overlap."""
+"""Property tests of the CRT route on random ANFs over m-sequences whose
+inputs are complemented at random so that term supports can overlap: the
+term-by-term combiner spectrum against the length-N oracle, and every
+kernel output against the public constructor's full check."""
+
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtspectra.sequences import AnfCombiner, Lfsr, lfsr_stream
+from crtspectra.crtconv import combiner_spectrum, product_spectrum
+from crtspectra.sequences import (AnfCombiner, Lfsr, lfsr_stream,
+                                  pointwise_product)
+from crtspectra.spectral import Spectrum
 
-from test_crtconv import _combiner_or_error, _complement, _oracle_or_error
+from test_crtconv import (_combiner_or_error, _complement, _oracle_or_error,
+                          _spec)
 
 
 # primitive connection polynomials for the m-sequences of each period
@@ -40,3 +47,27 @@ def test_combiner_spectrum_matches_oracle_property(case):
         assert isinstance(got, ValueError)
     else:
         assert got == ref
+
+
+def _passes_the_public_check(S: Spectrum) -> bool:
+    """S is what Spectrum(...) builds from its own data, with its points in
+    ascending order, and neither it nor that rebuild breaks the doubling
+    law: the rebuild scans every point, whatever route built S."""
+    checked = Spectrum(S.N, S.field, S.root, S.points)
+    return (S == checked and list(S.points) == sorted(S.points)
+            and checked.conjugacy_violation() is None
+            and S.conjugacy_violation() is None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(combiner_cases())
+def test_kernel_outputs_pass_the_public_check_property(case):
+    # product_spectrum and combiner_spectrum build their outputs without
+    # the constructor's scan, since the CRT map proves what it checks;
+    # dft's go through coset_expand, which keeps it
+    f, seqs = case
+    factors = [_spec(s) for s in seqs]
+    outputs = [*factors, _spec(reduce(pointwise_product, seqs)),
+               product_spectrum(factors), combiner_spectrum(f, factors)]
+    for S in outputs:
+        assert _passes_the_public_check(S), S

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from crtspectra import formats
 from crtspectra.crtconv import product_spectrum
 from crtspectra.field import (FieldSpec, _doubling_orbit, build_field,
                               discrete_log, element_of_order)
@@ -233,6 +234,73 @@ def test_spectrum_short_text_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_warm_spectrum_parse_equals_cold_parse_and_line_walk(
+        monkeypatch, clear_field_caches):
+    # the second read of a text is the memo's: the same spectrum, with no
+    # field work, not even the header's g^e; the line walk reads the same
+    # lines in another order to the same spectrum
+    text = serialize_spectrum(_product_spectrum_21())
+    head, *body = text.splitlines()
+    clear_field_caches()
+    cold = parse_spectrum(text, "cold")
+
+    def refuse(*args):
+        raise AssertionError("a warm parse built a field")
+    monkeypatch.setattr(formats, "build_field", refuse)
+    monkeypatch.setattr(FieldSpec, "pow_int", refuse)
+    warm = parse_spectrum(text, "warm")
+    monkeypatch.undo()
+    walked = parse_spectrum("\n".join([head, *reversed(body)]), "walked")
+    assert warm is cold
+    assert warm == walked == _product_spectrum_21()
+
+
+def test_malformed_spectrum_fails_under_each_path_it_is_read_from():
+    # errors are never memoized: each read words its own path
+    lines = serialize_spectrum(_product_spectrum_21()).splitlines()
+    lines[6] = "5 21"                               # exponent >= N
+    text = "\n".join(lines)
+    held = formats._read_spectrum_memo.cache_info().currsize
+    for path in ("one.spec", "two.spec"):
+        with pytest.raises(FormatError, match=f"^{path}:7:3: exponent 21"):
+            parse_spectrum(text, path)
+    assert formats._read_spectrum_memo.cache_info().currsize == held
+
+
+class _UnhashableText(str):
+    def __hash__(self):
+        raise AssertionError("the text was hashed")
+
+
+def test_spectrum_above_the_plan_bound_is_neither_hashed_nor_held(
+        monkeypatch, clear_field_caches):
+    text = _UnhashableText(serialize_spectrum(_product_spectrum_21()))
+    clear_field_caches()
+    with pytest.raises(AssertionError, match="hashed"):
+        parse_spectrum(text, "x")                   # N = 21: memoized
+    monkeypatch.setattr(formats, "_PLAN_MAX_N", 20)
+    assert parse_spectrum(text, "x") == _product_spectrum_21()
+    monkeypatch.undo()
+    # a header the N prefix does not match is read, not held
+    indented = _UnhashableText(" " + text)
+    assert parse_spectrum(indented, "x") == _product_spectrum_21()
+    assert formats._read_spectrum_memo.cache_info().currsize == 0
+
+
+def test_spectrum_memo_keeps_the_latest_texts(clear_field_caches):
+    # distinct texts of one spectrum, each with one more blank line; the
+    # memo holds the latest maxsize of them, so the first is read again
+    text = serialize_spectrum(_product_spectrum_21())
+    maxsize = formats._read_spectrum_memo.cache_info().maxsize
+    texts = [text + "\n" * i for i in range(maxsize + 1)]
+    clear_field_caches()
+    for t in texts + texts[-1:] + texts[:1]:
+        parse_spectrum(t, "x")
+    info = formats._read_spectrum_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (
+        1, maxsize + 2, maxsize)
 
 
 @pytest.mark.parametrize("data", [
